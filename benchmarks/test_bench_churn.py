@@ -203,8 +203,8 @@ def _bench_churn_while_serving(bench_graph, rng, tmp_path) -> Dict[str, object]:
         rng=BENCH_SEED,
     )
     release = publisher.release()
-    store_dir = tmp_path / "churn-store"
-    store = ReleaseStore(store_dir)
+    store_path = tmp_path / "churn-store.db"
+    store = ReleaseStore(store_path)
     store.save(release, key="live")
     policy = AccessPolicy({"public": min(2, NUM_LEVELS - 2)}, top_level=NUM_LEVELS)
 
@@ -212,7 +212,7 @@ def _bench_churn_while_serving(bench_graph, rng, tmp_path) -> Dict[str, object]:
     reads_lock = threading.Lock()
     stop = threading.Event()
 
-    with ServerFleet(store_dir, policy, port=0, processes=2) as fleet:
+    with ServerFleet(store_path, policy, port=0, processes=2) as fleet:
 
         def reader() -> None:
             routes = ("/releases/live", "/releases/live/views/public")

@@ -278,7 +278,7 @@ def test_bench_serving_throughput_and_latency(bench_graph, results_dir, tmp_path
         "roles": policy.roles(),
     }
     for label, cache_size in (("cold_cache", 0), ("warm_cache", 32)):
-        store = ReleaseStore(tmp_path / f"store-{label}", cache_size=cache_size)
+        store = ReleaseStore(tmp_path / f"store-{label}.db", cache_size=cache_size)
         key = store.save(release)
         paths = [f"/releases/{key}/views/{role}" for role in policy.roles()]
         # response_cache_size=0 keeps these sections the historical baseline:
@@ -289,7 +289,7 @@ def test_bench_serving_throughput_and_latency(bench_graph, results_dir, tmp_path
 
     # Response byte cache on: a warm GET replays precomputed bytes (zero
     # serialisation, zero store reads), and revalidations answer empty 304s.
-    store = ReleaseStore(tmp_path / "store-respcache", cache_size=32)
+    store = ReleaseStore(tmp_path / "store-respcache.db", cache_size=32)
     key = store.save(release)
     paths = [f"/releases/{key}/views/{role}" for role in policy.roles()]
     with ReleaseServer(store, policy, port=0) as server:
@@ -311,7 +311,7 @@ def test_bench_serving_throughput_and_latency(bench_graph, results_dir, tmp_path
 
     # Overload: bound in-flight work and drive the server at 2x saturation,
     # recording how much it sheds and what the surviving requests pay.
-    inner = ReleaseStore(tmp_path / "store-overload")
+    inner = ReleaseStore(tmp_path / "store-overload.db")
     key = inner.save(release)
     slow_store = ReleaseStore(
         FaultInjectingBackend(inner.backend, delay={"get_document": OVERLOAD_FLOOR})
@@ -329,8 +329,8 @@ def test_bench_serving_throughput_and_latency(bench_graph, results_dir, tmp_path
 
     # Grid: fleet size x client threads, all requests served from the
     # response cache (the scaling configuration the tentpole targets).
-    store_dir = tmp_path / "store-grid"
-    key = ReleaseStore(store_dir).save(release)
+    store_path = tmp_path / "store-grid.db"
+    key = ReleaseStore(store_path).save(release)
     paths = [f"/releases/{key}/views/{role}" for role in policy.roles()]
     record["grid"] = {
         "cpu_count": os.cpu_count(),
@@ -339,7 +339,7 @@ def test_bench_serving_throughput_and_latency(bench_graph, results_dir, tmp_path
         "cells": {},
     }
     for processes in GRID_PROCESSES:
-        with ServerFleet(store_dir, policy, processes=processes) as fleet:
+        with ServerFleet(store_path, policy, processes=processes) as fleet:
             for num_threads in GRID_CLIENT_THREADS:
                 cell = _drive_grid_cell(fleet.url, paths, num_threads)
                 cell["processes"] = fleet.processes

@@ -1,15 +1,16 @@
 """Catalog query cost: indexed SQL vs full-scan, as the store grows.
 
-Seeds a SQLite store and a directory store with the *same* releases (one
-small release re-put under many keys with varying epsilons, so seeding is
-cheap but the catalog is wide), then times a selective
-:class:`~repro.core.catalog.ReleaseFilter` through
-:class:`~repro.core.catalog.ReleaseCatalog` on both:
+Seeds a SQLite store with many releases (one small release re-put under
+many keys with varying epsilons, so seeding is cheap but the catalog is
+wide), then times a selective :class:`~repro.core.catalog.ReleaseFilter`
+through :class:`~repro.core.catalog.ReleaseCatalog` two ways on that same
+store:
 
-* **sqlite** — the backend's ``query_catalog`` path: one parameterized
-  ``SELECT`` over the extracted catalog columns, no document blobs read;
-* **scan** — the fallback every other backend uses: read and parse every
-  stored document, filter in Python.
+* **sqlite** — :meth:`ReleaseCatalog.rows`, i.e. the backend's
+  ``query_catalog`` path: one parameterized ``SELECT`` over the extracted
+  catalog columns, no document blobs read;
+* **scan** — :meth:`ReleaseCatalog.scan`, the fallback for backends without
+  an index: read and parse every stored document, filter in Python.
 
 The benchmark asserts only sanity — both paths return identical rows and
 the indexed path is no slower than the scan at the largest store size —
@@ -39,8 +40,8 @@ STORE_SIZES = (16, 64, 256)
 QUERY_REPEATS = 5
 
 
-def _seed_stores(tmp_path, num_releases):
-    """Two same-content stores with `num_releases` catalog rows each."""
+def _seed_store(tmp_path, num_releases):
+    """A SQLite store with `num_releases` catalog rows."""
     release = MultiLevelDiscloser(
         DisclosureConfig(
             epsilon_g=0.5, specialization=SpecializationConfig(num_levels=4)
@@ -49,8 +50,7 @@ def _seed_stores(tmp_path, num_releases):
     ).disclose(generate_dblp_like(num_authors=120, seed=BENCH_SEED))
     document = release.to_dict()
 
-    sqlite_store = ReleaseStore(tmp_path / f"catalog-{num_releases}.db")
-    directory_store = ReleaseStore(tmp_path / f"catalog-{num_releases}")
+    store = ReleaseStore(tmp_path / f"catalog-{num_releases}.db")
     # Vary epsilon in the stored document so the filter is selective
     # (~1/4 of rows match) without paying for fresh disclosures.
     for index in range(num_releases):
@@ -58,18 +58,16 @@ def _seed_stores(tmp_path, num_releases):
         from repro.core.release import MultiLevelRelease
 
         variant = MultiLevelRelease.from_dict(document)
-        key = f"bench-{index:04d}"
-        sqlite_store.save(variant, key=key)
-        directory_store.save(variant, key=key)
-    return sqlite_store, directory_store
+        store.save(variant, key=f"bench-{index:04d}")
+    return store
 
 
-def _time_rows(catalog, release_filter):
+def _time_rows(query, release_filter):
     best = float("inf")
     rows = None
     for _ in range(QUERY_REPEATS):
         start = time.perf_counter()
-        rows = catalog.rows(release_filter)
+        rows = query(release_filter)
         best = min(best, time.perf_counter() - start)
     return rows, best
 
@@ -79,13 +77,9 @@ class TestStoreQueryBench:
         release_filter = ReleaseFilter(epsilon=0.5, key_glob="bench-*")
         table: List[Dict] = []
         for size in STORE_SIZES:
-            sqlite_store, directory_store = _seed_stores(tmp_path, size)
-            sql_rows, sql_time = _time_rows(
-                ReleaseCatalog(sqlite_store), release_filter
-            )
-            scan_rows, scan_time = _time_rows(
-                ReleaseCatalog(directory_store), release_filter
-            )
+            catalog = ReleaseCatalog(_seed_store(tmp_path, size))
+            sql_rows, sql_time = _time_rows(catalog.rows, release_filter)
+            scan_rows, scan_time = _time_rows(catalog.scan, release_filter)
             assert sql_rows == scan_rows  # parity before performance
             assert len(sql_rows) == size // 4
             table.append(

@@ -3,8 +3,8 @@
 Two sections, both sweeping a fixed ``epsilon_g`` grid of small disclosures:
 
 * **executors** — the same :class:`~repro.evaluation.sweep.ParameterSweep`
-  run through the ``serial``, ``process`` and ``manager`` executors (the
-  pools at :data:`POOL_WORKERS` wide), reporting wall time and
+  run through the ``serial`` and ``process`` executors (the pool at
+  :data:`POOL_WORKERS` wide), reporting wall time and
   **combinations/sec** for each.  The rows are asserted identical across
   executors — the determinism contract the parity suite proves per-release
   holds for whole sweeps too.
@@ -47,7 +47,7 @@ NUM_AUTHORS = 120
 #: Hierarchy depth of each combination's disclosure.
 NUM_LEVELS = 3
 
-#: Width of the process/manager pools (passed as the worker budget too, so
+#: Width of the process pool (passed as the worker budget too, so
 #: the benchmark runs identically on single-core CI runners).
 POOL_WORKERS = 4
 
@@ -79,7 +79,7 @@ def _timed_sweep(**run_kwargs):
 def _bench_executors() -> Dict[str, object]:
     section: Dict[str, object] = {}
     baseline_rows = None
-    for spec in ("serial", "process", "manager"):
+    for spec in ("serial", "process"):
         workers = 1 if spec == "serial" else POOL_WORKERS
         scheduler = SweepScheduler(executor=spec, workers=workers, budget=POOL_WORKERS)
         elapsed, result = _timed_sweep(

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import sys
 import tempfile
+from pathlib import Path
 
 from repro import (
     DisclosureConfig,
@@ -112,7 +113,7 @@ def main(num_authors: int = 2_000) -> None:
     # Persist the release: the budget is spent either way, so keep the
     # artefact and serve it instead of re-disclosing.  The round-trip is
     # lossless down to the last bit.
-    store = ReleaseStore(tempfile.mkdtemp(prefix="repro-releases-"))
+    store = ReleaseStore(Path(tempfile.mkdtemp(prefix="repro-releases-")) / "releases.db")
     key = store.save(release)
     restored = store.load(key)
     print(

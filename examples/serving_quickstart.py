@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import sys
 import tempfile
+from pathlib import Path
 
 from repro import (
     AccessPolicy,
@@ -40,7 +41,8 @@ def main(num_authors: int = 400) -> None:
     )
     release = MultiLevelDiscloser(config, rng=1).disclose(graph)
 
-    store = ReleaseStore(tempfile.mkdtemp(prefix="repro-store-"), cache_size=16)
+    store_path = Path(tempfile.mkdtemp(prefix="repro-store-")) / "releases.db"
+    store = ReleaseStore(store_path, cache_size=16)
     key = store.save(release)
     print(f"disclosed levels {release.levels()} and stored under key {key!r}")
 

@@ -72,20 +72,20 @@ and serve it instead of re-disclosing.  :class:`~repro.core.store.ReleaseStore`
 round-trips releases losslessly (JSON structure + float64 npz answers):
 
 >>> import tempfile
->>> store = ReleaseStore(tempfile.mkdtemp())
+>>> from pathlib import Path
+>>> store = ReleaseStore(Path(tempfile.mkdtemp()) / "releases.db")
 >>> key = store.save(release)
 >>> store.load(key).to_dict() == release.to_dict()
 True
 
 ``GraphPublisher.export_views(..., store=...)`` persists the full release
-alongside the per-role view documents, ``repro disclose --store DIR``
-populates a store from the command line, and ``repro report --store DIR
+alongside the per-role view documents, ``repro disclose --store FILE.db``
+populates a store from the command line, and ``repro report --store FILE.db
 --key KEY`` re-renders Figure-1-style per-level metrics from the stored
 artefact without touching the graph again.
 
 The store sits on a pluggable :class:`~repro.core.store.StoreBackend`
-(a directory of JSON+npz pairs with a persisted O(1) key index by default,
-a single queryable SQLite file when the path ends in ``.db`` —
+(a single queryable SQLite file for any path —
 :class:`~repro.core.sqlite_backend.SqliteBackend`, inspected with
 ``repro query`` / :class:`~repro.core.catalog.ReleaseCatalog` — or
 :meth:`ReleaseStore.in_memory` for tests and caches) and can keep an LRU
@@ -106,7 +106,7 @@ loads releases from a store and resolves each caller's role through
 2
 >>> server.stop()
 
-``repro serve --store DIR --policy FILE`` starts the same server from the
+``repro serve --store FILE.db --policy FILE`` starts the same server from the
 command line, and ``GraphPublisher.serve(release, policy, store)`` persists
 a fresh release and hands back a ready server in one call.
 """
@@ -148,7 +148,7 @@ from repro.privacy.guarantees import (
 )
 from repro.core.catalog import ReleaseCatalog, ReleaseFilter
 from repro.core.sqlite_backend import SqliteBackend
-from repro.core.store import DirectoryBackend, MemoryBackend, StoreBackend
+from repro.core.store import MemoryBackend, StoreBackend, import_directory_store
 from repro.exceptions import ServingError
 from repro.serving.client import fetch_json, http_get
 from repro.serving.server import ReleaseServer, create_server
@@ -174,8 +174,8 @@ __all__ = [
     "DisclosurePipeline",
     "ReleaseStore",
     "StoreBackend",
-    "DirectoryBackend",
     "MemoryBackend",
+    "import_directory_store",
     "SqliteBackend",
     "ReleaseCatalog",
     "ReleaseFilter",

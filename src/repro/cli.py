@@ -14,8 +14,7 @@ Python:
   release persisted in a store, without re-disclosing;
 * ``repro query``    — filter a store's release catalog by mechanism,
   epsilon, graph fingerprint, key glob or created-at lower bound, rendered
-  as a table, CSV or canonical JSON; an indexed SQL lookup on SQLite stores
-  and a full-scan fallback on directory stores;
+  as a table, CSV or canonical JSON, answered by an indexed SQL lookup;
 * ``repro sweep``    — disclose an ``epsilon-g`` × ``levels`` grid into a
   store with checkpointed resume: ``--journal`` records each combination's
   state so an interrupted sweep resumes instead of re-disclosing,
@@ -50,6 +49,7 @@ conventional exit status 130 instead of a ``KeyboardInterrupt`` traceback.
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 from functools import partial
 from pathlib import Path
@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     disclose.add_argument(
         "--store",
         type=Path,
-        help="release store to persist the release into (directory, or SQLite file for *.db paths)",
+        help="SQLite release-store file to persist the release into (e.g. releases.db)",
     )
     disclose.add_argument(
         "--key", help="store key for the release (defaults to <dataset>-<content hash>)"
@@ -160,15 +160,15 @@ def build_parser() -> argparse.ArgumentParser:
     report = subparsers.add_parser(
         "report", help="re-render per-level metrics from a stored release (no re-disclosure)"
     )
-    report.add_argument("--store", type=Path, required=True, help="release-store directory")
+    report.add_argument("--store", type=Path, required=True, help="SQLite release-store file")
     report.add_argument("--key", help="release key (omit to list the stored keys)")
     report.add_argument("--output", type=Path, help="optional JSON file for the metrics rows")
 
     query = subparsers.add_parser(
-        "query", help="filter a store's release catalog (SQL-indexed on SQLite stores)"
+        "query", help="filter a store's release catalog (an indexed SQL lookup)"
     )
     query.add_argument(
-        "--store", type=Path, required=True, help="release store (directory or .db file)"
+        "--store", type=Path, required=True, help="SQLite release-store file"
     )
     query.add_argument(
         "--epsilon", type=float, help="exact per-level budget (epsilon-g) filter"
@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--scale", default="tiny")
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument(
-        "--store", type=Path, help="release-store directory each combination's release lands in"
+        "--store", type=Path, help="SQLite release-store file each combination's release lands in"
     )
     sweep.add_argument(
         "--journal",
@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = subparsers.add_parser(
         "serve", help="serve stored releases over a read-only HTTP API"
     )
-    serve.add_argument("--store", type=Path, required=True, help="release-store directory")
+    serve.add_argument("--store", type=Path, required=True, help="SQLite release-store file")
     serve.add_argument(
         "--policy",
         type=Path,
@@ -615,12 +615,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serving.respcache import DEFAULT_RESPONSE_CACHE_SIZE
     from repro.serving.server import DEFAULT_CACHE_SIZE
 
-    # A store is either a release directory or a SQLite database file.
-    if not (args.store.is_dir() or args.store.is_file()):
-        print(
-            f"serve: store directory or file {args.store} does not exist",
-            file=sys.stderr,
-        )
+    if not args.store.is_file():
+        print(f"serve: store file {args.store} does not exist", file=sys.stderr)
         return 2
     if not args.policy.is_file():
         print(f"serve: policy file {args.policy} does not exist", file=sys.stderr)
@@ -631,6 +627,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.response_cache_size is not None
         else DEFAULT_RESPONSE_CACHE_SIZE
     )
+    # SIGTERM exits through the interpreter (143) instead of killing the
+    # process outright, so ``serve_forever`` stops the fleet and the exit
+    # hooks reap any worker still starting; otherwise the workers live on.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     try:
         fleet = ServerFleet(
             args.store,

@@ -155,7 +155,7 @@ class ReleaseFilter:
         case-sensitive on both paths).
     since:
         ISO-8601 lower bound on ``created_at``.  Rows without a recorded
-        ``created_at`` (directory stores, clock-less SQLite writers) never
+        ``created_at`` (in-memory stores, clock-less SQLite writers) never
         match a ``since`` filter — an unknown age is not evidence of
         recency.
     """
@@ -236,14 +236,17 @@ class ReleaseCatalog:
         query = getattr(self.store.backend, "query_catalog", None)
         if callable(query):
             return query(release_filter)
-        return self._scan(release_filter)
+        return self.scan(release_filter)
 
-    def _scan(self, release_filter: ReleaseFilter) -> List[Dict[str, object]]:
-        """The full-scan fallback: parse every document, filter in Python.
+    def scan(self, release_filter: ReleaseFilter) -> List[Dict[str, object]]:
+        """The full-scan path: parse every document, filter in Python.
 
-        A release deleted between ``keys()`` and its read (or torn behind
-        the store) is skipped rather than failing the whole listing — the
-        catalog is an inspection tool, not an integrity checker.
+        The fallback for backends without ``query_catalog``, and the
+        baseline the indexed path is benchmarked against on the same store.
+        A release deleted between ``keys()`` and its read (or stored with an
+        unparseable document) is skipped rather than failing the whole
+        listing — the catalog is an inspection tool, not an integrity
+        checker.
         """
         rows: List[Dict[str, object]] = []
         backend = self.store.backend

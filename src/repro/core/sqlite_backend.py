@@ -1,10 +1,10 @@
 """A single-file SQLite backend for the release store, with catalog columns.
 
-:class:`SqliteBackend` implements the same seven-byte-method
-:class:`~repro.core.store.StoreBackend` contract as the directory and
-in-memory backends — ``put``/``get_document``/``get_answers``/``exists``/
-``delete``/``keys``/``fingerprint`` — so every existing serving, cache and
-fault-injection test runs against it unchanged.  On top of the raw bytes it
+:class:`SqliteBackend` is the release store's one durable backend.  It
+implements the same seven-byte-method :class:`~repro.core.store.StoreBackend`
+contract as the in-memory backend — ``put``/``get_document``/``get_answers``/
+``exists``/``delete``/``keys``/``fingerprint`` — so every serving, cache and
+fault-injection test runs against both.  On top of the raw bytes it
 maintains *catalog columns* (dataset, mechanism, epsilon, released level
 count, graph fingerprint, caller-supplied created-at) extracted from each
 document at ``put`` time via :func:`repro.core.catalog.catalog_columns`,
@@ -21,30 +21,35 @@ Design points:
 * **WAL mode.**  ``journal_mode=WAL`` lets the multi-process serving fleet
   read concurrently with a writer; ``synchronous=NORMAL`` is safe in WAL
   (a torn write rolls back to the last committed transaction, which is
-  exactly what the kill-9 crash test asserts).
+  exactly what the kill-9 crash test asserts).  Switching a new file to WAL
+  is retried while another process holds the lock, so pool workers may all
+  open one new path at once.
 * **Fingerprints from a revision column.**  Every ``put`` stamps the row
   with the next value of a store-wide monotonic counter (kept in ``meta``,
   bumped inside the same transaction).  ``fingerprint()`` returns
   ``rev:{n}`` without touching the blobs, and because the counter never
   reuses a value — even across delete/re-put of the same key — the LRU and
-  response caches revalidate exactly as they do against the directory
-  backend's mtime+size token.
+  response caches never mistake new bytes for a cached entry.
 * **No wall-clock reads.**  ``created_at`` is ``NULL`` unless the caller
   supplies a ``clock`` callable (the CLI passes one for interactive
   writes); the backend itself never reads time, keeping stored artefacts
   bit-reproducible under test.
-* **Fork/thread safety.**  Connections are per-thread (``threading.local``)
-  and guarded by pid, so a forked serving worker never shares its parent's
-  connection.
+* **Fork/thread safety.**  Each operation checks a connection out of a
+  per-process idle pool and returns it afterwards, so no two threads ever
+  use one connection at once, yet the serving layer's short-lived
+  per-request threads reuse open handles instead of paying ~0.3 ms to open
+  one per request.  The pool is keyed by pid, so a forked serving worker
+  never shares its parent's connections.
 """
 
 from __future__ import annotations
 
 import os
 import sqlite3
-import threading
+import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.core.catalog import ReleaseFilter, catalog_columns
 from repro.core.store import PathLike, StoreBackend
@@ -54,12 +59,8 @@ from repro.exceptions import ReleaseIntegrityError
 #: before failing, in milliseconds.  Generous: fleet workers contend rarely.
 BUSY_TIMEOUT_MS = 10_000
 
-#: File suffixes :class:`~repro.core.store.ReleaseStore` treats as SQLite
-#: stores when auto-detecting a backend from a path.
-SQLITE_SUFFIXES = (".db", ".sqlite", ".sqlite3")
-
-#: The on-disk magic prefix of every SQLite database file.
-SQLITE_MAGIC = b"SQLite format 3\x00"
+#: Idle connections a process keeps for reuse; extras close on return.
+MAX_IDLE_CONNECTIONS = 8
 
 
 def _migration_1_initial(conn: sqlite3.Connection) -> None:
@@ -143,73 +144,92 @@ class SqliteBackend(StoreBackend):
         self.path = Path(path)
         self.root = self.path  # fleet/publisher hand this to worker processes
         self._clock = clock
-        self._local = threading.local()
+        self._idle: List[sqlite3.Connection] = []
+        self._idle_pid = os.getpid()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._migrate()
 
     # -- connection management ----------------------------------------
     def _connect(self) -> sqlite3.Connection:
-        conn = sqlite3.connect(str(self.path), timeout=BUSY_TIMEOUT_MS / 1000)
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
+        # check_same_thread=False: a pooled connection moves between
+        # threads, but _connection() hands it to one thread at a time.
+        conn = sqlite3.connect(
+            str(self.path), timeout=BUSY_TIMEOUT_MS / 1000, check_same_thread=False
+        )
         conn.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
+        _enable_wal(conn)
+        conn.execute("PRAGMA synchronous=NORMAL")
         # Explicit transaction control: BEGIN IMMEDIATE in put(), not the
         # driver's lazy autocommit-ish statement batching.
         conn.isolation_level = None
         return conn
 
-    @property
-    def _conn(self) -> sqlite3.Connection:
-        """The calling thread's connection, re-opened after fork."""
+    @contextmanager
+    def _connection(self) -> Iterator[sqlite3.Connection]:
+        """Check a connection out of this process's idle pool for one operation."""
         pid = os.getpid()
-        conn = getattr(self._local, "conn", None)
-        if conn is None or getattr(self._local, "pid", None) != pid:
-            self._local.conn = self._connect()
-            self._local.pid = pid
-            conn = self._local.conn
-        return conn
+        if self._idle_pid != pid:
+            # Forked: drop (never close) the parent's connections.  The pid
+            # is written last, so a thread that sees the new pid also sees
+            # the new pool.
+            self._idle = []
+            self._idle_pid = pid
+        try:
+            conn = self._idle.pop()
+        except IndexError:
+            conn = self._connect()
+        try:
+            yield conn
+        finally:
+            if len(self._idle) < MAX_IDLE_CONNECTIONS and self._idle_pid == pid:
+                self._idle.append(conn)
+            else:
+                conn.close()
 
     def close(self) -> None:
-        """Close the calling thread's connection (others close on GC)."""
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
-            conn.close()
-            self._local.conn = None
+        """Close this process's idle connections (the next call reopens one)."""
+        if self._idle_pid == os.getpid():
+            while self._idle:
+                self._idle.pop().close()
 
     # -- schema --------------------------------------------------------
     def _migrate(self) -> None:
-        conn = self._conn
-        conn.execute(
-            "CREATE TABLE IF NOT EXISTS schema_version (version INTEGER NOT NULL)"
-        )
-        row = conn.execute("SELECT MAX(version) FROM schema_version").fetchone()
-        current = row[0] if row and row[0] is not None else 0
-        if current > SCHEMA_VERSION:
-            raise ReleaseIntegrityError(
-                f"store {self.path} has schema version {current}, newer than this "
-                f"code understands ({SCHEMA_VERSION}); refusing to open"
+        with self._connection() as conn:
+            conn.execute(
+                "CREATE TABLE IF NOT EXISTS schema_version (version INTEGER NOT NULL)"
             )
-        for version, apply in MIGRATIONS:
-            if version <= current:
-                continue
-            conn.execute("BEGIN IMMEDIATE")
-            try:
-                # Re-check under the write lock: another process may have
-                # migrated between our read and our BEGIN.
-                row = conn.execute("SELECT MAX(version) FROM schema_version").fetchone()
-                if (row[0] or 0) >= version:
-                    conn.execute("ROLLBACK")
+            row = conn.execute("SELECT MAX(version) FROM schema_version").fetchone()
+            current = row[0] if row and row[0] is not None else 0
+            if current > SCHEMA_VERSION:
+                raise ReleaseIntegrityError(
+                    f"store {self.path} has schema version {current}, newer than this "
+                    f"code understands ({SCHEMA_VERSION}); refusing to open"
+                )
+            for version, apply in MIGRATIONS:
+                if version <= current:
                     continue
-                apply(conn)
-                conn.execute("INSERT INTO schema_version (version) VALUES (?)", (version,))
-                conn.execute("COMMIT")
-            except BaseException:
-                conn.execute("ROLLBACK")
-                raise
+                conn.execute("BEGIN IMMEDIATE")
+                try:
+                    # Re-check under the write lock: another process may have
+                    # migrated between our read and our BEGIN.
+                    row = conn.execute("SELECT MAX(version) FROM schema_version").fetchone()
+                    if (row[0] or 0) >= version:
+                        conn.execute("ROLLBACK")
+                        continue
+                    apply(conn)
+                    conn.execute("INSERT INTO schema_version (version) VALUES (?)", (version,))
+                    conn.execute("COMMIT")
+                except BaseException:
+                    conn.execute("ROLLBACK")
+                    raise
+
+    def _fetchone(self, sql: str, params: tuple = ()) -> Optional[tuple]:
+        with self._connection() as conn:
+            return conn.execute(sql, params).fetchone()
 
     def schema_version(self) -> int:
         """The applied schema version (for tests and diagnostics)."""
-        row = self._conn.execute("SELECT MAX(version) FROM schema_version").fetchone()
+        row = self._fetchone("SELECT MAX(version) FROM schema_version")
         return int(row[0] or 0)
 
     # -- StoreBackend --------------------------------------------------
@@ -227,80 +247,67 @@ class SqliteBackend(StoreBackend):
                 "graph": None,
             }
         created_at = self._clock() if self._clock is not None else None
-        conn = self._conn
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            conn.execute("UPDATE meta SET value = value + 1 WHERE name = 'revision'")
-            revision = conn.execute(
-                "SELECT value FROM meta WHERE name = 'revision'"
-            ).fetchone()[0]
-            conn.execute(
-                """
-                INSERT OR REPLACE INTO releases
-                    (key, document, answers, revision, created_at,
-                     dataset, mechanism, epsilon, levels, graph_fingerprint)
-                VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
-                """,
-                (
-                    key,
-                    sqlite3.Binary(document),
-                    sqlite3.Binary(answers),
-                    revision,
-                    created_at,
-                    columns["dataset"],
-                    columns["mechanism"],
-                    columns["epsilon"],
-                    columns["levels"],
-                    columns["graph"],
-                ),
-            )
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
+        with self._connection() as conn:
+            conn.execute("BEGIN IMMEDIATE")
+            try:
+                conn.execute("UPDATE meta SET value = value + 1 WHERE name = 'revision'")
+                revision = conn.execute(
+                    "SELECT value FROM meta WHERE name = 'revision'"
+                ).fetchone()[0]
+                conn.execute(
+                    """
+                    INSERT OR REPLACE INTO releases
+                        (key, document, answers, revision, created_at,
+                         dataset, mechanism, epsilon, levels, graph_fingerprint)
+                    VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
+                    """,
+                    (
+                        key,
+                        sqlite3.Binary(document),
+                        sqlite3.Binary(answers),
+                        revision,
+                        created_at,
+                        columns["dataset"],
+                        columns["mechanism"],
+                        columns["epsilon"],
+                        columns["levels"],
+                        columns["graph"],
+                    ),
+                )
+                conn.execute("COMMIT")
+            except BaseException:
+                conn.execute("ROLLBACK")
+                raise
 
     def get_document(self, key: str) -> bytes:
-        row = self._conn.execute(
-            "SELECT document FROM releases WHERE key = ?", (key,)
-        ).fetchone()
+        row = self._fetchone("SELECT document FROM releases WHERE key = ?", (key,))
         if row is None:
             raise KeyError(key)
         return bytes(row[0])
 
     def get_answers(self, key: str) -> Optional[bytes]:
-        row = self._conn.execute(
-            "SELECT answers FROM releases WHERE key = ?", (key,)
-        ).fetchone()
+        row = self._fetchone("SELECT answers FROM releases WHERE key = ?", (key,))
         return bytes(row[0]) if row is not None else None
 
     def exists(self, key: str) -> bool:
-        return (
-            self._conn.execute(
-                "SELECT 1 FROM releases WHERE key = ?", (key,)
-            ).fetchone()
-            is not None
-        )
+        return self._fetchone("SELECT 1 FROM releases WHERE key = ?", (key,)) is not None
 
     def delete(self, key: str) -> None:
-        conn = self._conn
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            conn.execute("DELETE FROM releases WHERE key = ?", (key,))
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
+        with self._connection() as conn:
+            conn.execute("BEGIN IMMEDIATE")
+            try:
+                conn.execute("DELETE FROM releases WHERE key = ?", (key,))
+                conn.execute("COMMIT")
+            except BaseException:
+                conn.execute("ROLLBACK")
+                raise
 
     def keys(self) -> List[str]:
-        return [
-            row[0]
-            for row in self._conn.execute("SELECT key FROM releases ORDER BY key")
-        ]
+        with self._connection() as conn:
+            return [row[0] for row in conn.execute("SELECT key FROM releases ORDER BY key")]
 
     def fingerprint(self, key: str) -> Optional[str]:
-        row = self._conn.execute(
-            "SELECT revision FROM releases WHERE key = ?", (key,)
-        ).fetchone()
+        row = self._fetchone("SELECT revision FROM releases WHERE key = ?", (key,))
         return f"rev:{row[0]}" if row is not None else None
 
     def describe(self) -> str:
@@ -316,11 +323,12 @@ class SqliteBackend(StoreBackend):
         full-scan fallback.
         """
         where, params = release_filter.sql_where()
-        rows = self._conn.execute(
-            "SELECT key, dataset, mechanism, epsilon, levels, graph_fingerprint,"
-            f" created_at FROM releases{where} ORDER BY key",
-            params,
-        ).fetchall()
+        with self._connection() as conn:
+            rows = conn.execute(
+                "SELECT key, dataset, mechanism, epsilon, levels, graph_fingerprint,"
+                f" created_at FROM releases{where} ORDER BY key",
+                params,
+            ).fetchall()
         return [
             {
                 "key": row[0],
@@ -335,23 +343,21 @@ class SqliteBackend(StoreBackend):
         ]
 
 
-def is_sqlite_path(path: PathLike) -> bool:
-    """Whether ``path`` should be opened as a SQLite store.
+def _enable_wal(conn: sqlite3.Connection) -> None:
+    """Switch ``conn``'s database to WAL, waiting out concurrent first opens.
 
-    True for the conventional suffixes (``.db``/``.sqlite``/``.sqlite3``) —
-    even before the file exists, so a fresh ``repro disclose --store x.db``
-    creates a SQLite store — and for any existing file carrying the SQLite
-    magic header, whatever its name.
+    Moving a new (rollback-journal) file to WAL writes its header under a
+    write lock.  When another connection holds that lock — a second process
+    opening the same new path — SQLite fails the switch at once with
+    ``database is locked`` instead of calling the busy handler, so the
+    switch is retried here for up to :data:`BUSY_TIMEOUT_MS`.
     """
-    path = Path(path)
-    if path.is_dir():
-        return False
-    if path.suffix.lower() in SQLITE_SUFFIXES:
-        return True
-    if path.is_file():
+    deadline = time.monotonic() + BUSY_TIMEOUT_MS / 1000
+    while True:
         try:
-            with open(path, "rb") as handle:
-                return handle.read(len(SQLITE_MAGIC)) == SQLITE_MAGIC
-        except OSError:
-            return False
-    return False
+            conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if "database is locked" not in str(exc) or time.monotonic() >= deadline:
+                raise
+        time.sleep(0.005)

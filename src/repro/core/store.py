@@ -4,32 +4,29 @@ A release is an artefact worth keeping: the privacy budget it consumed is
 spent whether or not the noisy answers are saved, so a publisher should
 persist every release and *serve* it rather than re-disclose.
 :class:`ReleaseStore` provides that layer on top of a pluggable
-:class:`StoreBackend`:
+:class:`StoreBackend`.  Every backend keeps the same two artefacts per key:
+the release *document* — canonical JSON with the numeric answer vectors
+replaced by references — and the *answers* — those vectors as float64 npz
+arrays, so the round-trip is lossless down to the last bit.
 
-* :class:`DirectoryBackend` (the default, selected by constructing the store
-  with a path) keeps one directory per release holding ``release.json`` — the
-  full release document with the numeric answer vectors replaced by
-  references — and ``answers.npz`` — the answer vectors as float64 arrays, so
-  the round-trip is lossless down to the last bit.  A persisted ``index.json``
-  at the store root is maintained incrementally on every ``put``/``delete``
-  so :meth:`ReleaseStore.keys` is O(1) instead of an O(n) directory scan;
-  legacy stores without an index (and stores whose directory contents drifted
-  from the index) are healed by an automatic rebuild.
+* :class:`~repro.core.sqlite_backend.SqliteBackend` is the one durable
+  backend, selected by constructing the store with a path: one WAL-mode
+  SQLite file holding both artefacts per row, plus extracted catalog
+  columns that make the store queryable by mechanism/epsilon/graph
+  fingerprint (``repro query``, :mod:`repro.core.catalog`).
 * :class:`MemoryBackend` keeps the same two artefacts per key in process
   memory — the natural backend for tests and for serving-layer caches — and
-  produces byte-identical documents, so a release stored through either
-  backend serialises identically.
-* :class:`~repro.core.sqlite_backend.SqliteBackend` (selected by a
-  ``.db``/``.sqlite`` path) keeps the same artefacts in one SQLite file,
-  plus extracted catalog columns that make the store queryable by
-  mechanism/epsilon/graph fingerprint (``repro query``,
-  :mod:`repro.core.catalog`).
+  produces byte-identical documents.
+
+Stores written by the former one-directory-per-release backend
+(``<key>/release.json`` + ``answers.npz``) are copied into a SQLite store,
+byte for byte, by :func:`import_directory_store`.
 
 On top of the backend, :class:`ReleaseStore` optionally keeps an LRU
 read-through cache of parsed releases (``cache_size``).  Every cache hit is
-re-validated against the backend's cheap change fingerprint (file size +
-mtime for directories, a revision counter in memory), so a release that was
-rewritten or corrupted behind the store is never served stale from memory.
+re-validated against the backend's cheap change fingerprint (a revision
+counter), so a release that was rewritten or corrupted behind the store is
+never served stale from memory.
 
 The store is wired through :meth:`repro.core.publisher.GraphPublisher.export_views`,
 the ``repro disclose --store`` / ``repro report`` / ``repro serve`` CLI
@@ -43,17 +40,10 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import os
 import re
 import threading
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from contextlib import contextmanager
-
-try:  # POSIX only; the index degrades to thread-level locking elsewhere
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platform
-    fcntl = None
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -67,18 +57,25 @@ PathLike = Union[str, Path]
 
 _KEY_RE = re.compile(r"[^A-Za-z0-9._-]+")
 
+#: Serialises answer-array parsing.  NumPy parses ``.npy`` headers with
+#: ``ast.literal_eval``, which is not thread-safe on every CPython (3.11.7
+#: raises ``SystemError: AST constructor recursion depth mismatch`` when two
+#: threads parse at once), so concurrent loads would misreport intact
+#: artefacts as corrupt.
+_NPZ_PARSE_LOCK = threading.Lock()
+
 
 def _slugify(text: str) -> str:
     """Filesystem-safe store key fragment.
 
     When sanitisation is lossy (the text contained characters outside
     ``[A-Za-z0-9._-]``), a short digest of the *original* text is appended so
-    two distinct raw keys can never collide onto one directory (``"exp 1"``
-    vs ``"exp-1"``).
+    two distinct raw keys can never collide onto one key (``"exp 1"`` vs
+    ``"exp-1"``).
     """
     slug = _KEY_RE.sub("-", text.strip()).strip("-")
     if not slug or slug.strip(".") == "":
-        # All-dot slugs ("." / "..") would escape the store root as paths.
+        # All-dot slugs ("." / "..") are not usable as file names.
         slug = "release"
     if slug != text:
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:8]
@@ -135,18 +132,6 @@ def _restore_answers(document: dict, arrays: Dict[str, np.ndarray]) -> dict:
     return document
 
 
-def _tmp_suffix() -> str:
-    """Per-writer temp-file suffix (``.<pid>-<thread>.tmp``).
-
-    Keeping pid *and* thread id in the name means concurrent writers —
-    whether threads in one process or separate processes — never collide on
-    the temp path, so write-then-rename stays atomic under racing ``put``
-    calls on the same key.  The ``.tmp`` tail keeps the files visible to
-    :meth:`DirectoryBackend.delete`'s interrupted-write cleanup.
-    """
-    return f".{os.getpid()}-{threading.get_ident()}.tmp"
-
-
 def _document_bytes(document: dict) -> bytes:
     """Canonical serialisation of a release document — identical across
     backends (and to the serving layer's responses) by construction."""
@@ -168,8 +153,8 @@ class StoreBackend(ABC):
     A backend stores, per (already slugified) key, exactly two artefacts: the
     release *document* (canonical JSON bytes) and the *answers* (npz bytes).
     Keeping the contract this small is what lets the same :class:`ReleaseStore`
-    interface target a directory tree today and object storage or a key-value
-    database tomorrow.
+    interface target a SQLite file, process memory, or a fault-injecting
+    wrapper around either.
     """
 
     @abstractmethod
@@ -210,264 +195,12 @@ class StoreBackend(ABC):
         """Human-readable location for error messages and ``repr``."""
 
 
-class DirectoryBackend(StoreBackend):
-    """One directory per release (``release.json`` + ``answers.npz``).
-
-    A persisted ``index.json`` at the store root lists the stored keys and is
-    maintained incrementally by :meth:`put`/:meth:`delete`, making
-    :meth:`keys` a single O(1) file read on stores with thousands of
-    releases.  Stores created before the index existed — or whose directory
-    contents drifted from the index (releases copied in or removed by hand) —
-    are handled by :meth:`rebuild_index` plus read-repair in
-    :meth:`get_document`.
-    """
-
-    DOCUMENT_NAME = "release.json"
-    ANSWERS_NAME = "answers.npz"
-    INDEX_NAME = "index.json"
-    INDEX_VERSION = 1
-
-    def __init__(self, root: PathLike):
-        self.root = Path(root)
-        self._index_lock = threading.Lock()
-        self._known_keys: Optional[set] = None
-
-    # -- paths ---------------------------------------------------------
-    def path_for(self, key: str) -> Path:
-        """Directory holding one release."""
-        if not key or key.strip(".") == "" or "/" in key or "\\" in key:
-            raise ValidationError(f"invalid store key {key!r}: would escape the store root")
-        return self.root / key
-
-    @property
-    def index_path(self) -> Path:
-        return self.root / self.INDEX_NAME
-
-    # -- index maintenance --------------------------------------------
-    def _scan_keys(self) -> List[str]:
-        """O(n) directory scan — the rebuild path, not the hot path.
-
-        A complete release is the *pair* of artefacts: ``put`` renames the
-        answers into place before the document, so a directory holding a
-        document without its sibling answers file is a torn pair (the
-        answers were deleted behind the store) and must not be listed —
-        loading it could only fail later.
-        """
-        if not self.root.is_dir():
-            return []
-        return sorted(
-            entry.name
-            for entry in self.root.iterdir()
-            if (entry / self.DOCUMENT_NAME).is_file()
-            and (entry / self.ANSWERS_NAME).is_file()
-        )
-
-    def _write_index(self, keys: List[str]) -> None:
-        """Atomically persist the key list (temp file + rename)."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        payload = {"version": self.INDEX_VERSION, "keys": sorted(keys)}
-        tmp_path = self.index_path.with_name(self.INDEX_NAME + _tmp_suffix())
-        tmp_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        os.replace(tmp_path, self.index_path)
-
-    def _read_index(self) -> Optional[List[str]]:
-        """The indexed key list, or ``None`` when missing/corrupt (→ rebuild)."""
-        try:
-            payload = json.loads(self.index_path.read_text(encoding="utf-8"))
-            keys = payload["keys"]
-            if payload.get("version") != self.INDEX_VERSION or not isinstance(keys, list):
-                return None
-            return [str(key) for key in keys]
-        except (OSError, json.JSONDecodeError, KeyError, TypeError):
-            return None
-
-    @contextmanager
-    def _exclusive_index(self):
-        """Serialise index read-modify-writes across threads *and* processes.
-
-        The thread lock alone cannot see other processes: four process-pool
-        workers saving releases through their own backend instances would
-        each read ``index.json``, append their own key and rename their copy
-        into place — the last rename wins and the other workers' entries are
-        silently lost, so ``keys()`` under-reports releases that are all on
-        disk.  An ``flock`` on a sidecar lock file (the index itself is
-        replaced on every write, so it cannot carry the lock) makes the
-        sequence atomic machine-wide.  Platforms without ``fcntl`` and
-        read-only mounts fall back to thread-level locking only.
-        """
-        with self._index_lock:
-            handle = None
-            if fcntl is not None and self.root.is_dir():
-                try:
-                    handle = open(self.root / (self.INDEX_NAME + ".lock"), "a")
-                    fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-                except OSError:  # pragma: no cover - read-only filesystem
-                    if handle is not None:
-                        handle.close()
-                    handle = None
-            try:
-                yield
-            finally:
-                if handle is not None:
-                    handle.close()  # closing the fd releases the flock
-
-    def rebuild_index(self) -> List[str]:
-        """Rescan the directory tree and rewrite the index; returns the keys.
-
-        The recovery path for legacy (pre-index) stores and for drift —
-        release directories copied in or deleted behind the store's back.
-        """
-        with self._exclusive_index():
-            keys = self._scan_keys()
-            self._known_keys = set(keys)
-            if self.root.is_dir():
-                self._write_index(keys)
-            return keys
-
-    def _index_add(self, key: str) -> None:
-        with self._exclusive_index():
-            keys = self._read_index()
-            if keys is None:
-                keys = self._scan_keys()
-            elif key in keys:
-                self._known_keys = set(keys)
-                return
-            else:
-                keys.append(key)
-            self._known_keys = set(keys)
-            self._write_index(keys)
-
-    def _index_discard(self, key: str) -> None:
-        with self._exclusive_index():
-            keys = self._read_index()
-            if keys is None:
-                keys = self._scan_keys()
-            elif key not in keys:
-                self._known_keys = set(keys)
-                return
-            else:
-                keys.remove(key)
-            self._known_keys = set(keys)
-            self._write_index(keys)
-
-    # -- StoreBackend --------------------------------------------------
-    def put(self, key: str, document: bytes, answers: bytes) -> None:
-        if key in (self.INDEX_NAME, self.INDEX_NAME + ".lock"):
-            raise ValidationError(
-                f"store key {key!r} is reserved for the key index"
-            )
-        directory = self.path_for(key)
-        directory.mkdir(parents=True, exist_ok=True)
-        # Write-then-rename per artefact so a concurrent reader (the serving
-        # layer republishing under a live key) never sees a torn file.  The
-        # answers land before the document: the document is what readers
-        # check first, so it must never reference not-yet-renamed answers.
-        # Temp names carry the writer's pid and thread id, so two writers
-        # racing on the same key never share a temp file — each rename lands
-        # a complete artefact and the last writer wins wholesale.
-        for name, data in ((self.ANSWERS_NAME, answers), (self.DOCUMENT_NAME, document)):
-            tmp_path = directory / (name + _tmp_suffix())
-            tmp_path.write_bytes(data)
-            os.replace(tmp_path, directory / name)
-        self._index_add(key)
-
-    def get_document(self, key: str) -> bytes:
-        try:
-            data = (self.path_for(key) / self.DOCUMENT_NAME).read_bytes()
-        except OSError:
-            # Read-repair: drop a dangling index entry for a vanished release.
-            indexed = self._read_index()
-            if indexed is not None and key in indexed:
-                self._index_discard(key)
-            raise KeyError(key) from None
-        # Read-repair for a release copied in behind our back.  The in-memory
-        # key set keeps this O(1) on the hot path: the index file is only
-        # parsed once per process, not per read.
-        known = self._known_keys
-        if known is None:
-            indexed = self._read_index()
-            known = set(indexed) if indexed is not None else set(self._scan_keys())
-            self._known_keys = known
-        if key not in known:
-            try:
-                self._index_add(key)
-            except OSError:  # read-only store: serve the bytes, skip the repair
-                known.add(key)
-        return data
-
-    def get_answers(self, key: str) -> Optional[bytes]:
-        path = self.path_for(key) / self.ANSWERS_NAME
-        if not path.is_file():
-            if (self.path_for(key) / self.DOCUMENT_NAME).is_file():
-                # Torn pair: the document survived but its sibling answers
-                # file was deleted out from under the store.  ``put`` writes
-                # answers before the document, so this can never be a write
-                # in flight — read-repair the index so keys() stops
-                # advertising an entry load() can only fail on.  Document-only
-                # reads (serving metadata/roles) keep working regardless.
-                indexed = self._read_index()
-                if indexed is not None and key in indexed:
-                    self._index_discard(key)
-            return None
-        return path.read_bytes()
-
-    def exists(self, key: str) -> bool:
-        return (self.path_for(key) / self.DOCUMENT_NAME).is_file()
-
-    def delete(self, key: str) -> None:
-        directory = self.path_for(key)
-        if directory.is_dir():
-            for name in (self.DOCUMENT_NAME, self.ANSWERS_NAME):
-                path = directory / name
-                if path.is_file():
-                    path.unlink()
-            for leftover in directory.glob("*.tmp"):  # interrupted put()
-                leftover.unlink()
-            try:
-                directory.rmdir()
-            except OSError:  # pragma: no cover - directory had foreign files
-                pass
-        self._index_discard(key)
-
-    def keys(self) -> List[str]:
-        keys = self._read_index()
-        if keys is None:
-            # Legacy store (or corrupt index): scan, then persist the index
-            # best-effort — listing must never materialise a directory for a
-            # store that does not exist, nor fail on a read-only mount.
-            keys = self._scan_keys()
-            if self.root.is_dir():
-                try:
-                    with self._exclusive_index():
-                        self._known_keys = set(keys)
-                        self._write_index(keys)
-                except OSError:  # pragma: no cover - read-only filesystem
-                    pass
-        return sorted(keys)
-
-    def fingerprint(self, key: str) -> Optional[str]:
-        parts = []
-        for name in (self.DOCUMENT_NAME, self.ANSWERS_NAME):
-            try:
-                stat = (self.path_for(key) / name).stat()
-            except OSError:
-                parts.append("absent")
-                continue
-            parts.append(f"{stat.st_mtime_ns}:{stat.st_size}")
-        if parts[0] == "absent":
-            return None
-        return "|".join(parts)
-
-    def describe(self) -> str:
-        return str(self.root)
-
-
 class MemoryBackend(StoreBackend):
     """In-process backend: the same two artefacts per key, held as bytes.
 
     Used for tests and for serving deployments that pre-load a working set;
     because documents are serialised through the same canonical writer, a
-    release stored here is byte-identical to its directory-backed twin.
+    release stored here is byte-identical to its SQLite-backed twin.
     """
 
     def __init__(self):
@@ -511,12 +244,13 @@ class ReleaseStore:
     Parameters
     ----------
     root:
-        Either a path or any :class:`StoreBackend` instance.  A path ending
-        in ``.db``/``.sqlite``/``.sqlite3`` — or an existing file carrying
-        the SQLite magic header — selects a
-        :class:`~repro.core.sqlite_backend.SqliteBackend` (one queryable
-        database file); every other path keeps the historical behaviour and
-        creates a :class:`DirectoryBackend` for it.
+        Either a path or any :class:`StoreBackend` instance.  A path opens
+        (creating it when absent) a
+        :class:`~repro.core.sqlite_backend.SqliteBackend`: one queryable
+        database file.  A path naming an existing directory is refused with
+        a :class:`~repro.exceptions.ValidationError`; a store written by the
+        former directory backend is copied into a database file with
+        :func:`import_directory_store`.
     cache_size:
         When positive, keep up to this many parsed releases in an LRU
         read-through cache.  Hits are re-validated against the backend's
@@ -526,8 +260,7 @@ class ReleaseStore:
         semantics; the serving layer enables it.
     clock:
         Optional zero-argument callable returning a created-at string,
-        forwarded to backends that record one (currently the SQLite
-        backend).  ``None`` (the default) stores no timestamp — backends
+        stamped on every SQLite write.  ``None`` (the default) stores no timestamp — backends
         never read the wall clock themselves.  Ignored when ``root`` is
         already a :class:`StoreBackend` instance.
 
@@ -539,15 +272,12 @@ class ReleaseStore:
     >>> graph = generate_dblp_like(num_authors=80, seed=0)
     >>> config = DisclosureConfig(specialization=SpecializationConfig(num_levels=3))
     >>> release = MultiLevelDiscloser(config, rng=1).disclose(graph)
-    >>> store = ReleaseStore(tempfile.mkdtemp())
+    >>> from pathlib import Path
+    >>> store = ReleaseStore(Path(tempfile.mkdtemp()) / "releases.db")
     >>> key = store.save(release)
     >>> store.load(key).levels() == release.levels()
     True
     """
-
-    #: File names inside each release directory (directory backend).
-    DOCUMENT_NAME = DirectoryBackend.DOCUMENT_NAME
-    ANSWERS_NAME = DirectoryBackend.ANSWERS_NAME
 
     def __init__(
         self,
@@ -558,14 +288,16 @@ class ReleaseStore:
         if isinstance(root, StoreBackend):
             self.backend = root
         else:
+            if Path(root).is_dir():
+                raise ValidationError(
+                    f"release store {root} is a directory; stores are SQLite files "
+                    f"now, so copy it into one with import_directory_store"
+                )
             # Imported lazily: sqlite_backend imports this module (it
             # subclasses StoreBackend), so a module-level import would cycle.
-            from repro.core.sqlite_backend import SqliteBackend, is_sqlite_path
+            from repro.core.sqlite_backend import SqliteBackend
 
-            if is_sqlite_path(root):
-                self.backend = SqliteBackend(root, clock=clock)
-            else:
-                self.backend = DirectoryBackend(root)
+            self.backend = SqliteBackend(root, clock=clock)
         self.root = getattr(self.backend, "root", None)
         self.cache_size = int(cache_size)
         self._cache: "OrderedDict[str, Tuple[Optional[str], MultiLevelRelease]]" = OrderedDict()
@@ -580,16 +312,8 @@ class ReleaseStore:
         return cls(MemoryBackend(), cache_size=cache_size)
 
     # ------------------------------------------------------------------
-    # Keys and paths
+    # Keys
     # ------------------------------------------------------------------
-    def path_for(self, key: str) -> Path:
-        """Directory holding one release (directory backend only)."""
-        if not isinstance(self.backend, DirectoryBackend):
-            raise TypeError(
-                f"{type(self.backend).__name__} does not store releases on the filesystem"
-            )
-        return self.backend.path_for(_slugify(key))
-
     def exists(self, key: str) -> bool:
         """Whether a release is stored under ``key``."""
         return self.backend.exists(_slugify(key))
@@ -605,7 +329,7 @@ class ReleaseStore:
         return self.backend.fingerprint(_slugify(key))
 
     def keys(self) -> List[str]:
-        """All stored release keys, sorted (O(1) on an indexed directory store)."""
+        """All stored release keys, sorted."""
         return self.backend.keys()
 
     def _default_key(self, release: MultiLevelRelease) -> str:
@@ -703,7 +427,7 @@ class ReleaseStore:
         if raw is None:
             return {}
         try:
-            with np.load(io.BytesIO(raw)) as npz:
+            with _NPZ_PARSE_LOCK, np.load(io.BytesIO(raw)) as npz:
                 return {name: npz[name] for name in npz.files}
         except Exception as exc:  # np.load raises zipfile/OS/value errors
             raise ReleaseIntegrityError(f"answer arrays for {key!r} are corrupt: {exc}") from exc
@@ -722,7 +446,7 @@ class ReleaseStore:
         """Load a release by key (read-through cached when ``cache_size > 0``).
 
         Raises :class:`ReleaseIntegrityError` when the key is absent, holds a
-        level view rather than a full release, or its on-disk artefacts are
+        level view rather than a full release, or its stored artefacts are
         corrupt — never a raw parse error, so callers (e.g. ``repro report``)
         have one exception type to handle.
 
@@ -824,3 +548,43 @@ class ReleaseStore:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ReleaseStore(backend={self.backend.describe()!r}, releases={len(self.keys())})"
+
+
+def import_directory_store(directory: PathLike, store: ReleaseStore) -> List[str]:
+    """Copy a directory-backend store into ``store``; returns the imported keys.
+
+    The former directory backend kept one sub-directory per release holding
+    ``release.json`` and ``answers.npz``.  Each complete pair is copied byte
+    for byte under its directory name, so every stored release — and the
+    privacy budget it already spent — stays servable without re-disclosure.
+    Directories missing either artefact (an interrupted or torn write) and
+    keys the target already holds are skipped; re-running is a no-op.
+
+    Examples
+    --------
+    >>> import tempfile
+    >>> from pathlib import Path
+    >>> legacy = Path(tempfile.mkdtemp())
+    >>> (legacy / "run-1").mkdir()
+    >>> _ = (legacy / "run-1" / "release.json").write_bytes(b"{}")
+    >>> _ = (legacy / "run-1" / "answers.npz").write_bytes(b"npz")
+    >>> store = ReleaseStore.in_memory()
+    >>> import_directory_store(legacy, store)
+    ['run-1']
+    >>> store.backend.get_answers("run-1")
+    b'npz'
+    """
+    directory = Path(directory)
+    if not directory.is_dir():
+        raise ValidationError(f"{directory} is not a directory store")
+    imported = []
+    for entry in sorted(directory.iterdir()):
+        document = entry / "release.json"
+        answers = entry / "answers.npz"
+        if not (document.is_file() and answers.is_file()):
+            continue
+        if store.backend.exists(entry.name):
+            continue
+        store.backend.put(entry.name, document.read_bytes(), answers.read_bytes())
+        imported.append(entry.name)
+    return imported

@@ -38,7 +38,6 @@ from repro.execution.retry import (
 from repro.execution.scheduler import (
     AUTO_INNER,
     BudgetPlan,
-    ManagerExecutor,
     SweepScheduler,
     WorkerBudget,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "BudgetPlan",
     "Executor",
     "ExecutorSpec",
-    "ManagerExecutor",
     "SerialExecutor",
     "SweepScheduler",
     "ThreadExecutor",

@@ -55,10 +55,8 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tupl
 
 from repro.exceptions import TaskTimeoutError, ValidationError, WorkerCrashError
 
-#: Names accepted wherever an executor is selected by string.  ``"manager"``
-#: resolves to :class:`repro.execution.scheduler.ManagerExecutor` (imported
-#: lazily by :func:`make_executor` to keep this module cycle-free).
-EXECUTOR_NAMES: Tuple[str, ...] = ("serial", "thread", "process", "manager")
+#: Names accepted wherever an executor is selected by string.
+EXECUTOR_NAMES: Tuple[str, ...] = ("serial", "thread", "process")
 
 #: The union of types accepted wherever the library takes an executor.
 ExecutorSpec = Union[None, str, "Executor"]
@@ -331,8 +329,8 @@ def make_executor(
     Parameters
     ----------
     spec:
-        ``None`` / ``"serial"``, ``"thread"``, ``"process"``, ``"manager"``
-        or an :class:`Executor` (returned unchanged; the other arguments are
+        ``None`` / ``"serial"``, ``"thread"``, ``"process"`` or an
+        :class:`Executor` (returned unchanged; the other arguments are
         ignored).
     max_workers:
         Pool size for the thread/process executors (defaults to the CPU count).
@@ -347,12 +345,6 @@ def make_executor(
     check_executor_name(spec)
     if spec == "thread":
         return ThreadExecutor(max_workers=max_workers, task_timeout=task_timeout)
-    if spec == "manager":
-        # Imported lazily: scheduler.py imports this module, so a top-level
-        # import here would be circular.
-        from repro.execution.scheduler import ManagerExecutor
-
-        return ManagerExecutor(max_workers=max_workers, task_timeout=task_timeout)
     return ProcessExecutor(max_workers=max_workers, task_timeout=task_timeout)
 
 

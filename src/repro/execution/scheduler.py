@@ -1,9 +1,9 @@
-"""Sweep scheduling: worker-budget negotiation and the manager executor.
+"""Sweep scheduling: worker-budget negotiation for nested executors.
 
 A parameter sweep stacks two layers of parallelism: the *outer* executor
-fans combinations out (one process per combination under
-``--executor process``/``"manager"``) while each combination's disclosure
-can fan its per-level perturbation out over *inner* threads.  Without
+fans combinations out (one process per combination under ``--executor
+process``) while each combination's disclosure can fan its per-level
+perturbation out over *inner* threads.  Without
 coordination the two layers silently oversubscribe the host — ``8`` outer
 processes each starting ``8`` inner threads is 64 runnable workers on an
 8-core box.  :class:`WorkerBudget` negotiates the split: outer workers
@@ -11,17 +11,6 @@ times inner workers must fit the total slot budget, the result is a
 deterministic :class:`BudgetPlan` recorded in the sweep's snapshot, and a
 conflicting request raises a clear
 :class:`~repro.exceptions.ValidationError` instead of thrashing.
-
-:class:`ManagerExecutor` is the multi-worker fan-out backend behind the
-same :func:`~repro.execution.executors.make_executor` registry
-(``"manager"``): a :class:`multiprocessing.managers.SyncManager` owns the
-task and result queues in its own server process, so a SIGKILL'd worker
-cannot corrupt the queue state (unlike ``multiprocessing.Queue``'s
-in-process feeder threads) — the parent simply detects the death,
-respawns the worker, and resubmits whatever the victim had claimed.
-Resubmissions are announced through the executor's ``on_retry`` hook,
-which the snapshot layer renders as ``RETRYING`` events — a crash is
-visible history, never a silent gap.
 
 :class:`SweepScheduler` bundles the negotiated plan with executor
 lifecycle: :meth:`SweepScheduler.scope` yields the outer executor sized to
@@ -32,15 +21,11 @@ the plan, and :attr:`SweepScheduler.plan` is what
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import queue as queue_module
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Union
+from typing import Iterator, Optional, Union
 
-from repro.exceptions import TaskTimeoutError, ValidationError, WorkerCrashError
+from repro.exceptions import ValidationError
 from repro.execution.executors import (
     Executor,
     ExecutorSpec,
@@ -48,9 +33,6 @@ from repro.execution.executors import (
     executor_name,
     executor_scope,
 )
-
-#: Sentinel distinguishing "no result yet" from a ``None`` result.
-_UNSET = object()
 
 #: ``inner_workers`` spelling that asks the budget to hand every leftover
 #: slot to the nested per-level perturbation threads.
@@ -141,7 +123,7 @@ class WorkerBudget:
             if outer_workers is not None and int(outer_workers) != 1:
                 raise ValidationError(
                     f"executor 'serial' runs one combination at a time; "
-                    f"--workers {outer_workers} requires --executor thread, process or manager"
+                    f"--workers {outer_workers} requires --executor thread or process"
                 )
             outer = 1
         elif outer_workers is not None:
@@ -228,177 +210,3 @@ class SweepScheduler:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SweepScheduler({self.plan!r})"
-
-
-def _manager_worker(fn, task_queue, result_queue) -> None:
-    """Worker loop (module-level so it survives fork and spawn starts).
-
-    Announces ``("started", index, pid)`` *before* running the task body, so
-    the parent knows which task a dead worker took down with it; a ``None``
-    sentinel ends the loop.
-    """
-    pid = os.getpid()
-    while True:
-        item = task_queue.get()
-        if item is None:
-            return
-        index, payload = item
-        result_queue.put(("started", index, pid))
-        try:
-            result = fn(payload)
-        except BaseException as error:  # noqa: BLE001 - reported to the parent
-            try:
-                result_queue.put(("error", index, error))
-            except Exception:  # unpicklable exception: degrade to its repr
-                result_queue.put(("error", index, RuntimeError(repr(error))))
-        else:
-            try:
-                result_queue.put(("done", index, result))
-            except Exception as error:  # unpicklable result
-                result_queue.put(
-                    ("error", index, RuntimeError(f"unpicklable task result: {error!r}"))
-                )
-
-
-class ManagerExecutor(Executor):
-    """Multi-worker fan-out over a :class:`multiprocessing.Manager` task queue.
-
-    The manager's server process owns both queues, so worker death never
-    corrupts queue state: the parent detects the dead process, respawns a
-    replacement, and resubmits the tasks the victim had claimed (announced
-    via ``on_retry`` so the sweep snapshot shows them as ``RETRYING``).
-    Results come back keyed by submission index, so the map is
-    order-preserving and — tasks being pure functions of their payload —
-    bit-identical to a serial run.
-
-    Task functions and payloads must be picklable, exactly as for
-    :class:`~repro.execution.executors.ProcessExecutor`.  Because pure
-    tasks are idempotent, the recovery path tolerates (rare) duplicate
-    execution around a crash: a second result for the same index simply
-    overwrites the first with identical bytes.
-    """
-
-    name = "manager"
-
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        task_timeout: Optional[float] = None,
-        max_pool_rebuilds: int = 2,
-    ):
-        self.max_workers = int(max_workers) if max_workers is not None else default_max_workers()
-        if self.max_workers < 1:
-            raise ValidationError(f"max_workers must be >= 1, got {max_workers}")
-        if max_pool_rebuilds < 0:
-            raise ValidationError(f"max_pool_rebuilds must be >= 0, got {max_pool_rebuilds}")
-        self.task_timeout = task_timeout
-        self.max_pool_rebuilds = int(max_pool_rebuilds)
-        self._manager = None
-
-    def _ensure_manager(self):
-        if self._manager is None:
-            self._manager = multiprocessing.Manager()
-        return self._manager
-
-    def _spawn(self, fn, task_queue, result_queue) -> multiprocessing.Process:
-        worker = multiprocessing.Process(
-            target=_manager_worker, args=(fn, task_queue, result_queue), daemon=True
-        )
-        worker.start()
-        return worker
-
-    def map(
-        self, fn: Callable[[Any], Any], tasks: Iterable[Any], timeout: Optional[float] = None
-    ) -> List[Any]:
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        timeout = timeout if timeout is not None else self.task_timeout
-        manager = self._ensure_manager()
-        task_queue = manager.Queue()
-        result_queue = manager.Queue()
-        for index, payload in enumerate(tasks):
-            task_queue.put((index, payload))
-        pool_width = min(self.max_workers, len(tasks))
-        workers = [self._spawn(fn, task_queue, result_queue) for _ in range(pool_width)]
-
-        results: List[Any] = [_UNSET] * len(tasks)
-        pending: Set[int] = set(range(len(tasks)))
-        started: Dict[int, float] = {}
-        owner: Dict[int, int] = {}
-        rebuilds = 0
-        try:
-            while pending:
-                try:
-                    message = result_queue.get(timeout=0.05)
-                except queue_module.Empty:
-                    message = None
-                if message is not None:
-                    kind, index, payload = message
-                    if kind == "started":
-                        started[index] = time.monotonic()
-                        owner[index] = payload
-                    elif kind == "done":
-                        results[index] = payload
-                        pending.discard(index)
-                        started.pop(index, None)
-                        owner.pop(index, None)
-                    else:  # "error": fail fast, exactly like the pool executors
-                        if isinstance(payload, BaseException):
-                            raise payload
-                        raise RuntimeError(f"task {index} failed: {payload!r}")
-                    continue
-                if timeout is not None:
-                    now = time.monotonic()
-                    for index, begun in started.items():
-                        if index in pending and now - begun > timeout:
-                            raise TaskTimeoutError(
-                                f"task {index} did not finish within {timeout}s",
-                                task_index=index,
-                                timeout=timeout,
-                            )
-                dead = [worker for worker in workers if not worker.is_alive()]
-                if dead:
-                    workers = [worker for worker in workers if worker.is_alive()]
-                    dead_pids = {worker.pid for worker in dead}
-                    lost = sorted(
-                        index for index in pending if owner.get(index) in dead_pids
-                    )
-                    if not workers and not lost:
-                        # Nothing alive and no claimed tasks: resubmit every
-                        # unowned pending task (duplicates are benign — tasks
-                        # are pure — and this closes the tiny claim window).
-                        lost = sorted(index for index in pending if index not in owner)
-                    rebuilds += 1
-                    if rebuilds > self.max_pool_rebuilds:
-                        raise WorkerCrashError(
-                            f"manager worker pool broke {rebuilds} times; "
-                            f"{len(pending)} task(s) never completed",
-                            unfinished=sorted(pending),
-                        )
-                    for index in lost:
-                        started.pop(index, None)
-                        owner.pop(index, None)
-                        task_queue.put((index, tasks[index]))
-                    if lost and self.on_retry is not None:
-                        self.on_retry(lost)
-                    while len(workers) < min(self.max_workers, max(1, len(pending))):
-                        workers.append(self._spawn(fn, task_queue, result_queue))
-        except BaseException:
-            for worker in workers:
-                worker.terminate()
-            for worker in workers:
-                worker.join(timeout=1.0)
-            raise
-        for _ in workers:
-            task_queue.put(None)
-        for worker in workers:
-            worker.join(timeout=5.0)
-            if worker.is_alive():  # pragma: no cover - defensive
-                worker.terminate()
-        return results
-
-    def close(self) -> None:
-        if self._manager is not None:
-            self._manager.shutdown()
-            self._manager = None

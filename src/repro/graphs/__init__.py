@@ -5,7 +5,7 @@ left side are one kind of entity (e.g. authors, patients, viewers), nodes on
 the right side another kind (papers, drugs, movies), and each edge is one
 association (``author a wrote paper p``).  This package provides the graph
 data structure used by every other subsystem, plus builders, statistics,
-induced-subgraph utilities, projections and I/O.
+induced-subgraph utilities and I/O.
 """
 
 from repro.graphs.arrays import GraphArrays
@@ -31,8 +31,6 @@ from repro.graphs.subgraphs import (
     restrict_right,
     subgraph_association_count,
 )
-from repro.graphs.degree_bounding import cap_degrees, clipping_error
-from repro.graphs.projections import project_left, project_right
 from repro.graphs.io import (
     read_edge_list,
     write_edge_list,
@@ -59,10 +57,6 @@ __all__ = [
     "restrict_left",
     "restrict_right",
     "subgraph_association_count",
-    "cap_degrees",
-    "clipping_error",
-    "project_left",
-    "project_right",
     "read_edge_list",
     "write_edge_list",
     "read_json",

@@ -11,9 +11,8 @@ consistent interface (:class:`~repro.mechanisms.base.Mechanism`):
   budgets.
 
 The paper uses the **Exponential Mechanism** for phase-1 specialization and
-the **Gaussian Mechanism** for phase-2 noise injection; Laplace, geometric,
-report-noisy-max and randomized response are provided for the baselines and
-ablations.
+the **Gaussian Mechanism** for phase-2 noise injection; Laplace and
+geometric are provided for the baselines and ablations.
 """
 
 from repro.mechanisms.base import Mechanism, NumericMechanism, PrivacyCost
@@ -21,9 +20,6 @@ from repro.mechanisms.laplace import LaplaceMechanism
 from repro.mechanisms.gaussian import AnalyticGaussianMechanism, GaussianMechanism
 from repro.mechanisms.geometric import GeometricMechanism
 from repro.mechanisms.exponential import ExponentialMechanism
-from repro.mechanisms.noisy_max import ReportNoisyMax
-from repro.mechanisms.svt import AboveThreshold
-from repro.mechanisms.randomized_response import RandomizedResponse
 from repro.mechanisms.calibration import (
     gaussian_sigma,
     analytic_gaussian_sigma,
@@ -40,9 +36,6 @@ __all__ = [
     "AnalyticGaussianMechanism",
     "GeometricMechanism",
     "ExponentialMechanism",
-    "ReportNoisyMax",
-    "AboveThreshold",
-    "RandomizedResponse",
     "gaussian_sigma",
     "analytic_gaussian_sigma",
     "laplace_scale",

@@ -21,7 +21,7 @@ Start a server from Python::
     ...
     server.stop()
 
-or from the command line with ``repro serve --store DIR --policy FILE``.
+or from the command line with ``repro serve --store FILE.db --policy FILE``.
 """
 
 from repro.exceptions import ServingError

@@ -3,7 +3,7 @@
 A single :class:`~repro.serving.server.ReleaseServer` process tops out at
 whatever one Python process can push through one accept loop.  The request
 path, however, is read-only and shares nothing mutable — every worker needs
-only the store *directory* and the access-policy dict — so the natural way
+only the store *file* path and the access-policy dict — so the natural way
 to scale it is the classic ``SO_REUSEPORT`` fleet: N independent processes
 each bind the **same** ``host:port`` with ``SO_REUSEPORT`` set, and the
 kernel load-balances incoming connections across them.  No proxy, no shared
@@ -12,14 +12,15 @@ state, no coordination on the hot path.
 :class:`ServerFleet` owns the lifecycle:
 
 * **spawn** — one :mod:`multiprocessing` worker per process, each building
-  its own :class:`~repro.core.store.ReleaseStore` over the shared directory
-  (stores hold locks and caches, so they are constructed *inside* the
+  its own :class:`~repro.core.store.ReleaseStore` over the shared SQLite file
+  (stores hold connections and caches, so they are constructed *inside* the
   worker, never pickled across);
 * **readiness** — each worker reports its bound port over a pipe-backed
   queue, then the fleet polls ``GET /healthz`` until the shared port
   answers ``200`` (or a startup timeout trips);
 * **shutdown** — ``stop()`` sends ``SIGTERM``; workers install a handler
-  that shuts the HTTP loop down gracefully (in-flight responses finish);
+  (before they report readiness) that leaves the HTTP loop and closes the
+  listening socket;
 * **respawn** — a monitor thread replaces dead workers, up to
   ``max_respawns`` total (mirroring the process executor's
   ``max_pool_rebuilds`` budget), so one segfaulted worker degrades capacity
@@ -31,7 +32,7 @@ interface — ``fallback_reason`` says why — so callers never need their own
 platform switch.
 
 Because each worker runs the same fingerprint-keyed response cache over the
-same store directory, responses are byte-identical (modulo negotiated
+same store file, responses are byte-identical (modulo negotiated
 encoding) no matter which worker the kernel picks: the canonical JSON and
 the deterministic gzip variant are pure functions of the stored bytes.
 """
@@ -111,6 +112,10 @@ class _ReuseportHTTPServer(_ReleaseHTTPServer):
         super().server_bind()
 
 
+class _StopServing(Exception):
+    """Raised by a fleet worker's signal handler to leave its serve loop."""
+
+
 def _fleet_worker(config: Dict, ready_queue) -> None:
     """One fleet process: bind, report readiness, serve until SIGTERM.
 
@@ -135,17 +140,22 @@ def _fleet_worker(config: Dict, ready_queue) -> None:
     except OSError as error:
         ready_queue.put(("error", config["worker"], str(error)))
         sys.exit(1)
-    ready_queue.put(("bound", config["worker"], httpd.server_address[1]))
 
     def shut_down(signum, frame):  # noqa: ARG001 - signal handler signature
-        # serve_forever blocks this (main) thread, and shutdown() must be
-        # called from another one — hence the helper thread.
-        threading.Thread(target=httpd.shutdown, daemon=True).start()
+        # Raise out of the serve loop rather than call httpd.shutdown(): a
+        # shutdown() that lands before serve_forever() starts is lost (the
+        # loop resets its flag on entry) and the worker would serve on.
+        raise _StopServing
 
+    # Installed before readiness is reported, so the fleet can never signal
+    # a worker that would ignore it.
     signal.signal(signal.SIGTERM, shut_down)
     signal.signal(signal.SIGINT, shut_down)
     try:
+        ready_queue.put(("bound", config["worker"], httpd.server_address[1]))
         httpd.serve_forever()
+    except _StopServing:
+        pass
     finally:
         httpd.server_close()
 
@@ -156,10 +166,9 @@ class ServerFleet:
     Parameters
     ----------
     store_path:
-        The release store every worker opens read-only: either a release
-        directory or a SQLite store file (``.db``; WAL mode makes its
-        concurrent readers safe).  A *path* (not a live
-        :class:`ReleaseStore`) is required: stores carry locks and caches
+        The SQLite release-store file every worker opens read-only (WAL
+        mode makes its concurrent readers safe).  A *path* (not a live
+        :class:`ReleaseStore`) is required: stores carry connections and caches
         that must not cross process boundaries, and an in-memory store
         cannot be shared between processes at all.
     policy:
@@ -185,7 +194,7 @@ class ServerFleet:
 
     Examples
     --------
-    >>> fleet = ServerFleet(store_dir, policy, processes=4).start()  # doctest: +SKIP
+    >>> fleet = ServerFleet(store_db, policy, processes=4).start()   # doctest: +SKIP
     >>> fetch_json(fleet.url, "/healthz")["status"]                  # doctest: +SKIP
     'ok'
     >>> fleet.stop()                                                 # doctest: +SKIP
@@ -212,10 +221,9 @@ class ServerFleet:
         if int(max_respawns) < 0:
             raise ValidationError(f"max_respawns must be >= 0, got {max_respawns}")
         store_path = Path(store_path)
-        if not (store_path.is_dir() or store_path.is_file()):
+        if not store_path.is_file():
             raise ValidationError(
-                "store_path must be an existing release-store directory or "
-                f"SQLite store file, got {store_path}"
+                f"store_path must be an existing SQLite store file, got {store_path}"
             )
         if isinstance(policy, AccessPolicy):
             policy_dict = policy.to_dict()
@@ -412,7 +420,7 @@ class ServerFleet:
             workers, self._workers = self._workers, []
         for worker in workers:
             if worker.is_alive():
-                worker.terminate()  # delivers SIGTERM → graceful shutdown
+                worker.terminate()  # delivers SIGTERM → leaves the serve loop
         for worker in workers:
             worker.join(timeout=5.0)
             if worker.is_alive():  # pragma: no cover - stuck worker

@@ -784,7 +784,7 @@ def create_server(
 ) -> ReleaseServer:
     """Build a :class:`ReleaseServer` from objects or from on-disk paths.
 
-    ``store`` may be a store directory (opened with a read-through cache of
+    ``store`` may be a SQLite store path (opened with a read-through cache of
     ``cache_size`` releases) and ``policy`` a JSON file in the
     :meth:`AccessPolicy.to_dict` format — exactly what ``repro serve`` passes
     through from its command line (including the ``max_in_flight`` /

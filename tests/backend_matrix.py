@@ -8,32 +8,22 @@ test and benchmark trees each have a ``conftest`` and a bare
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 from typing import Callable, List, Optional
 
 from repro.core.store import ReleaseStore
 
 #: Every store-backend kind the parameterized suites can target.
-STORE_BACKEND_KINDS = ("directory", "memory", "sqlite")
+STORE_BACKEND_KINDS = ("memory", "sqlite")
 
 
 def store_backend_matrix(*kinds: str) -> List[str]:
-    """The parameter list for backend-parameterized tests.
-
-    Defaults to ``kinds`` (or every kind), but honours the
-    ``REPRO_STORE_BACKEND`` environment pin: CI re-runs the store and
-    serving-cache suites with the pin set to ``sqlite``, collapsing each
-    parameterized test to the SQLite backend only — same assertions, one
-    backend — without a separate test file.
-    """
+    """The parameter list for backend-parameterized tests: ``kinds``, or
+    every kind when none are named."""
     kinds = kinds or STORE_BACKEND_KINDS
     for kind in kinds:
         if kind not in STORE_BACKEND_KINDS:
             raise ValueError(f"unknown store backend kind {kind!r}")
-    pinned = os.environ.get("REPRO_STORE_BACKEND")
-    if pinned in kinds:
-        return [pinned]
     return list(kinds)
 
 
@@ -45,13 +35,11 @@ def make_release_store(
 ) -> ReleaseStore:
     """One fresh :class:`ReleaseStore` of the requested backend kind.
 
-    Directory and SQLite stores land under ``tmp_path`` (``releases/`` and
-    ``releases.db``); the memory kind ignores the path.  Construction goes
-    through the public ``ReleaseStore(root=...)`` detection, so these
-    stores exercise exactly what users get from a path.
+    The SQLite store lands at ``tmp_path / "releases.db"``; the memory kind
+    ignores the path.  Construction goes through the public
+    ``ReleaseStore(root=...)`` path handling, so these stores exercise
+    exactly what users get from a path.
     """
-    if kind == "directory":
-        return ReleaseStore(tmp_path / "releases", cache_size=cache_size, clock=clock)
     if kind == "sqlite":
         return ReleaseStore(tmp_path / "releases.db", cache_size=cache_size, clock=clock)
     if kind == "memory":

@@ -310,9 +310,9 @@ class _Victim100Runner:
     nothing that had already completed.  Picklable: plain paths only.
     """
 
-    def __init__(self, state_dir, store_dir, victim_eps=None):
+    def __init__(self, state_dir, store_path, victim_eps=None):
         self.state_dir = Path(state_dir)
-        self.store_dir = str(store_dir)
+        self.store_path = str(store_path)
         self.victim_eps = victim_eps
 
     def __call__(self, epsilon_g):
@@ -328,7 +328,7 @@ class _Victim100Runner:
         )
         release = MultiLevelDiscloser(config=config, rng=13).disclose(graph)
         key = f"rel-eps{epsilon_g}"
-        ReleaseStore(self.store_dir).save(release, key=key)
+        ReleaseStore(self.store_path).save(release, key=key)
         return {"store_key": key}
 
     def invocations(self, epsilon_g) -> int:
@@ -347,7 +347,7 @@ class TestSweepOrchestrationUnderChaos:
     VICTIM = 5.0  # the 50th combination: mid-flight, several waves in
 
     def test_100_combination_kill_resume_bit_identity(self, tmp_path):
-        runner = _Victim100Runner(tmp_path / "state", tmp_path / "store", victim_eps=self.VICTIM)
+        runner = _Victim100Runner(tmp_path / "state", tmp_path / "store.db", victim_eps=self.VICTIM)
         sweep = ParameterSweep(runner, {"epsilon_g": self.EPSILONS}, name="chaos-100")
         journal_path = tmp_path / "journal.json"
         snapshot_path = tmp_path / "journal.json.events.jsonl"
@@ -396,12 +396,12 @@ class TestSweepOrchestrationUnderChaos:
 
         # Bit-identity: an uninterrupted same-seed sweep into a fresh store
         # produces byte-for-byte the same artefacts for all 100 keys.
-        clean_runner = _Victim100Runner(tmp_path / "state-clean", tmp_path / "store-clean")
+        clean_runner = _Victim100Runner(tmp_path / "state-clean", tmp_path / "store-clean.db")
         ParameterSweep(clean_runner, {"epsilon_g": self.EPSILONS}, name="chaos-100").run(
             executor="process", max_workers=4
         )
-        disturbed_store = ReleaseStore(tmp_path / "store")
-        clean_store = ReleaseStore(tmp_path / "store-clean")
+        disturbed_store = ReleaseStore(tmp_path / "store.db")
+        clean_store = ReleaseStore(tmp_path / "store-clean.db")
         assert sorted(disturbed_store.keys()) == sorted(clean_store.keys())
         for key in clean_store.keys():
             assert disturbed_store.backend.get_document(key) == clean_store.backend.get_document(
@@ -434,7 +434,7 @@ class TestSweepOrchestrationUnderChaos:
 
 class TestScalabilityResume:
     def test_resumed_run_reuses_rows_and_stored_releases(self, tmp_path):
-        store = ReleaseStore(tmp_path / "store")
+        store = ReleaseStore(tmp_path / "store.db")
         journal_path = tmp_path / "journal.json"
         kwargs = dict(
             author_counts=(60, 90),

@@ -125,7 +125,7 @@ class TestCommands:
         assert "--output and/or --store" in capsys.readouterr().err
 
     def test_disclose_into_store_then_report(self, tmp_path, capsys):
-        store_dir = tmp_path / "store"
+        store_path = tmp_path / "store.db"
         code = main(
             [
                 "disclose",
@@ -138,7 +138,7 @@ class TestCommands:
                 "--executor",
                 "thread",
                 "--store",
-                str(store_dir),
+                str(store_path),
             ]
         )
         assert code == 0
@@ -146,7 +146,7 @@ class TestCommands:
         assert "stored release under key" in out
 
         # `report` with no key lists the stored releases...
-        code = main(["report", "--store", str(store_dir)])
+        code = main(["report", "--store", str(store_path)])
         assert code == 0
         keys = capsys.readouterr().out.split()
         assert len(keys) == 1
@@ -155,7 +155,7 @@ class TestCommands:
         # artefact alone — no graph, no re-disclosure, no budget spend.
         metrics_path = tmp_path / "metrics.json"
         code = main(
-            ["report", "--store", str(store_dir), "--key", keys[0], "--output", str(metrics_path)]
+            ["report", "--store", str(store_path), "--key", keys[0], "--output", str(metrics_path)]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -176,9 +176,9 @@ class TestCommands:
 
 class TestRefreshCommand:
     def _publish(self, tmp_path, seed="9"):
-        """generate → disclose into a store; returns (edge list, store dir)."""
+        """generate → disclose into a store; returns (edge list, store path)."""
         edges = tmp_path / "graph.tsv"
-        store_dir = tmp_path / "store"
+        store_path = tmp_path / "store.db"
         assert (
             main(
                 ["generate", "--dataset", "dblp", "--scale", "tiny", "--seed", "4", "--output", str(edges)]
@@ -192,29 +192,29 @@ class TestRefreshCommand:
                     "--input", str(edges),
                     "--levels", "4",
                     "--seed", seed,
-                    "--store", str(store_dir),
+                    "--store", str(store_path),
                     "--key", "live",
                 ]
             )
             == 0
         )
-        return edges, store_dir
+        return edges, store_path
 
     def test_refresh_after_mutation_republishes(self, tmp_path, capsys):
         from repro.core.store import ReleaseStore
 
-        edges, store_dir = self._publish(tmp_path)
+        edges, store_path = self._publish(tmp_path)
         with edges.open("a") as handle:
             handle.write("brand-new-author\tbrand-new-paper\n")
         code = main(
-            ["refresh", "--store", str(store_dir), "--key", "live", "--input", str(edges), "--seed", "9"]
+            ["refresh", "--store", str(store_path), "--key", "live", "--input", str(edges), "--seed", "9"]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "re-perturbed level(s) [0, 1, 2]" in out
         assert "staleness cleared" in out
 
-        store = ReleaseStore(store_dir)
+        store = ReleaseStore(store_path)
         refreshed = store.load("live")
         provenance = refreshed.provenance
         assert provenance["affected_levels"] == [0, 1, 2]
@@ -227,12 +227,12 @@ class TestRefreshCommand:
     def test_refresh_matches_from_scratch_disclosure(self, tmp_path, capsys):
         from repro.core.store import ReleaseStore
 
-        edges, store_dir = self._publish(tmp_path)
+        edges, store_path = self._publish(tmp_path)
         with edges.open("a") as handle:
             handle.write("brand-new-author\tbrand-new-paper\n")
         assert (
             main(
-                ["refresh", "--store", str(store_dir), "--key", "live", "--input", str(edges), "--seed", "9"]
+                ["refresh", "--store", str(store_path), "--key", "live", "--input", str(edges), "--seed", "9"]
             )
             == 0
         )
@@ -244,13 +244,13 @@ class TestRefreshCommand:
                     "--input", str(edges),
                     "--levels", "4",
                     "--seed", "9",
-                    "--store", str(store_dir),
+                    "--store", str(store_path),
                     "--key", "scratch",
                 ]
             )
             == 0
         )
-        store = ReleaseStore(store_dir)
+        store = ReleaseStore(store_path)
         refreshed = store.load("live").to_dict()
         scratch = store.load("scratch").to_dict()
         refreshed.pop("provenance")
@@ -258,9 +258,9 @@ class TestRefreshCommand:
         assert refreshed == scratch
 
     def test_noop_refresh_spends_nothing(self, tmp_path, capsys):
-        edges, store_dir = self._publish(tmp_path)
+        edges, store_path = self._publish(tmp_path)
         code = main(
-            ["refresh", "--store", str(store_dir), "--key", "live", "--input", str(edges), "--seed", "9"]
+            ["refresh", "--store", str(store_path), "--key", "live", "--input", str(edges), "--seed", "9"]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -268,9 +268,9 @@ class TestRefreshCommand:
         assert "epsilon spent: 0" in out
 
     def test_refresh_unknown_key_fails_cleanly(self, tmp_path, capsys):
-        edges, store_dir = self._publish(tmp_path)
+        edges, store_path = self._publish(tmp_path)
         code = main(
-            ["refresh", "--store", str(store_dir), "--key", "typo", "--input", str(edges)]
+            ["refresh", "--store", str(store_path), "--key", "typo", "--input", str(edges)]
         )
         assert code == 2
         assert "typo" in capsys.readouterr().err
@@ -282,7 +282,7 @@ class TestSweepCommand:
             [
                 "sweep", "--dataset", "dblp", "--scale", "tiny",
                 "--epsilon-g", "0.5", "--levels", "3", "--seed", "7",
-                "--store", str(tmp_path / "store"),
+                "--store", str(tmp_path / "store.db"),
                 "--journal", str(tmp_path / "state.json"),
                 *extra,
             ]
@@ -312,7 +312,7 @@ class TestSweepCommand:
             [
                 "sweep", "--dataset", "dblp", "--scale", "tiny",
                 "--epsilon-g", "0.7", "--levels", "3", "--seed", "7",
-                "--store", str(tmp_path / "store"),
+                "--store", str(tmp_path / "store.db"),
                 "--journal", str(tmp_path / "state.json"),
             ]
         )
@@ -324,7 +324,7 @@ class TestSweepCommand:
 
 class TestSweepOrchestrationFlags:
     """The scheduler/snapshot switches: --progress, --workers, --worker-budget,
-    --inner-workers, --executor manager."""
+    --inner-workers."""
 
     def _run(self, tmp_path, extra=()):
         return main(
@@ -332,7 +332,7 @@ class TestSweepOrchestrationFlags:
                 "sweep", "--dataset", "dblp", "--scale", "tiny",
                 "--epsilon-g", "0.5", "1.0",
                 "--levels", "3", "--seed", "7",
-                "--store", str(tmp_path / "store"),
+                "--store", str(tmp_path / "store.db"),
                 "--journal", str(tmp_path / "state.json"),
                 *extra,
             ]
@@ -377,17 +377,22 @@ class TestSweepOrchestrationFlags:
         assert err.startswith("repro sweep:")
         assert "--inner-workers must be an integer or 'auto'" in err
 
-    def test_manager_executor_runs_the_sweep(self, tmp_path, capsys):
+    def test_process_executor_runs_the_sweep(self, tmp_path, capsys):
         assert self._run(
             tmp_path,
-            extra=["--executor", "manager", "--workers", "2", "--worker-budget", "2"],
+            extra=["--executor", "process", "--workers", "2", "--worker-budget", "2"],
         ) == 0
         out = capsys.readouterr().out
         assert "2 of 2 combination(s) done" in out
 
+    def test_manager_is_no_longer_an_executor_choice(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            self._run(tmp_path, extra=["--executor", "manager"])
+        assert "invalid choice: 'manager'" in capsys.readouterr().err
+
 
 class TestQueryCommand:
-    """`repro query` — the catalog CLI — over both store backends."""
+    """`repro query` — the catalog CLI over a SQLite store."""
 
     def _seed(self, store_path):
         """Disclose two releases (different epsilon) into `store_path`."""
@@ -425,7 +430,7 @@ class TestQueryCommand:
         assert rows[0]["mechanism"] == "gaussian"
 
     def test_key_glob_and_csv_output(self, tmp_path, capsys):
-        store = tmp_path / "store-dir"
+        store = tmp_path / "store-without-suffix"
         self._seed(store)
         capsys.readouterr()
         assert main(["query", "--store", str(store), "--key-glob", "*eps1.0", "--format", "csv"]) == 0
@@ -448,36 +453,35 @@ class TestQueryCommand:
         assert not missing.exists()
 
     def test_json_output_identical_across_backends(self, tmp_path, capsys):
-        """Acceptance criterion: `repro query --epsilon 0.5 --format json`
-        returns byte-identical output for a directory store and a SQLite
-        store seeded with the same releases."""
-        from repro.core.store import ReleaseStore
+        """`repro query --epsilon 0.5 --format json` on a SQLite store is
+        byte-identical to the same catalog query rendered from an in-memory
+        store (the full-scan path) seeded with the same releases."""
+        from repro.core.catalog import ReleaseCatalog, ReleaseFilter, format_rows
+        from repro.core.config import DisclosureConfig
+        from repro.core.discloser import MultiLevelDiscloser
+        from repro.datasets.dblp_like import generate_dblp_like
+        from repro.grouping.specialization import SpecializationConfig
 
         from backend_matrix import make_release_store
 
-        outputs = {}
-        for kind in ("directory", "sqlite"):
-            store = make_release_store(kind, tmp_path / kind)
-            for epsilon, key in ((0.5, "rel-a"), (1.0, "rel-b")):
-                from repro.core.config import DisclosureConfig
-                from repro.core.discloser import MultiLevelDiscloser
-                from repro.datasets.dblp_like import generate_dblp_like
-                from repro.grouping.specialization import SpecializationConfig
-
-                release = MultiLevelDiscloser(
-                    DisclosureConfig(
-                        epsilon_g=epsilon,
-                        specialization=SpecializationConfig(num_levels=4),
-                    ),
-                    rng=9,
-                ).disclose(generate_dblp_like(num_authors=60, seed=4))
+        stores = {kind: make_release_store(kind, tmp_path) for kind in ("memory", "sqlite")}
+        for epsilon, key in ((0.5, "rel-a"), (1.0, "rel-b")):
+            release = MultiLevelDiscloser(
+                DisclosureConfig(
+                    epsilon_g=epsilon,
+                    specialization=SpecializationConfig(num_levels=4),
+                ),
+                rng=9,
+            ).disclose(generate_dblp_like(num_authors=60, seed=4))
+            for store in stores.values():
                 store.save(release, key=key)
-            capsys.readouterr()
-            root = store.backend.root
-            assert main(["query", "--store", str(root), "--epsilon", "0.5", "--format", "json"]) == 0
-            outputs[kind] = capsys.readouterr().out
-        assert outputs["directory"] == outputs["sqlite"]
-        rows = json.loads(outputs["sqlite"])
+        capsys.readouterr()
+        root = stores["sqlite"].backend.root
+        assert main(["query", "--store", str(root), "--epsilon", "0.5", "--format", "json"]) == 0
+        sqlite_output = capsys.readouterr().out
+        scan_rows = ReleaseCatalog(stores["memory"]).rows(ReleaseFilter(epsilon=0.5))
+        assert sqlite_output == format_rows(scan_rows, "json") + "\n"
+        rows = json.loads(sqlite_output)
         assert [row["key"] for row in rows] == ["rel-a"]
 
 

@@ -116,7 +116,7 @@ class TestGraphPublisher:
     def test_export_views_persists_release_into_store(self, publisher, tmp_path):
         release = publisher.release()
         policy = AccessPolicy({"owner": 0, "public": 2}, top_level=4)
-        store = ReleaseStore(tmp_path / "store")
+        store = ReleaseStore(tmp_path / "store.db")
         written = publisher.export_views(release, policy, tmp_path / "views", store=store)
         # Every role document records the same store key...
         keys = {from_json_file(path)["release_key"] for path in written.values()}

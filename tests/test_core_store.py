@@ -6,15 +6,14 @@ import pytest
 
 from repro.core.config import DisclosureConfig
 from repro.core.discloser import MultiLevelDiscloser
-from repro.core.store import ReleaseStore
+from repro.core.sqlite_backend import SqliteBackend
+from repro.core.store import ReleaseStore, _answers_bytes
 from repro.exceptions import ReleaseIntegrityError
 from repro.grouping.specialization import SpecializationConfig
 
 
-def _put_many(root, keys):
-    from repro.core.store import DirectoryBackend
-
-    backend = DirectoryBackend(root)
+def _put_many(path, keys):
+    backend = SqliteBackend(path)
     for key in keys:
         backend.put(key, b"{}", b"npz")
 
@@ -29,7 +28,7 @@ def release(dblp_graph):
 
 @pytest.fixture
 def store(tmp_path):
-    return ReleaseStore(tmp_path / "releases")
+    return ReleaseStore(tmp_path / "releases.db")
 
 
 class TestRoundTrip:
@@ -73,13 +72,11 @@ class TestRoundTrip:
 
     def test_answers_split_out_of_the_json_document(self, store, release):
         key = store.save(release)
-        document = json.loads(
-            (store.path_for(key) / ReleaseStore.DOCUMENT_NAME).read_text()
-        )
+        document = json.loads(store.backend.get_document(key))
         for level_doc in document["levels"].values():
             for ref in level_doc["answers"].values():
                 assert set(ref) == {"labels", "npz_key"}
-        assert (store.path_for(key) / ReleaseStore.ANSWERS_NAME).is_file()
+        assert store.backend.get_answers(key)
 
 
 class TestErrors:
@@ -103,25 +100,25 @@ class TestErrors:
 
     def test_load_wraps_corrupt_document(self, store, release):
         key = store.save(release)
-        (store.path_for(key) / ReleaseStore.DOCUMENT_NAME).write_text("{not json")
+        store.backend.put(key, b"{not json", store.backend.get_answers(key))
         with pytest.raises(ReleaseIntegrityError):
             store.load(key)
 
     def test_load_wraps_corrupt_answers(self, store, release):
         key = store.save(release)
-        (store.path_for(key) / ReleaseStore.ANSWERS_NAME).write_bytes(b"not an npz")
+        store.backend.put(key, store.backend.get_document(key), b"not an npz")
         with pytest.raises(ReleaseIntegrityError):
             store.load(key)
 
     def test_load_wraps_invalid_structure(self, store, release):
         key = store.save(release)
-        (store.path_for(key) / ReleaseStore.DOCUMENT_NAME).write_text('{"levels": {}}')
+        store.backend.put(key, b'{"levels": {}}', store.backend.get_answers(key))
         with pytest.raises(ReleaseIntegrityError):
             store.load(key)
 
     def test_missing_answer_arrays_detected(self, store, release):
         key = store.save(release)
-        (store.path_for(key) / ReleaseStore.ANSWERS_NAME).unlink()
+        store.backend.put(key, store.backend.get_document(key), _answers_bytes({}))
         with pytest.raises(ReleaseIntegrityError):
             store.load(key)
 
@@ -135,44 +132,33 @@ class TestErrors:
 class TestBackendSurface:
     """The backend abstraction stays invisible through the historical API."""
 
-    def test_directory_store_exposes_root_and_backend(self, store, tmp_path):
-        from repro.core.store import DirectoryBackend
-
-        assert isinstance(store.backend, DirectoryBackend)
-        assert store.root == tmp_path / "releases"
-
-    def test_index_file_appears_next_to_releases(self, store, release):
-        store.save(release, key="alpha")
-        assert (store.root / "index.json").is_file()
-        assert store.keys() == ["alpha"]
+    def test_path_store_exposes_root_and_backend(self, store, tmp_path):
+        assert isinstance(store.backend, SqliteBackend)
+        assert store.root == tmp_path / "releases.db"
 
     def test_in_memory_store_round_trips(self, release):
         store = ReleaseStore.in_memory()
         key = store.save(release)
         assert store.load(key).to_dict() == release.to_dict()
 
-    def test_index_survives_concurrent_writer_processes(self, tmp_path):
-        """Regression: ``index.json`` maintenance is a read-modify-write, and
-        the in-process thread lock cannot serialise *separate processes* (a
-        process-pool sweep saving releases from four workers).  Without the
-        cross-process file lock, racing writers drop each other's entries and
-        ``keys()`` under-reports releases that are all on disk."""
+    def test_keys_survive_concurrent_writer_processes(self, tmp_path):
+        """Four processes creating and filling one new store at once (a
+        process-pool sweep) must all land: no writer fails or drops
+        another's release."""
         import multiprocessing
 
-        from repro.core.store import DirectoryBackend
-
-        root = tmp_path / "shared"
+        path = tmp_path / "shared.db"
         all_keys = [f"rel-{i:03d}" for i in range(48)]
         workers = [
-            multiprocessing.Process(target=_put_many, args=(root, all_keys[lane::4]))
+            multiprocessing.Process(target=_put_many, args=(path, all_keys[lane::4]))
             for lane in range(4)
         ]
         for worker in workers:
             worker.start()
         for worker in workers:
-            worker.join()
+            worker.join(timeout=60)
         assert all(worker.exitcode == 0 for worker in workers)
-        assert DirectoryBackend(root).keys() == sorted(all_keys)
+        assert SqliteBackend(path).keys() == sorted(all_keys)
 
 
 class TestGetOrCreate:
@@ -203,8 +189,8 @@ class TestGetOrCreate:
         assert loaded.to_dict() == release.to_dict()
 
     def test_concurrent_writers_on_one_key_never_error(self, store, release):
-        """Racing get_or_create calls (unique temp names per writer) all
-        succeed and agree on the stored artefact."""
+        """Racing get_or_create calls all succeed and agree on the stored
+        artefact."""
         import threading
 
         results, failures = [], []
@@ -231,5 +217,5 @@ class TestGetOrCreate:
         key = store.save(release, key="fp")
         first = store.fingerprint(key)
         assert first is not None
-        (store.path_for(key) / ReleaseStore.DOCUMENT_NAME).write_text("{broken")
+        store.backend.put(key, b"{broken", store.backend.get_answers(key))
         assert store.fingerprint(key) != first

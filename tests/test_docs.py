@@ -104,6 +104,7 @@ class TestArchitecture:
         for switch in (
             "catalog.db",
             "SqliteBackend",
+            "import_directory_store",
             "--key-glob",
             "--since",
             "--format json",
@@ -142,7 +143,7 @@ class TestArchitecture:
             "RETRYING",
             "WorkerBudget",
             "SweepScheduler",
-            "ManagerExecutor",
+            "ProcessExecutor",
             "sweep-progress",
             "on_retry",
         ):
@@ -155,7 +156,7 @@ class TestArchitecture:
             "--workers",
             "--inner-workers",
             "--worker-budget",
-            "--executor manager",
+            "--executor process",
             "sweep-progress",
             "SweepScheduler",
             "SweepSnapshot",

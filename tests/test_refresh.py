@@ -227,7 +227,7 @@ class TestRefreshProvenance:
         discloser = MultiLevelDiscloser(config=config, rng=2)
         hierarchy = discloser.build_hierarchy(mutated)
         release = discloser.disclose(mutated, hierarchy=hierarchy)
-        store = ReleaseStore(tmp_path)
+        store = ReleaseStore(tmp_path / "store.db")
         key = store.save(release, key="live")
         loaded = store.load(key)
         assert loaded.provenance == release.provenance
@@ -278,7 +278,7 @@ class TestPublisherRefresh:
 
     def test_store_routing_archives_and_republishes(self, publisher, mutated, tmp_path):
         release = publisher.release()
-        store = ReleaseStore(tmp_path)
+        store = ReleaseStore(tmp_path / "store.db")
         store.save(release, key="live")
         stale_fingerprint = store.fingerprint("live")
 
@@ -301,7 +301,7 @@ class TestPublisherRefresh:
         self, publisher, mutated, tmp_path
     ):
         release = publisher.release()
-        store = ReleaseStore(tmp_path)
+        store = ReleaseStore(tmp_path / "store.db")
         store.save(release, key="live")
         left = next(iter(mutated.left_nodes()))
         mutated.add_right_node("late-paper")
@@ -318,4 +318,4 @@ class TestPublisherRefresh:
     def test_store_requires_key(self, publisher, tmp_path):
         publisher.release()
         with pytest.raises(ValidationError):
-            publisher.refresh(store=ReleaseStore(tmp_path))
+            publisher.refresh(store=ReleaseStore(tmp_path / "store.db"))

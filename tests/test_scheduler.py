@@ -1,8 +1,8 @@
-"""Worker-budget negotiation, the manager executor, and the sweep scheduler.
+"""Worker-budget negotiation, process-pool recovery, and the sweep scheduler.
 
 The budget tests lock the ``ValidationError`` message shapes (the CLI shows
-them verbatim), the manager-executor tests hold it to the same contract as
-the other executors — order-preserving, serial-identical, crash-recovering —
+them verbatim), the recovery tests hold the process executor — the sweep's
+crash-surviving backend — to its fail-fast and rebuild-announcing contract,
 and the scheduler tests prove the negotiated plan reaches the snapshot.
 """
 
@@ -24,15 +24,13 @@ from repro.exceptions import (
 )
 from repro.execution import (
     AUTO_INNER,
-    EXECUTOR_NAMES,
     BudgetPlan,
-    ManagerExecutor,
+    ProcessExecutor,
     SerialExecutor,
     SweepScheduler,
     ThreadExecutor,
     WorkerBudget,
     executor_scope,
-    make_executor,
 )
 from repro.execution.faults import FaultInjectingExecutor, FaultPlan, KillWorkerFault
 from repro.grouping.specialization import SpecializationConfig
@@ -154,51 +152,45 @@ class TestExecutorScopeBudget:
             assert pool.name == "serial"
 
 
-class TestManagerExecutor:
-    def test_registered_in_the_executor_registry(self):
-        assert "manager" in EXECUTOR_NAMES
-        pool = make_executor("manager", max_workers=2)
-        try:
-            assert isinstance(pool, ManagerExecutor)
-            assert pool.max_workers == 2
-        finally:
-            pool.close()
+class TestProcessExecutorRecovery:
+    """The sweep's crash-surviving executor: reusable, fail-fast on task
+    errors and timeouts, and announcing every pool rebuild."""
 
     def test_empty_map(self):
-        with ManagerExecutor(max_workers=2) as pool:
+        with ProcessExecutor(max_workers=2) as pool:
             assert pool.map(_square, []) == []
 
     def test_map_preserves_order_and_matches_serial(self):
         tasks = list(range(12))
-        with ManagerExecutor(max_workers=3) as pool:
+        with ProcessExecutor(max_workers=3) as pool:
             assert pool.map(_square, tasks) == SerialExecutor().map(_square, tasks)
 
     def test_reusable_across_maps(self):
-        with ManagerExecutor(max_workers=2) as pool:
+        with ProcessExecutor(max_workers=2) as pool:
             assert pool.map(_square, [1, 2]) == [1, 4]
             assert pool.map(_square, [3]) == [9]
 
     def test_task_exception_propagates(self):
-        with ManagerExecutor(max_workers=2) as pool:
+        with ProcessExecutor(max_workers=2) as pool:
             with pytest.raises(TransientError, match="boom"):
                 pool.map(_boom, [1, 2])
 
     def test_task_timeout_raises(self):
-        with ManagerExecutor(max_workers=2) as pool:
+        with ProcessExecutor(max_workers=2) as pool:
             with pytest.raises(TaskTimeoutError):
                 pool.map(_sleepy, [5.0], timeout=0.3)
 
     def test_rejects_bad_configuration(self):
         with pytest.raises(ValidationError):
-            ManagerExecutor(max_workers=0)
+            ProcessExecutor(max_workers=0)
         with pytest.raises(ValidationError):
-            ManagerExecutor(max_pool_rebuilds=-1)
+            ProcessExecutor(max_pool_rebuilds=-1)
 
     def test_killed_worker_is_recovered_and_announced(self, tmp_path):
         """A SIGKILL'd worker's tasks are resubmitted (results identical to
-        serial) and the resubmission is announced through ``on_retry``."""
+        serial) and the pool rebuild is announced through ``on_retry``."""
         plan = FaultPlan({1: (KillWorkerFault(attempts=(1,)),)})
-        inner = ManagerExecutor(max_workers=2)
+        inner = ProcessExecutor(max_workers=2)
         chaos = FaultInjectingExecutor(inner, plan, tmp_path)
         retried = []
         chaos.on_retry = retried.append
@@ -211,7 +203,7 @@ class TestManagerExecutor:
 
     def test_repeated_deaths_exhaust_rebuild_budget(self, tmp_path):
         plan = FaultPlan({0: (KillWorkerFault(attempts=(1, 2, 3, 4)),)})
-        inner = ManagerExecutor(max_workers=2, max_pool_rebuilds=2)
+        inner = ProcessExecutor(max_workers=2, max_pool_rebuilds=2)
         chaos = FaultInjectingExecutor(inner, plan, tmp_path)
         try:
             with pytest.raises(WorkerCrashError) as excinfo:
@@ -221,14 +213,13 @@ class TestManagerExecutor:
             chaos.close()
 
     def test_disclosure_parity_with_serial(self):
-        """The determinism contract extends to the fourth backend: a
-        manager-parallel disclosure is bit-identical to the serial one."""
+        """A process-parallel disclosure is bit-identical to the serial one."""
         graph = generate_dblp_like(num_authors=50, seed=1)
         config = DisclosureConfig(
             epsilon_g=0.5, specialization=SpecializationConfig(num_levels=4)
         )
         baseline = MultiLevelDiscloser(config=config, rng=9).disclose(graph)
-        with ManagerExecutor(max_workers=2) as pool:
+        with ProcessExecutor(max_workers=2) as pool:
             parallel = MultiLevelDiscloser(config=config, rng=9).disclose(
                 graph, executor=pool
             )

@@ -41,8 +41,8 @@ def policy():
 
 @pytest.fixture(scope="module")
 def served(release, policy, tmp_path_factory):
-    """A running server over a directory-backed store holding one release."""
-    store = ReleaseStore(tmp_path_factory.mktemp("serving-store"), cache_size=8)
+    """A running server over a SQLite store holding one release."""
+    store = ReleaseStore(tmp_path_factory.mktemp("serving-store") / "store.db", cache_size=8)
     key = store.save(release)
     server = ReleaseServer(store, policy, port=0).start()
     yield SimpleNamespace(server=server, store=store, key=key)
@@ -237,13 +237,13 @@ class TestConcurrency:
 class TestBackendParity:
     def test_views_byte_identical_across_backends(self, release, policy, tmp_path):
         """The same stored release serialises to byte-identical HTTP responses
-        whether it sits in a directory store or an in-memory store."""
-        directory_store = ReleaseStore(tmp_path / "store")
+        whether it sits in a SQLite store or an in-memory store."""
+        sqlite_store = ReleaseStore(tmp_path / "store.db")
         memory_store = ReleaseStore.in_memory()
-        key = directory_store.save(release)
+        key = sqlite_store.save(release)
         assert memory_store.save(release) == key
 
-        with ReleaseServer(directory_store, policy, port=0) as on_disk:
+        with ReleaseServer(sqlite_store, policy, port=0) as on_disk:
             with ReleaseServer(memory_store, policy, port=0) as in_memory:
                 for path in (
                     "/releases",
@@ -265,18 +265,18 @@ class TestFailureModes:
     def test_metadata_and_roles_never_touch_answer_arrays(self, release, policy, tmp_path):
         """Metadata/roles are served from the document alone — they keep
         working with the npz gone, while views (which need it) fail loudly."""
-        store = ReleaseStore(tmp_path / "store")
+        store = ReleaseStore(tmp_path / "store.db")
         key = store.save(release)
-        (store.path_for(key) / ReleaseStore.ANSWERS_NAME).unlink()
+        store.backend.put(key, store.backend.get_document(key), b"")
         with ReleaseServer(store, policy, port=0) as server:
             assert http_get(f"{server.url}/releases/{key}")[0] == 200
             assert http_get(f"{server.url}/releases/{key}/roles")[0] == 200
             assert http_get(f"{server.url}/releases/{key}/views/public")[0] == 500
 
     def test_corrupt_stored_release_is_500(self, release, policy, tmp_path):
-        store = ReleaseStore(tmp_path / "store")
+        store = ReleaseStore(tmp_path / "store.db")
         key = store.save(release)
-        (store.path_for(key) / ReleaseStore.DOCUMENT_NAME).write_text("{broken")
+        store.backend.put(key, b"{broken", store.backend.get_answers(key))
         with ReleaseServer(store, policy, port=0) as server:
             status, body = http_get(f"{server.url}/releases/{key}/views/public")
             assert status == 500
@@ -329,7 +329,7 @@ class TestPublisherServe:
 
         publisher = GraphPublisher(dblp_graph, rng=3)
         release = publisher.release(epsilon_g=0.9)
-        server = publisher.serve(release, policy, tmp_path / "store")
+        server = publisher.serve(release, policy, tmp_path / "store.db")
         key = server.store.keys()[0]
         with server:
             payload = fetch_json(server.url, f"/releases/{key}/views/public")
@@ -337,7 +337,7 @@ class TestPublisherServe:
 
 
 class TestCliServe:
-    def _start_cli(self, store_dir, policy_path, *extra):
+    def _start_cli(self, store_path, policy_path, *extra):
         env = dict(os.environ)
         env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
         process = subprocess.Popen(
@@ -347,7 +347,7 @@ class TestCliServe:
                 "repro.cli",
                 "serve",
                 "--store",
-                str(store_dir),
+                str(store_path),
                 "--policy",
                 str(policy_path),
                 "--port",
@@ -372,11 +372,11 @@ class TestCliServe:
     def test_repro_serve_end_to_end(self, release, policy, tmp_path):
         """`repro serve` serves a stored release over real HTTP: two roles'
         views bit-match AccessPolicy.view_for applied to the stored release."""
-        store = ReleaseStore(tmp_path / "store")
+        store = ReleaseStore(tmp_path / "store.db")
         key = store.save(release)
         policy_path = to_json_file(policy.to_dict(), tmp_path / "policy.json")
 
-        process, banner = self._start_cli(tmp_path / "store", policy_path)
+        process, banner = self._start_cli(tmp_path / "store.db", policy_path)
         try:
             assert "http://" in banner, (banner, process.stderr.read() if process.poll() else "")
             url = banner.strip().rsplit(" on ", 1)[1]
@@ -392,12 +392,12 @@ class TestCliServe:
     def test_serve_missing_policy_file_is_error(self, tmp_path, capsys):
         from repro.cli import main
 
-        (tmp_path / "store").mkdir()
+        ReleaseStore(tmp_path / "store.db")
         code = main(
             [
                 "serve",
                 "--store",
-                str(tmp_path / "store"),
+                str(tmp_path / "store.db"),
                 "--policy",
                 str(tmp_path / "missing.json"),
             ]
@@ -405,16 +405,17 @@ class TestCliServe:
         assert code == 2
         assert "does not exist" in capsys.readouterr().err
 
-    def test_serve_missing_store_directory_is_error(self, policy, tmp_path, capsys):
+    def test_serve_missing_store_is_error(self, policy, tmp_path, capsys):
         """A typo'd store path must fail fast, not serve an empty store."""
         from repro.cli import main
 
         policy_path = to_json_file(policy.to_dict(), tmp_path / "policy.json")
         code = main(
-            ["serve", "--store", str(tmp_path / "relaeses"), "--policy", str(policy_path)]
+            ["serve", "--store", str(tmp_path / "relaeses.db"), "--policy", str(policy_path)]
         )
         assert code == 2
-        assert "store directory" in capsys.readouterr().err
+        assert "store file" in capsys.readouterr().err
+        assert not (tmp_path / "relaeses.db").exists()
 
     def test_serve_parser_requires_store_and_policy(self):
         from repro.cli import build_parser
@@ -511,9 +512,9 @@ class TestQuarantine:
     def test_corrupt_release_is_quarantined_then_recovers(
         self, release, policy, tmp_path
     ):
-        store = ReleaseStore(tmp_path / "store")
+        store = ReleaseStore(tmp_path / "store.db")
         key = store.save(release)
-        (store.path_for(key) / ReleaseStore.DOCUMENT_NAME).write_text("{broken")
+        store.backend.put(key, b"{broken", store.backend.get_answers(key))
         with ReleaseServer(store, policy, port=0) as server:
             # First read: the honest 500 — and the key is quarantined.
             status, body = http_get(f"{server.url}/releases/{key}/views/public")

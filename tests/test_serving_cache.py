@@ -56,8 +56,8 @@ def policy():
 
 @pytest.fixture
 def served(release, policy, tmp_path):
-    """A caching server over a directory store holding one release."""
-    store = ReleaseStore(tmp_path / "store", cache_size=8)
+    """A caching server over a SQLite store holding one release."""
+    store = ReleaseStore(tmp_path / "store.db", cache_size=8)
     key = store.save(release)
     with ReleaseServer(store, policy, port=0) as server:
         yield SimpleNamespace(server=server, store=store, key=key)
@@ -251,7 +251,7 @@ class TestInvalidationOnRepublish:
     def test_republished_key_is_never_served_stale(
         self, release, other_release, policy, tmp_path
     ):
-        store = ReleaseStore(tmp_path / "store", cache_size=8)
+        store = ReleaseStore(tmp_path / "store.db", cache_size=8)
         key = store.save(release)
         with ReleaseServer(store, policy, port=0) as server:
             url = f"{server.url}/releases/{key}/views/public"
@@ -304,15 +304,15 @@ class TestBackendParityWithCache:
     def test_cached_bodies_byte_identical_across_backends(
         self, release, policy, tmp_path, backend_kind
     ):
-        """With the response cache on, a directory-backed server and a
-        server on any other backend still serve byte-identical bodies
-        (their ETags differ — fingerprints are backend-specific — but the
+        """With the response cache on, a SQLite-backed reference server and
+        a server on any backend still serve byte-identical bodies (their
+        ETags may differ — fingerprints are backend-specific — but the
         canonical bytes cannot)."""
-        directory_store = ReleaseStore(tmp_path / "store")
+        reference_store = ReleaseStore(tmp_path / "reference.db")
         other_store = make_release_store(backend_kind, tmp_path)
-        key = directory_store.save(release)
+        key = reference_store.save(release)
         assert other_store.save(release) == key
-        with ReleaseServer(directory_store, policy, port=0) as on_disk:
+        with ReleaseServer(reference_store, policy, port=0) as on_disk:
             with ReleaseServer(other_store, policy, port=0) as other:
                 for path in (
                     f"/releases/{key}",
@@ -327,7 +327,7 @@ class TestBackendParityWithCache:
     def test_cached_body_matches_cache_disabled_body(self, release, policy, tmp_path):
         """The cache must be invisible in the bytes: a caching server and a
         cache-disabled server serialise the same stored release identically."""
-        store = ReleaseStore(tmp_path / "store")
+        store = ReleaseStore(tmp_path / "store.db")
         key = store.save(release)
         path = f"/releases/{key}/views/public"
         with ReleaseServer(store, policy, port=0) as caching:
@@ -381,7 +381,7 @@ class TestGzipNegotiation:
     def test_gzip_disabled_server_always_serves_identity(
         self, release, policy, tmp_path
     ):
-        store = ReleaseStore(tmp_path / "store")
+        store = ReleaseStore(tmp_path / "store.db")
         key = store.save(release)
         with ReleaseServer(store, policy, port=0, gzip_enabled=False) as server:
             response = self._raw_get(server, f"/releases/{key}/views/public", "gzip")
@@ -403,12 +403,9 @@ class TestZeroWorkWhenWarm:
         self, release, policy, tmp_path, monkeypatch, backend_kind
     ):
         from repro.core.sqlite_backend import SqliteBackend
-        from repro.core.store import DirectoryBackend
         from repro.serving import server as server_module
 
-        if backend_kind == "directory":
-            inner = DirectoryBackend(tmp_path / "store")
-        elif backend_kind == "sqlite":
+        if backend_kind == "sqlite":
             inner = SqliteBackend(tmp_path / "store.db")
         else:
             inner = MemoryBackend()
@@ -492,7 +489,7 @@ class TestHealthzCacheCounters:
         """Through a real request mix — cold fill, warm hits, a 304, and an
         invalidate-and-rebuild after a republish — the ``/healthz`` numbers
         must satisfy ``hits + misses == lookups``."""
-        store = ReleaseStore(tmp_path / "store", cache_size=8)
+        store = ReleaseStore(tmp_path / "store.db", cache_size=8)
         key = store.save(release)
         with ReleaseServer(store, policy, port=0) as server:
             url = f"{server.url}/releases/{key}/views/public"

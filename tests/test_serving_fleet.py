@@ -15,7 +15,7 @@ from repro.core.access import AccessPolicy
 from repro.core.config import DisclosureConfig
 from repro.core.discloser import MultiLevelDiscloser
 from repro.core.store import ReleaseStore
-from repro.exceptions import ValidationError
+from repro.exceptions import ServingError, ValidationError
 from repro.grouping.specialization import SpecializationConfig
 from repro.serving import (
     ServerFleet,
@@ -45,10 +45,10 @@ def policy():
 
 
 @pytest.fixture(scope="module")
-def store_dir(release, tmp_path_factory):
-    directory = tmp_path_factory.mktemp("fleet-store")
-    key = ReleaseStore(directory).save(release)
-    return SimpleNamespace(path=directory, key=key)
+def store_file(release, tmp_path_factory):
+    path = tmp_path_factory.mktemp("fleet-store") / "store.db"
+    key = ReleaseStore(path).save(release)
+    return SimpleNamespace(path=path, key=key)
 
 
 def _wait_for(predicate, timeout=15.0):
@@ -61,26 +61,26 @@ def _wait_for(predicate, timeout=15.0):
 
 
 class TestValidation:
-    def test_bad_parameters_rejected(self, store_dir, policy, tmp_path):
+    def test_bad_parameters_rejected(self, store_file, policy, tmp_path):
         with pytest.raises(ValidationError):
-            ServerFleet(store_dir.path, policy, processes=0)
+            ServerFleet(store_file.path, policy, processes=0)
         with pytest.raises(ValidationError):
-            ServerFleet(store_dir.path, policy, max_respawns=-1)
+            ServerFleet(store_file.path, policy, max_respawns=-1)
         with pytest.raises(ValidationError):
             ServerFleet(tmp_path / "not-a-store", policy)
 
-    def test_policy_accepted_as_object_dict_or_file(self, store_dir, policy, tmp_path):
-        from_object = ServerFleet(store_dir.path, policy)
-        from_dict = ServerFleet(store_dir.path, policy.to_dict())
+    def test_policy_accepted_as_object_dict_or_file(self, store_file, policy, tmp_path):
+        from_object = ServerFleet(store_file.path, policy)
+        from_dict = ServerFleet(store_file.path, policy.to_dict())
         path = to_json_file(policy.to_dict(), tmp_path / "policy.json")
-        from_file = ServerFleet(store_dir.path, path)
+        from_file = ServerFleet(store_file.path, path)
         for fleet in (from_object, from_dict, from_file):
             assert fleet.policy.roles() == policy.roles()
 
 
 class TestFallback:
-    def test_processes_1_serves_in_process(self, store_dir, policy):
-        with ServerFleet(store_dir.path, policy, processes=1) as fleet:
+    def test_processes_1_serves_in_process(self, store_file, policy):
+        with ServerFleet(store_file.path, policy, processes=1) as fleet:
             assert fleet.fallback_reason == "processes=1"
             assert fleet.describe()["reuseport"] is False
             assert fleet.worker_pids() == []
@@ -88,24 +88,24 @@ class TestFallback:
             assert fetch_json(fleet.url, "/healthz")["status"] == "ok"
 
     def test_missing_reuseport_falls_back_gracefully(
-        self, store_dir, policy, monkeypatch
+        self, store_file, policy, monkeypatch
     ):
         import repro.serving.fleet as fleet_module
 
         monkeypatch.setattr(fleet_module, "reuseport_available", lambda: False)
-        with ServerFleet(store_dir.path, policy, processes=4) as fleet:
+        with ServerFleet(store_file.path, policy, processes=4) as fleet:
             assert fleet.processes == 1
             assert fleet.requested_processes == 4
             assert "SO_REUSEPORT" in fleet.fallback_reason
-            path = f"/releases/{store_dir.key}/views/public"
+            path = f"/releases/{store_file.key}/views/public"
             assert fetch_json(fleet.url, path)["role"] == "public"
 
 
 @requires_reuseport
 class TestFleet:
     @pytest.fixture(scope="class")
-    def fleet(self, store_dir, policy):
-        with ServerFleet(store_dir.path, policy, processes=2) as fleet:
+    def fleet(self, store_file, policy):
+        with ServerFleet(store_file.path, policy, processes=2) as fleet:
             yield fleet
 
     def test_all_workers_bind_one_port(self, fleet):
@@ -117,10 +117,10 @@ class TestFleet:
     def test_healthz_answers_through_the_shared_port(self, fleet):
         assert fetch_json(fleet.url, "/healthz")["status"] == "ok"
 
-    def test_views_and_etags_are_consistent_across_workers(self, fleet, store_dir):
+    def test_views_and_etags_are_consistent_across_workers(self, fleet, store_file):
         """Whichever worker the kernel picks, the body and the strong ETag
         are identical — both are pure functions of the stored bytes."""
-        url = f"{fleet.url}/releases/{store_dir.key}/views/public"
+        url = f"{fleet.url}/releases/{store_file.key}/views/public"
         responses = [http_get_response(url) for _ in range(8)]
         assert {response.status for response in responses} == {200}
         assert len({response.body for response in responses}) == 1
@@ -142,9 +142,9 @@ class TestFleet:
 
 @requires_reuseport
 class TestRespawnBudget:
-    def test_respawns_stop_at_the_budget(self, store_dir, policy):
+    def test_respawns_stop_at_the_budget(self, store_file, policy):
         with ServerFleet(
-            store_dir.path, policy, processes=2, max_respawns=0
+            store_file.path, policy, processes=2, max_respawns=0
         ) as fleet:
             victim = fleet.worker_pids()[0]
             os.kill(victim, signal.SIGKILL)
@@ -157,8 +157,8 @@ class TestRespawnBudget:
 
 
 class TestConfigLine:
-    def test_format_config_line_is_structured_json(self, store_dir, policy):
-        fleet = ServerFleet(store_dir.path, policy, processes=2, gzip_enabled=False)
+    def test_format_config_line_is_structured_json(self, store_file, policy):
+        fleet = ServerFleet(store_file.path, policy, processes=2, gzip_enabled=False)
         line = format_config_line(fleet.describe())
         parsed = json.loads(line)
         assert parsed["event"] == "serve-config"
@@ -168,9 +168,9 @@ class TestConfigLine:
         # Sorted keys keep the line diff-stable across runs.
         assert list(parsed) == sorted(parsed)
 
-    def test_describe_reports_the_effective_configuration(self, store_dir, policy):
+    def test_describe_reports_the_effective_configuration(self, store_file, policy):
         fleet = ServerFleet(
-            store_dir.path,
+            store_file.path,
             policy,
             processes=1,
             response_cache_size=7,
@@ -191,9 +191,9 @@ class TestPublisherServe:
 
         publisher = GraphPublisher(dblp_graph, rng=3)
         release = publisher.release(epsilon_g=0.9)
-        fleet = publisher.serve(release, policy, tmp_path / "store", processes=2)
+        fleet = publisher.serve(release, policy, tmp_path / "store.db", processes=2)
         assert isinstance(fleet, ServerFleet)
-        key = ReleaseStore(tmp_path / "store").keys()[0]
+        key = ReleaseStore(tmp_path / "store.db").keys()[0]
         with fleet:
             payload = fetch_json(fleet.url, f"/releases/{key}/views/public")
         assert payload["release"] == policy.view_for("public", release).to_dict()
@@ -206,7 +206,7 @@ class TestPublisherServe:
         publisher = GraphPublisher(dblp_graph, rng=3)
         release = publisher.release(epsilon_g=0.9)
         store = ReleaseStore.in_memory()
-        with pytest.raises(ValidationError, match="directory-backed"):
+        with pytest.raises(ValidationError, match="SQLite-backed"):
             publisher.serve(release, policy, store, processes=2)
 
     def test_publisher_serve_default_is_still_a_single_server(
@@ -217,13 +217,13 @@ class TestPublisherServe:
 
         publisher = GraphPublisher(dblp_graph, rng=3)
         release = publisher.release(epsilon_g=0.9)
-        server = publisher.serve(release, policy, tmp_path / "store")
+        server = publisher.serve(release, policy, tmp_path / "store.db")
         assert isinstance(server, ReleaseServer)
 
 
 class TestCliServeFleet:
     def test_cli_logs_the_effective_config_to_stderr(
-        self, store_dir, policy, tmp_path
+        self, store_file, policy, tmp_path
     ):
         """`repro serve` prints exactly one structured-JSON config line to
         stderr before the human-readable stdout banner."""
@@ -242,7 +242,7 @@ class TestCliServeFleet:
                 "repro.cli",
                 "serve",
                 "--store",
-                str(store_dir.path),
+                str(store_file.path),
                 "--policy",
                 str(policy_path),
                 "--port",
@@ -276,13 +276,14 @@ class TestCliServeFleet:
                 assert config["processes"] == 2
             else:
                 assert config["processes"] == 1
-            assert (
-                fetch_json(f"http://127.0.0.1:{config['port']}", "/healthz")["status"]
-                == "ok"
-            )
+            url = f"http://127.0.0.1:{config['port']}"
+            assert fetch_json(url, "/healthz")["status"] == "ok"
         finally:
             process.terminate()
             process.wait(timeout=15)
+        # SIGTERM stops the whole fleet, not only the parent process.
+        with pytest.raises(ServingError):
+            fetch_json(url, "/healthz", timeout=2.0)
 
 
 class TestServeForeverInterrupt:

@@ -42,7 +42,7 @@ def save_at_revision(store, release, key, revision, affected=()):
 
 class TestStalenessIndex:
     def test_single_release_is_fresh(self, base_release, tmp_path):
-        store = ReleaseStore(tmp_path)
+        store = ReleaseStore(tmp_path / "store.db")
         save_at_revision(store, base_release, "live", 10)
         verdict = StalenessIndex(store).staleness_for("live")
         assert verdict["stale"] is False
@@ -51,7 +51,7 @@ class TestStalenessIndex:
         assert verdict["revisions_behind"] == 0
 
     def test_newer_sibling_marks_release_stale(self, base_release, tmp_path):
-        store = ReleaseStore(tmp_path)
+        store = ReleaseStore(tmp_path / "store.db")
         save_at_revision(store, base_release, "live", 10)
         save_at_revision(store, base_release, "live-r13", 13, affected=[1, 2])
         verdict = StalenessIndex(store).staleness_for("live")
@@ -61,7 +61,7 @@ class TestStalenessIndex:
         assert verdict["affected_levels"] == 2
 
     def test_republish_clears_staleness(self, base_release, tmp_path):
-        store = ReleaseStore(tmp_path)
+        store = ReleaseStore(tmp_path / "store.db")
         save_at_revision(store, base_release, "live", 10)
         save_at_revision(store, base_release, "live-r13", 13)
         index = StalenessIndex(store)
@@ -72,7 +72,7 @@ class TestStalenessIndex:
     def test_different_datasets_do_not_interact(self, base_release, tmp_path):
         from repro.core.release import MultiLevelRelease
 
-        store = ReleaseStore(tmp_path)
+        store = ReleaseStore(tmp_path / "store.db")
         save_at_revision(store, base_release, "live", 10)
         other = MultiLevelRelease.from_dict(base_release.to_dict())
         other.dataset_name = "another-dataset"
@@ -87,7 +87,7 @@ class TestStalenessIndex:
     ):
         from repro.core.release import MultiLevelRelease
 
-        store = ReleaseStore(tmp_path)
+        store = ReleaseStore(tmp_path / "store.db")
         legacy = MultiLevelRelease.from_dict(base_release.to_dict())
         legacy.provenance = {}
         store.save(legacy, key="legacy")
@@ -96,7 +96,7 @@ class TestStalenessIndex:
         assert verdict["graph_revision"] is None
 
     def test_summary_counts_stale_keys(self, base_release, tmp_path):
-        store = ReleaseStore(tmp_path)
+        store = ReleaseStore(tmp_path / "store.db")
         save_at_revision(store, base_release, "live", 10)
         save_at_revision(store, base_release, "live-r13", 13)
         summary = StalenessIndex(store).summary()
@@ -105,7 +105,7 @@ class TestStalenessIndex:
         assert summary["stale_keys"] == ["live"]
 
     def test_token_changes_on_any_republish(self, base_release, tmp_path):
-        store = ReleaseStore(tmp_path)
+        store = ReleaseStore(tmp_path / "store.db")
         save_at_revision(store, base_release, "live", 10)
         index = StalenessIndex(store)
         before = index.token()
@@ -114,7 +114,7 @@ class TestStalenessIndex:
         assert index.token() != before
 
     def test_unchanged_artifacts_are_parsed_once(self, base_release, tmp_path):
-        store = ReleaseStore(tmp_path)
+        store = ReleaseStore(tmp_path / "store.db")
         save_at_revision(store, base_release, "live", 10)
         index = StalenessIndex(store)
         index.staleness_for("live")
@@ -139,7 +139,7 @@ class TestServedStaleness:
     def test_metadata_reports_fresh_then_stale_then_cleared(
         self, base_release, policy, tmp_path
     ):
-        store = ReleaseStore(tmp_path)
+        store = ReleaseStore(tmp_path / "store.db")
         save_at_revision(store, base_release, "live", 10)
         with ReleaseServer(store, policy, port=0) as server:
             payload = fetch_json(server.url, "/releases/live")
@@ -159,7 +159,7 @@ class TestServedStaleness:
             assert payload["staleness"]["stale"] is False
 
     def test_healthz_reports_staleness_summary(self, base_release, policy, tmp_path):
-        store = ReleaseStore(tmp_path)
+        store = ReleaseStore(tmp_path / "store.db")
         save_at_revision(store, base_release, "live", 10)
         with ReleaseServer(store, policy, port=0) as server:
             assert fetch_json(server.url, "/healthz")["staleness"] == {
@@ -186,7 +186,7 @@ class TestServedStaleness:
             rng=7,
         )
         release = publisher.release()
-        store = ReleaseStore(tmp_path)
+        store = ReleaseStore(tmp_path / "store.db")
         store.save(release, key="live")
         with ReleaseServer(store, policy, port=0) as server:
             assert fetch_json(server.url, "/releases/live")["staleness"]["stale"] is False

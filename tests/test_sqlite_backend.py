@@ -1,10 +1,12 @@
-"""Tests for the SQLite store backend: schema migrations (with the v1 → v2
-catalog backfill), WAL crash-safety under kill -9 (reusing the
-:class:`KillWorkerFault` toolkit), monotonic revision fingerprints, and the
-SQL catalog path's parity with the full-scan fallback."""
+"""Tests for the SQLite store backend: path handling, the race-free first
+open, schema migrations (with the v1 → v2 catalog backfill), WAL
+crash-safety under kill -9 (reusing the :class:`KillWorkerFault` toolkit),
+monotonic revision fingerprints, and the SQL catalog path's parity with the
+full-scan fallback."""
 
 import multiprocessing
 import sqlite3
+import sys
 import threading
 
 import pytest
@@ -17,14 +19,10 @@ from repro.core.catalog import (
 )
 from repro.core.config import DisclosureConfig
 from repro.core.discloser import MultiLevelDiscloser
-from repro.core.sqlite_backend import (
-    SQLITE_MAGIC,
-    SqliteBackend,
-    is_sqlite_path,
-)
+from repro.core.sqlite_backend import SqliteBackend
 from repro.core import sqlite_backend as sqlite_backend_module
 from repro.core.store import ReleaseStore
-from repro.exceptions import ReleaseIntegrityError
+from repro.exceptions import ReleaseIntegrityError, ValidationError
 from repro.grouping.specialization import SpecializationConfig
 
 
@@ -53,7 +51,7 @@ def db_path(tmp_path):
 
 class TestPathDetection:
     def test_db_suffix_selects_sqlite_even_before_the_file_exists(self, db_path):
-        assert is_sqlite_path(db_path)
+        assert not db_path.exists()
         store = ReleaseStore(db_path)
         assert isinstance(store.backend, SqliteBackend)
 
@@ -62,26 +60,93 @@ class TestPathDetection:
         seed = ReleaseStore(tmp_path / "seed.db")
         seed.save(release, key="k")
         # Fold the WAL into the main file so a byte copy is self-contained.
-        seed.backend._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
+        with seed.backend._connection() as conn:
+            conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
         seed.backend.close()
         oddly_named.write_bytes((tmp_path / "seed.db").read_bytes())
-        assert oddly_named.read_bytes().startswith(SQLITE_MAGIC)
-        assert is_sqlite_path(oddly_named)
+        assert oddly_named.read_bytes().startswith(b"SQLite format 3\x00")
         assert ReleaseStore(oddly_named).keys() == ["k"]
 
-    def test_plain_directory_path_still_gets_a_directory_backend(self, tmp_path):
-        from repro.core.store import DirectoryBackend
-
+    def test_suffixless_path_opens_a_sqlite_store(self, tmp_path):
         store = ReleaseStore(tmp_path / "releases")
-        assert isinstance(store.backend, DirectoryBackend)
+        assert isinstance(store.backend, SqliteBackend)
+        assert (tmp_path / "releases").is_file()
 
-    def test_existing_directory_named_like_a_db_stays_a_directory(self, tmp_path):
-        from repro.core.store import DirectoryBackend
+    def test_existing_directory_is_refused_with_the_import_hint(self, tmp_path):
+        legacy = tmp_path / "releases.db"
+        legacy.mkdir()
+        with pytest.raises(ValidationError) as excinfo:
+            ReleaseStore(legacy)
+        assert str(legacy) in str(excinfo.value)
+        assert "import_directory_store" in str(excinfo.value)
 
-        trap = tmp_path / "releases.db"
-        trap.mkdir()
-        assert not is_sqlite_path(trap)
-        assert isinstance(ReleaseStore(trap).backend, DirectoryBackend)
+
+def _open_behind_barrier(path, barrier, lane, errors):
+    barrier.wait()
+    try:
+        backend = SqliteBackend(path)
+        backend.put(f"lane-{lane}", b"{}", b"npz")
+        backend.close()
+    except Exception as error:  # reported to the parent
+        errors.put(repr(error))
+    else:
+        errors.put(None)
+
+
+class TestFirstOpenRace:
+    """Several processes opening one *new* path at once must all succeed.
+
+    Switching a fresh file to WAL takes a write lock, and SQLite fails the
+    losers of that race with ``database is locked`` without waiting — so a
+    process-pool sweep whose workers all create the store used to lose
+    combinations.
+    """
+
+    TRIALS = 50
+    PROCESSES = 4
+
+    def test_concurrent_first_opens_all_succeed(self, tmp_path):
+        failed_trials = []
+        for trial in range(self.TRIALS):
+            path = tmp_path / f"trial-{trial}.db"
+            barrier = multiprocessing.Barrier(self.PROCESSES)
+            errors = multiprocessing.Queue()
+            workers = [
+                multiprocessing.Process(
+                    target=_open_behind_barrier, args=(path, barrier, lane, errors)
+                )
+                for lane in range(self.PROCESSES)
+            ]
+            for worker in workers:
+                worker.start()
+            outcomes = [errors.get(timeout=60) for _ in workers]
+            for worker in workers:
+                worker.join(timeout=60)
+                assert not worker.is_alive()
+            failures = [outcome for outcome in outcomes if outcome is not None]
+            if failures:
+                failed_trials.append((trial, failures[0]))
+            else:
+                backend = SqliteBackend(path)
+                assert backend.keys() == [f"lane-{lane}" for lane in range(self.PROCESSES)]
+                backend.close()
+        assert failed_trials == []
+
+    def test_wal_switch_waits_for_a_held_write_lock(self, db_path):
+        """Deterministic form of the race: a rollback-journal writer holds
+        the lock the WAL switch needs; the open waits instead of failing."""
+        holder = sqlite3.connect(str(db_path), isolation_level=None, check_same_thread=False)
+        holder.execute("BEGIN IMMEDIATE")
+        holder.execute("CREATE TABLE unrelated (x)")
+        release_lock = threading.Timer(0.3, lambda: holder.execute("COMMIT"))
+        release_lock.start()
+        try:
+            backend = SqliteBackend(db_path)
+        finally:
+            release_lock.join()
+            holder.close()
+        assert backend.schema_version() == sqlite_backend_module.SCHEMA_VERSION
+        assert backend._fetchone("PRAGMA journal_mode") == ("wal",)
 
 
 class TestSchemaMigrations:
@@ -135,7 +200,7 @@ class TestSchemaMigrations:
 
     def test_wal_mode_is_on(self, db_path):
         backend = SqliteBackend(db_path)
-        (mode,) = backend._conn.execute("PRAGMA journal_mode").fetchone()
+        (mode,) = backend._fetchone("PRAGMA journal_mode")
         assert mode == "wal"
 
 
@@ -194,6 +259,55 @@ class TestForeignBytes:
         assert failures == []
 
 
+class TestConnectionPool:
+    def test_short_lived_threads_reuse_pooled_connections(self, db_path, monkeypatch):
+        """The serving layer runs one short-lived thread per request; each
+        must reuse an open handle, not open its own database connection."""
+        backend = SqliteBackend(db_path)
+        backend.put("k", b"{}", b"npz")
+        opened = []
+        real_connect = backend._connect
+        monkeypatch.setattr(backend, "_connect", lambda: opened.append(1) or real_connect())
+        for _ in range(20):
+            thread = threading.Thread(target=backend.fingerprint, args=("k",))
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert opened == []
+
+    def test_concurrent_writers_never_share_a_connection(self, db_path):
+        """Stress: more writer threads than cores, switching as often as the
+        interpreter allows.  A connection handed to two threads at once
+        would nest ``BEGIN IMMEDIATE`` (an error) or lose a write."""
+        backend = SqliteBackend(db_path)
+        failures = []
+
+        def write(lane):
+            try:
+                for index in range(15):
+                    key = f"lane{lane}-{index}"
+                    backend.put(key, b"{}", key.encode())
+                    assert backend.get_answers(key) == key.encode()
+            except Exception as exc:  # pragma: no cover - failure path
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write, args=(lane,)) for lane in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+        keys = backend.keys()
+        assert len(keys) == 8 * 15
+        assert len({backend.fingerprint(key) for key in keys}) == len(keys)
+
+
 def _crashy_put_worker(db_path: str, document: bytes, answers: bytes) -> None:
     """Forked child: start a put transaction, die (kill -9 style) pre-COMMIT.
 
@@ -205,17 +319,17 @@ def _crashy_put_worker(db_path: str, document: bytes, answers: bytes) -> None:
     from repro.execution.faults import KillWorkerFault
 
     backend = SqliteBackend(db_path)
-    conn = backend._conn
-    conn.execute("BEGIN IMMEDIATE")
-    conn.execute("UPDATE meta SET value = value + 1 WHERE name = 'revision'")
-    conn.execute(
-        "INSERT OR REPLACE INTO releases"
-        " (key, document, answers, revision, created_at,"
-        "  dataset, mechanism, epsilon, levels, graph_fingerprint)"
-        " VALUES ('victim', ?, ?, 1, NULL, NULL, NULL, NULL, NULL, NULL)",
-        (sqlite3.Binary(document), sqlite3.Binary(answers)),
-    )
-    KillWorkerFault(attempts=(1,)).trigger(0, 1)  # os._exit: COMMIT never runs
+    with backend._connection() as conn:
+        conn.execute("BEGIN IMMEDIATE")
+        conn.execute("UPDATE meta SET value = value + 1 WHERE name = 'revision'")
+        conn.execute(
+            "INSERT OR REPLACE INTO releases"
+            " (key, document, answers, revision, created_at,"
+            "  dataset, mechanism, epsilon, levels, graph_fingerprint)"
+            " VALUES ('victim', ?, ?, 1, NULL, NULL, NULL, NULL, NULL, NULL)",
+            (sqlite3.Binary(document), sqlite3.Binary(answers)),
+        )
+        KillWorkerFault(attempts=(1,)).trigger(0, 1)  # os._exit: COMMIT never runs
 
 
 class TestCrashSafety:
@@ -259,11 +373,11 @@ class TestCatalogParity:
     @pytest.fixture
     def seeded(self, tmp_path, release, laplace_release):
         sqlite_store = ReleaseStore(tmp_path / "cat.db")
-        directory_store = ReleaseStore(tmp_path / "cat-dir")
-        for store in (sqlite_store, directory_store):
+        scan_store = ReleaseStore.in_memory()  # no query_catalog: full scan
+        for store in (sqlite_store, scan_store):
             store.save(release, key="gauss-half")
             store.save(laplace_release, key="laplace-one")
-        return sqlite_store, directory_store
+        return sqlite_store, scan_store
 
     @pytest.mark.parametrize(
         "release_filter",
@@ -281,17 +395,17 @@ class TestCatalogParity:
         ids=lambda f: repr(f)[:60],
     )
     def test_sql_and_scan_paths_agree(self, seeded, release_filter):
-        sqlite_store, directory_store = seeded
+        sqlite_store, scan_store = seeded
         sql_rows = ReleaseCatalog(sqlite_store).rows(release_filter)
-        scan_rows = ReleaseCatalog(directory_store).rows(release_filter)
+        scan_rows = ReleaseCatalog(scan_store).rows(release_filter)
         assert sql_rows == scan_rows
 
     def test_graph_filter_agrees_and_spans_mechanisms(self, seeded, release):
-        sqlite_store, directory_store = seeded
+        sqlite_store, scan_store = seeded
         fingerprint = graph_fingerprint(release.to_dict())
         release_filter = ReleaseFilter(graph=fingerprint)
         sql_rows = ReleaseCatalog(sqlite_store).rows(release_filter)
-        assert sql_rows == ReleaseCatalog(directory_store).rows(release_filter)
+        assert sql_rows == ReleaseCatalog(scan_store).rows(release_filter)
         # Same graph + same specialization ⇒ same fingerprint for both
         # mechanisms, so the graph filter finds both releases.
         assert [row["key"] for row in sql_rows] == ["gauss-half", "laplace-one"]

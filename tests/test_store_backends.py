@@ -1,16 +1,13 @@
-"""Tests for the store-backend abstraction: the persisted key index, the
-in-memory backend, and the LRU read-through cache with integrity re-checks."""
-
-import json
-import os
-import shutil
+"""Tests for the store-backend abstraction: the backend contract over every
+backend kind, the in-memory backend, the one-shot directory-store import,
+and the LRU read-through cache with integrity re-checks."""
 
 import pytest
 
 from backend_matrix import make_release_store, store_backend_matrix
 from repro.core.config import DisclosureConfig
 from repro.core.discloser import MultiLevelDiscloser
-from repro.core.store import DirectoryBackend, MemoryBackend, ReleaseStore
+from repro.core.store import MemoryBackend, ReleaseStore, import_directory_store
 from repro.exceptions import ReleaseIntegrityError, ValidationError
 from repro.grouping.specialization import SpecializationConfig
 
@@ -25,147 +22,32 @@ def release(dblp_graph):
 
 @pytest.fixture
 def store(tmp_path):
-    return ReleaseStore(tmp_path / "releases")
+    return ReleaseStore(tmp_path / "releases.db")
 
 
-def read_index(store):
-    path = store.backend.index_path
-    return json.loads(path.read_text()) if path.is_file() else None
-
-
-class TestPersistedIndex:
-    def test_index_written_on_save(self, store, release):
-        store.save(release, key="alpha")
-        store.save(release, key="beta")
-        assert read_index(store) == {"version": 1, "keys": ["alpha", "beta"]}
-
-    def test_index_updated_on_delete(self, store, release):
-        store.save(release, key="alpha")
-        store.save(release, key="beta")
-        store.delete("alpha")
-        assert read_index(store)["keys"] == ["beta"]
-        assert store.keys() == ["beta"]
-
-    def test_keys_reads_index_not_directories(self, store, release, monkeypatch):
-        """keys() is O(1): it must not iterate the store directory."""
-        store.save(release, key="alpha")
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("keys() scanned the directory despite the index")
-
-        monkeypatch.setattr(type(store.backend), "_scan_keys", forbidden)
-        assert store.keys() == ["alpha"]
-
-    def test_legacy_store_without_index_is_rebuilt(self, store, release):
-        store.save(release, key="alpha")
-        store.save(release, key="beta")
-        store.backend.index_path.unlink()
-        assert store.keys() == ["alpha", "beta"]
-        # ... and the rebuild persisted the index for the next call.
-        assert read_index(store)["keys"] == ["alpha", "beta"]
-
-    def test_corrupt_index_is_rebuilt(self, store, release):
-        store.save(release, key="alpha")
-        store.backend.index_path.write_text("{broken")
-        assert store.keys() == ["alpha"]
-        assert read_index(store)["keys"] == ["alpha"]
-
-    def test_drift_release_copied_in_behind_the_stores_back(self, store, release):
-        """A release directory copied in by hand is invisible to the index
-        until rebuild_index() — but load() still finds it and read-repairs."""
-        store.save(release, key="alpha")
-        shutil.copytree(store.path_for("alpha"), store.backend.root / "copied")
-        assert store.keys() == ["alpha"]  # index does not know yet
-
-        assert store.load("copied").to_dict() == release.to_dict()
-        assert "copied" in read_index(store)["keys"]  # read-repaired
-
-    def test_drift_rebuild_index_rescans(self, store, release):
-        store.save(release, key="alpha")
-        shutil.copytree(store.path_for("alpha"), store.backend.root / "copied")
-        assert store.backend.rebuild_index() == ["alpha", "copied"]
-        assert store.keys() == ["alpha", "copied"]
-
-    def test_drift_release_removed_behind_the_stores_back(self, store, release):
-        store.save(release, key="alpha")
-        store.save(release, key="beta")
-        shutil.rmtree(store.path_for("alpha"))
-        assert store.keys() == ["alpha", "beta"]  # stale, by design
-        with pytest.raises(ReleaseIntegrityError):
-            store.load("alpha")
-        # The failed load dropped the dangling entry.
-        assert store.keys() == ["beta"]
-
-    def test_keys_on_missing_store_creates_nothing(self, tmp_path):
-        """Listing a store that does not exist must not materialise it."""
-        store = ReleaseStore(tmp_path / "nope")
-        assert store.keys() == []
-        assert not (tmp_path / "nope").exists()
-
-    def test_dot_keys_cannot_escape_the_store_root(self, store, release, tmp_path):
+class TestKeys:
+    def test_dot_keys_are_neutralised(self, store, release):
         """'.'/'..' keys are neutralised by slugification — a caller-supplied
-        key can never address artefacts outside the store directory."""
-        (tmp_path / "release.json").write_text('{"levels": {}}')  # bait outside root
+        key always lands on an ordinary, digest-suffixed slug."""
         store.save(release, key="alpha")
         assert not store.exists("..")
         assert not store.exists(".")
         with pytest.raises(ReleaseIntegrityError):
             store.load("..")
-        # Saving under a dot key lands on a safe, digest-suffixed slug.
         slug = store.save(release, key="..")
         assert slug.startswith("release-")
-        assert store.path_for(slug).parent == store.root
-
-    def test_backend_rejects_raw_traversal_keys(self, store):
-        for evil in ("..", ".", "", "a/b", "a\\b"):
-            with pytest.raises(ValidationError):
-                store.backend.path_for(evil)
-
-    def test_put_leaves_no_temp_files(self, store, release):
-        """Artefacts are written via temp-file + rename (no torn reads); the
-        temp files never outlive a successful put."""
-        key = store.save(release)
-        names = sorted(path.name for path in store.path_for(key).iterdir())
-        assert names == [ReleaseStore.ANSWERS_NAME, ReleaseStore.DOCUMENT_NAME]
-
-    def test_delete_sweeps_interrupted_put_leftovers(self, store, release):
-        key = store.save(release)
-        (store.path_for(key) / "release.json.tmp").write_text("half-written")
-        store.delete(key)
-        assert not store.path_for(key).exists()
-
-    def test_index_name_is_a_reserved_key(self, store, release):
-        with pytest.raises(ValidationError):
-            store.save(release, key=DirectoryBackend.INDEX_NAME)
-
-    def test_index_file_is_not_listed_as_a_release(self, store, release):
-        store.save(release, key="alpha")
-        assert store.backend.index_path.is_file()
-        assert store.keys() == ["alpha"]
-        assert store.backend.rebuild_index() == ["alpha"]
+        assert store.keys() == ["alpha", slug]
 
 
 class TestBackendContract:
     """The seven-method StoreBackend contract, run over every backend kind.
 
-    One parameterized suite instead of per-backend copies: whatever backend
-    ``REPRO_STORE_BACKEND`` pins (CI re-runs this SQLite-only), the same
-    assertions must hold.
+    One parameterized suite instead of per-backend copies: the same
+    assertions must hold for every backend.
     """
 
     @pytest.fixture(params=store_backend_matrix())
     def any_store(self, request, tmp_path):
-        return make_release_store(request.param, tmp_path, cache_size=4)
-
-    @pytest.fixture(params=store_backend_matrix("memory", "sqlite"))
-    def revision_store(self, request, tmp_path):
-        """Backends whose fingerprint is a monotonic revision counter.
-
-        The directory backend's mtime+size token is only as fine as the
-        filesystem clock (two rewrites inside one tick can share it), so
-        the strict changes-on-every-republish property is asserted for the
-        counter-based backends.
-        """
         return make_release_store(request.param, tmp_path, cache_size=4)
 
     def test_round_trip_is_lossless(self, any_store, release):
@@ -185,23 +67,23 @@ class TestBackendContract:
     def test_fingerprint_absent_is_none(self, any_store):
         assert any_store.fingerprint("nope") is None
 
-    def test_fingerprint_changes_on_republish(self, revision_store, release):
-        key = revision_store.save(release, key="run")
-        before = revision_store.fingerprint(key)
+    def test_fingerprint_changes_on_republish(self, any_store, release):
+        key = any_store.save(release, key="run")
+        before = any_store.fingerprint(key)
         assert before is not None
-        revision_store.save(release, key="run")
-        assert revision_store.fingerprint(key) != before
+        any_store.save(release, key="run")
+        assert any_store.fingerprint(key) != before
 
     def test_fingerprint_never_reused_across_delete_and_reput(
-        self, revision_store, release
+        self, any_store, release
     ):
         """delete + re-put must yield a fresh token — a reused one would
         let the LRU/response caches serve the old entry for the new bytes."""
-        key = revision_store.save(release, key="run")
-        first = revision_store.fingerprint(key)
-        revision_store.delete(key)
-        revision_store.save(release, key="run")
-        assert revision_store.fingerprint(key) != first
+        key = any_store.save(release, key="run")
+        first = any_store.fingerprint(key)
+        any_store.delete(key)
+        any_store.save(release, key="run")
+        assert any_store.fingerprint(key) != first
 
     def test_cache_invalidated_by_republish(self, any_store, release):
         key = any_store.save(release, key="run")
@@ -211,10 +93,10 @@ class TestBackendContract:
         assert second is not first  # re-read, not served stale
         assert second.to_dict() == first.to_dict()
 
-    def test_document_bytes_identical_to_directory_backend(
+    def test_document_bytes_identical_across_backends(
         self, any_store, release, tmp_path
     ):
-        reference = ReleaseStore(tmp_path / "reference-store")
+        reference = ReleaseStore(tmp_path / "reference-store.db")
         key = reference.save(release, key="same")
         any_store.save(release, key="same")
         assert any_store.backend.get_document(key) == reference.backend.get_document(
@@ -240,51 +122,6 @@ class TestBackendContract:
         assert (info["hits"], info["misses"]) == (2, 2)
 
 
-class TestTornPairReadRepair:
-    """An answers file deleted out from under the store makes the pair torn:
-    keys() must stop listing it and the failed load must read-repair the
-    index, exactly like a fully vanished release."""
-
-    def test_keys_skip_torn_pair_on_rebuild(self, store, release):
-        store.save(release, key="whole")
-        store.save(release, key="torn")
-        (store.path_for("torn") / ReleaseStore.ANSWERS_NAME).unlink()
-        assert store.backend.rebuild_index() == ["whole"]
-        assert store.keys() == ["whole"]
-
-    def test_failed_load_drops_torn_index_entry(self, store, release):
-        store.save(release, key="whole")
-        store.save(release, key="torn")
-        (store.path_for("torn") / ReleaseStore.ANSWERS_NAME).unlink()
-        assert store.keys() == ["torn", "whole"]  # stale index, by design
-        with pytest.raises(ReleaseIntegrityError):
-            store.load("torn")
-        # The failed load read-repaired the index, like a vanished release.
-        assert store.keys() == ["whole"]
-
-    def test_document_only_reads_survive_the_torn_pair(self, store, release):
-        """Serving metadata/roles read only the document, so a torn pair must
-        not break them — the repair happens on the answers path alone."""
-        store.save(release, key="torn")
-        (store.path_for("torn") / ReleaseStore.ANSWERS_NAME).unlink()
-        document = store.load_document("torn")
-        assert set(document["levels"]) == {str(level) for level in release.levels()}
-        # The document-only read did not touch the index...
-        assert store.keys() == ["torn"]
-        # ...but the first answers read repairs it.
-        assert store.backend.get_answers("torn") is None
-        assert store.keys() == []
-
-    def test_torn_key_can_be_republished(self, store, release):
-        store.save(release, key="torn")
-        (store.path_for("torn") / ReleaseStore.ANSWERS_NAME).unlink()
-        with pytest.raises(ReleaseIntegrityError):
-            store.load("torn")
-        store.save(release, key="torn")
-        assert store.keys() == ["torn"]
-        assert store.load("torn").to_dict() == release.to_dict()
-
-
 class TestDocumentOnlyLoad:
     def test_load_document_never_reads_answer_arrays(self, store, release, monkeypatch):
         key = store.save(release)
@@ -305,7 +142,7 @@ class TestDocumentOnlyLoad:
 
     def test_load_level_wraps_corrupt_document(self, store, release):
         key = store.save_level(release.level(release.levels()[0]), key="view")
-        (store.path_for(key) / ReleaseStore.DOCUMENT_NAME).write_text("{broken")
+        store.backend.put(key, b"{broken", store.backend.get_answers(key))
         with pytest.raises(ReleaseIntegrityError):
             store.load_level(key)
 
@@ -344,22 +181,66 @@ class TestMemoryBackend:
         store.save_level(view, key="owner-view")
         assert store.load_level("owner-view").to_dict() == view.to_dict()
 
-    def test_path_for_is_rejected(self, release):
-        store = ReleaseStore.in_memory()
-        with pytest.raises(TypeError):
-            store.path_for("anything")
-
-    def test_document_bytes_identical_to_directory_backend(self, release, tmp_path):
+    def test_document_bytes_identical_to_sqlite_backend(self, release, tmp_path):
         """Both backends persist the canonical serialisation, so the stored
         document bytes — and anything derived from them — are byte-equal."""
-        directory_store = ReleaseStore(tmp_path / "store")
+        sqlite_store = ReleaseStore(tmp_path / "store.db")
         memory_store = ReleaseStore.in_memory()
-        key = directory_store.save(release, key="same")
+        key = sqlite_store.save(release, key="same")
         memory_store.save(release, key="same")
         assert (
-            directory_store.backend.get_document(key)
+            sqlite_store.backend.get_document(key)
             == memory_store.backend.get_document(key)
         )
+
+
+class TestImportDirectoryStore:
+    """The one-shot reader for stores the former directory backend wrote:
+    ``<key>/release.json`` + ``<key>/answers.npz`` per release."""
+
+    @staticmethod
+    def _write_legacy(root, key, document, answers):
+        (root / key).mkdir(parents=True)
+        (root / key / "release.json").write_bytes(document)
+        (root / key / "answers.npz").write_bytes(answers)
+
+    def test_pairs_are_copied_byte_for_byte(self, tmp_path, release):
+        source = ReleaseStore.in_memory()
+        source.save(release, key="alpha")
+        source.save_level(release.level(release.levels()[0]), key="view")
+        legacy = tmp_path / "legacy"
+        for key in source.keys():
+            self._write_legacy(
+                legacy, key, source.backend.get_document(key), source.backend.get_answers(key)
+            )
+        target = ReleaseStore(tmp_path / "releases.db")
+        assert import_directory_store(legacy, target) == ["alpha", "view"]
+        for key in ("alpha", "view"):
+            assert target.backend.get_document(key) == source.backend.get_document(key)
+            assert target.backend.get_answers(key) == source.backend.get_answers(key)
+        assert target.load("alpha").to_dict() == release.to_dict()
+
+    def test_incomplete_pairs_and_stray_files_are_skipped(self, tmp_path):
+        legacy = tmp_path / "legacy"
+        self._write_legacy(legacy, "whole", b"{}", b"npz")
+        (legacy / "torn").mkdir()
+        (legacy / "torn" / "release.json").write_bytes(b"{}")
+        (legacy / "index.json").write_text('{"version": 1, "keys": ["whole"]}')
+        target = ReleaseStore.in_memory()
+        assert import_directory_store(legacy, target) == ["whole"]
+        assert target.keys() == ["whole"]
+
+    def test_rerun_keeps_what_the_store_already_holds(self, tmp_path):
+        legacy = tmp_path / "legacy"
+        self._write_legacy(legacy, "alpha", b"{}", b"old")
+        target = ReleaseStore.in_memory()
+        target.backend.put("alpha", b"{}", b"new")
+        assert import_directory_store(legacy, target) == []
+        assert target.backend.get_answers("alpha") == b"new"
+
+    def test_missing_directory_is_refused(self, tmp_path):
+        with pytest.raises(ValidationError):
+            import_directory_store(tmp_path / "absent", ReleaseStore.in_memory())
 
 
 class TestReadThroughCache:
@@ -375,7 +256,7 @@ class TestReadThroughCache:
         return calls
 
     def test_cache_disabled_by_default(self, tmp_path, release, monkeypatch):
-        store = ReleaseStore(tmp_path / "store")
+        store = ReleaseStore(tmp_path / "store.db")
         key = store.save(release)
         calls = self._counted(store, monkeypatch)
         store.load(key)
@@ -383,7 +264,7 @@ class TestReadThroughCache:
         assert len(calls) == 2
 
     def test_hot_release_served_from_memory(self, tmp_path, release, monkeypatch):
-        store = ReleaseStore(tmp_path / "store", cache_size=4)
+        store = ReleaseStore(tmp_path / "store.db", cache_size=4)
         key = store.save(release)
         calls = self._counted(store, monkeypatch)
         first = store.load(key)
@@ -395,25 +276,25 @@ class TestReadThroughCache:
 
     def test_integrity_recheck_detects_rewrite(self, tmp_path, release, monkeypatch):
         """A release rewritten behind the store is re-read, never served stale."""
-        store = ReleaseStore(tmp_path / "store", cache_size=4)
+        store = ReleaseStore(tmp_path / "store.db", cache_size=4)
         key = store.save(release)
+        document, answers = store.backend.get_document(key), store.backend.get_answers(key)
         calls = self._counted(store, monkeypatch)
         store.load(key)
-        document = store.path_for(key) / ReleaseStore.DOCUMENT_NAME
-        os.utime(document, ns=(1, 1))  # same bytes, different fingerprint
+        store.backend.put(key, document, answers)  # same bytes, new fingerprint
         store.load(key)
         assert len(calls) == 2
 
     def test_integrity_recheck_detects_corruption(self, tmp_path, release):
-        store = ReleaseStore(tmp_path / "store", cache_size=4)
+        store = ReleaseStore(tmp_path / "store.db", cache_size=4)
         key = store.save(release)
         store.load(key)
-        (store.path_for(key) / ReleaseStore.DOCUMENT_NAME).write_text("{broken")
+        store.backend.put(key, b"{broken", store.backend.get_answers(key))
         with pytest.raises(ReleaseIntegrityError):
             store.load(key)
 
     def test_save_invalidates_cached_entry(self, tmp_path, release, monkeypatch):
-        store = ReleaseStore(tmp_path / "store", cache_size=4)
+        store = ReleaseStore(tmp_path / "store.db", cache_size=4)
         key = store.save(release, key="run")
         store.load(key)
         store.save(release, key="run")
@@ -422,7 +303,7 @@ class TestReadThroughCache:
         assert len(calls) == 1
 
     def test_delete_invalidates_cached_entry(self, tmp_path, release):
-        store = ReleaseStore(tmp_path / "store", cache_size=4)
+        store = ReleaseStore(tmp_path / "store.db", cache_size=4)
         key = store.save(release)
         store.load(key)
         store.delete(key)
@@ -430,7 +311,7 @@ class TestReadThroughCache:
             store.load(key)
 
     def test_lru_eviction(self, tmp_path, release, monkeypatch):
-        store = ReleaseStore(tmp_path / "store", cache_size=1)
+        store = ReleaseStore(tmp_path / "store.db", cache_size=1)
         key_a = store.save(release, key="a")
         key_b = store.save(release, key="b")
         calls = self._counted(store, monkeypatch)
