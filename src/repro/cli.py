@@ -16,8 +16,9 @@ Python:
   epsilon, graph fingerprint, key glob or created-at lower bound, rendered
   as a table, CSV or canonical JSON, answered by an indexed SQL lookup;
 * ``repro sweep``    — disclose an ``epsilon-g`` × ``levels`` grid into a
-  store with checkpointed resume: ``--journal`` records each combination's
-  state so an interrupted sweep resumes instead of re-disclosing,
+  store with checkpointed resume: ``--journal`` names the run, whose
+  event log ``<journal>.events.jsonl`` records each combination's state
+  and row so an interrupted sweep resumes instead of re-disclosing,
   ``--on-error`` picks fail-fast or collect-and-continue, ``--progress``
   streams one ``{"event": "sweep-progress", ...}`` JSON line per wave to
   stderr, and ``--workers`` / ``--inner-workers`` / ``--worker-budget``
@@ -218,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--journal",
         type=Path,
-        help="state-journal file; re-running with the same journal resumes the sweep "
-        "instead of re-disclosing completed combinations",
+        help="run-journal file (its event log is <journal>.events.jsonl); re-running with "
+        "the same journal resumes the sweep instead of re-disclosing completed combinations",
     )
     sweep.add_argument(
         "--on-error",
@@ -533,9 +534,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         {"epsilon_g": args.epsilon_g, "levels": args.levels},
         name=f"cli-sweep-{args.dataset}-{args.scale}-seed{args.seed}",
     )
-    # The event stream lives beside the journal, so an interrupted sweep
-    # reopens with its full history on resume.
-    snapshot = Path(str(args.journal) + ".events.jsonl") if args.journal is not None else None
     progress = None
     if args.progress:
         def progress(line: str) -> None:
@@ -545,7 +543,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         scheduler=scheduler,
         journal=args.journal,
         on_error=_ON_ERROR_CHOICES[args.on_error],
-        snapshot=snapshot,
         progress=progress,
     )
     if result.rows:

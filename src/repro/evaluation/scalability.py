@@ -27,8 +27,9 @@ from repro.evaluation.journal import (
     RunJournal,
     check_error_policy,
     checkpointed_map,
+    open_run,
 )
-from repro.evaluation.snapshot import SnapshotRecorder, SweepSnapshot
+from repro.evaluation.snapshot import SweepSnapshot
 from repro.exceptions import EvaluationError
 from repro.execution import ExecutorSpec, executor_scope
 from repro.grouping.specialization import SpecializationConfig
@@ -188,11 +189,11 @@ def run_scalability(
     task_timeout:
         Per-size wall-clock bound (pool executors only).
     journal:
-        Checkpoint per-size state through a
+        Record per-size state and rows in the event log of a
         :class:`~repro.evaluation.journal.RunJournal` (path or open
-        journal); a re-run with the same journal resumes from the recorded
+        journal); a re-run with the same journal resumes from the logged
         rows, re-measuring only unfinished sizes.  Each size's release is
-        saved to ``store`` *before* its journal entry turns ``done``, so a
+        saved to ``store`` *before* its ``DONE`` event is recorded, so a
         resumed run pairs every recorded row with a persisted artefact
         (resume with the same store).
     on_error:
@@ -229,34 +230,16 @@ def run_scalability(
             store.save(release, key=key)
         return row
 
-    if not isinstance(journal, (RunJournal, type(None))):
-        journal = RunJournal(
-            journal,
-            fingerprint=scalability_fingerprint(
-                author_counts, num_levels, epsilon_g, seed, engine
-            ),
-        )
-    observer = None
-    if snapshot is not None or progress is not None:
-        if isinstance(snapshot, SweepSnapshot):
-            snap = snapshot
-        elif snapshot is None:
-            snap = SweepSnapshot(name=f"scalability-{engine}", total=len(tasks))
-        else:
-            snap = SweepSnapshot.open(
-                snapshot, name=f"scalability-{engine}", total=len(tasks)
-            )
-        observer = SnapshotRecorder(snap, progress=progress)
+    recorder, resume = open_run(
+        journal,
+        snapshot,
+        progress,
+        fingerprint=scalability_fingerprint(author_counts, num_levels, epsilon_g, seed, engine),
+        name=f"scalability-{engine}",
+        total=len(tasks),
+    )
     with executor_scope(executor) as pool:
         rows, errors = checkpointed_map(
-            pool,
-            task,
-            tasks,
-            keys,
-            journal,
-            on_error=on_error,
-            timeout=task_timeout,
-            on_result=persist,
-            observer=observer,
+            pool, task, tasks, keys, recorder, resume, on_error, task_timeout, persist
         )
     return ScalabilityResult(rows=[row for row in rows if row is not None], errors=errors)

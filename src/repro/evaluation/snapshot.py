@@ -1,4 +1,4 @@
-"""Live run-state snapshots for observable, resumable sweeps.
+"""The task-event log: a sweep's single record of per-task state.
 
 A long-running sweep is a black box unless every unit of work reports where
 it is.  This module turns a sweep into a *monitored job* the way ert's
@@ -7,9 +7,14 @@ ensemble evaluator does: each task emits :class:`TaskEvent`\\ s
 :class:`SweepSnapshot` reduces the append-only event stream into one
 consistent aggregate view — per-state counts, an ETA derived from completed
 wall times, and per-failure detail — that can be streamed to a CLI as
-structured ``{"event": "sweep-progress", ...}`` lines and persisted beside
-the :class:`~repro.evaluation.journal.RunJournal` so a killed sweep reopens
-with its full history.
+structured ``{"event": "sweep-progress", ...}`` lines.
+
+For a journaled run the stream lives at ``<journal>.events.jsonl`` and is
+the run's only state record: ``DONE`` events carry the task's result row
+(:meth:`SweepSnapshot.row`), ``FAILED`` events their error detail, and the
+:class:`~repro.evaluation.journal.RunJournal` beside it is just the header
+that names the run.  A killed sweep reopens with its full history and
+reuses every recorded row.
 
 Reduction contract
 ------------------
@@ -88,6 +93,9 @@ class TaskEvent:
         Release-store key the task persisted its artefact under, if any.
     error:
         ``{"type": ..., "message": ...}`` detail on ``FAILED`` events.
+    row:
+        The task's result row as JSON text (``json.dumps(row, default=str)``,
+        which keeps the row's column order) on ``DONE`` events.
     """
 
     key: str
@@ -96,6 +104,7 @@ class TaskEvent:
     wall_seconds: Optional[float] = None
     store_key: Optional[str] = None
     error: Optional[Mapping[str, str]] = None
+    row: Optional[str] = None
 
     def __post_init__(self):
         if self.state not in TASK_STATES:
@@ -107,16 +116,19 @@ class TaskEvent:
             object.__setattr__(self, "error", dict(self.error))
 
     @property
-    def order(self) -> Tuple[int, int, str]:
+    def order(self) -> Tuple[int, int, bool, str]:
         """Total order used by the reduction: attempt-major, then state rank.
 
-        The canonical serialisation breaks the remaining ties, so the order
-        is total over *distinct* events — without it, two events at the same
+        At the same ``(attempt, rank)`` an event carrying a row wins, so a
+        row-bearing ``DONE`` replaces a bare one.  The canonical
+        serialisation breaks the remaining ties, so the order is total over
+        *distinct* events — without it, two events at the same
         ``(attempt, rank)`` but different payloads (say ``DONE`` with and
         without a wall time) would reduce first-writer-wins, breaking the
         interleaving invariance the property suite locks.
         """
-        return (self.attempt, _STATE_RANK[self.state], canonical_line(self.to_dict()))
+        rank = _STATE_RANK[self.state]
+        return (self.attempt, rank, self.row is not None, canonical_line(self.to_dict()))
 
     def supersedes(self, other: Optional["TaskEvent"]) -> bool:
         """Whether this event replaces ``other`` in the reduced view."""
@@ -133,6 +145,8 @@ class TaskEvent:
             payload["store_key"] = self.store_key
         if self.error is not None:
             payload["error"] = dict(self.error)
+        if self.row is not None:
+            payload["row"] = self.row
         return payload
 
     @classmethod
@@ -145,6 +159,7 @@ class TaskEvent:
                 wall_seconds=data.get("wall_seconds"),
                 store_key=data.get("store_key"),
                 error=data.get("error"),
+                row=data.get("row"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise EvaluationError(f"malformed task event {data!r}: {exc}") from exc
@@ -166,11 +181,10 @@ class SweepSnapshot:
         record — how many outer workers times how many inner workers the run
         negotiated — stored verbatim so the plan is part of the history.
     path:
-        Optional append-only event-stream file (conventionally
-        ``<journal>.events.jsonl``, beside the run's journal).  Every
-        *reducing* event is appended as one canonical JSON line;
-        :meth:`open` replays the file so a killed sweep reopens with its
-        full history.
+        Optional append-only event-stream file (``<journal>.events.jsonl``
+        for a journaled run).  Every *reducing* event is appended as one
+        canonical JSON line; :meth:`open` replays the file so a killed sweep
+        reopens with its full history.
     """
 
     VERSION = 1
@@ -187,6 +201,9 @@ class SweepSnapshot:
         self.plan = dict(plan) if plan is not None else None
         self.path = Path(path) if path is not None else None
         self.tasks: Dict[str, TaskEvent] = {}
+        # (offset, prefix) the next append must start from when the stream
+        # ends without a newline; see open().
+        self._tail: Optional[Tuple[int, str]] = None
 
     # -- persistence -------------------------------------------------------
     @classmethod
@@ -199,26 +216,35 @@ class SweepSnapshot:
     ) -> "SweepSnapshot":
         """Reopen (or start) a snapshot backed by an event-stream file.
 
-        Replays every recorded event; a torn trailing line (the writer was
-        killed mid-append) is dropped, any earlier corruption raises
-        :class:`~repro.exceptions.EvaluationError`.
+        Replays every recorded event; a corrupt newline-terminated line
+        raises :class:`~repro.exceptions.EvaluationError`.  A final line
+        without its newline was cut short by a killed writer: it is dropped
+        unless it parses, and the next append (never this read) starts a
+        fresh line instead of gluing onto it.
         """
         snapshot = cls(name=name, total=total, plan=plan, path=path)
         stream = Path(path)
-        if stream.is_file():
-            lines = stream.read_text(encoding="utf-8").splitlines()
-            for number, line in enumerate(lines):
-                if not line.strip():
-                    continue
-                try:
-                    event = TaskEvent.from_dict(json.loads(line))
-                except (json.JSONDecodeError, EvaluationError) as exc:
-                    if number == len(lines) - 1:
-                        break  # torn final line: the kill caught the writer mid-append
-                    raise EvaluationError(
-                        f"snapshot stream {stream} is corrupt at line {number + 1}: {exc}"
-                    ) from exc
-                snapshot._reduce(event)
+        if not stream.is_file():
+            return snapshot
+        data = stream.read_bytes()
+        end = data.rfind(b"\n") + 1
+        lines = data[:end].decode("utf-8").splitlines()
+        for number, line in enumerate(lines):
+            if not line.strip():
+                continue
+            try:
+                event = TaskEvent.from_dict(json.loads(line))
+            except (json.JSONDecodeError, EvaluationError) as exc:
+                raise EvaluationError(
+                    f"snapshot stream {stream} is corrupt at line {number + 1}: {exc}"
+                ) from exc
+            snapshot._reduce(event)
+        if end < len(data):
+            try:
+                snapshot._reduce(TaskEvent.from_dict(json.loads(data[end:])))
+                snapshot._tail = (len(data), "\n")  # whole event, newline lost
+            except (ValueError, EvaluationError):
+                snapshot._tail = (end, "")  # torn: the next append overwrites it
         return snapshot
 
     def _append(self, event: TaskEvent) -> None:
@@ -226,6 +252,11 @@ class SweepSnapshot:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a", encoding="utf-8") as handle:
+            if self._tail is not None:
+                offset, prefix = self._tail
+                handle.truncate(offset)
+                handle.write(prefix)
+                self._tail = None
             handle.write(canonical_line(event.to_dict()) + "\n")
 
     # -- reduction ---------------------------------------------------------
@@ -256,6 +287,14 @@ class SweepSnapshot:
     def state(self, key: str) -> Optional[str]:
         event = self.tasks.get(key)
         return event.state if event is not None else None
+
+    def row(self, key: str) -> Optional[Dict[str, Any]]:
+        """The result row of ``key``'s reduced ``DONE`` event (``None``
+        when the task is not done or its event carries no row)."""
+        event = self.tasks.get(key)
+        if event is None or event.state != "DONE" or event.row is None:
+            return None
+        return json.loads(event.row)
 
     # -- aggregate view ----------------------------------------------------
     def counts(self) -> Dict[str, int]:
@@ -372,7 +411,7 @@ class SweepSnapshot:
 
 
 class SnapshotRecorder:
-    """The observer :func:`~repro.evaluation.journal.checkpointed_map` drives.
+    """The one bookkeeping path :func:`~repro.evaluation.journal.checkpointed_map` drives.
 
     Translates the map's lifecycle hooks into :class:`TaskEvent`\\ s on a
     :class:`SweepSnapshot` and (optionally) emits a ``sweep-progress`` line
@@ -391,13 +430,13 @@ class SnapshotRecorder:
     ):
         self.snapshot = snapshot
         self.progress = progress
-        self._attempts: Dict[str, int] = {
-            key: event.attempt for key, event in snapshot.tasks.items()
-        }
 
     def _emit_progress(self) -> None:
         if self.progress is not None:
             self.progress(self.snapshot.progress_line())
+
+    def _attempt(self, key: str) -> int:
+        return max(1, self.snapshot.attempt(key))
 
     # -- checkpointed_map hooks -------------------------------------------
     def on_schedule(self, keys: Sequence[str]) -> None:
@@ -407,88 +446,55 @@ class SnapshotRecorder:
         for key in keys:
             if key not in self.snapshot.tasks:
                 self.snapshot.record(TaskEvent(key=key, state="PENDING"))
-                self._attempts.setdefault(key, 1)
         self._emit_progress()
-
-    def on_reused(self, key: str, row: Optional[Mapping[str, Any]]) -> None:
-        """A journaled ``done`` row reused verbatim (no re-run)."""
-        attempt = max(1, self._attempts.get(key, 1))
-        self._attempts[key] = attempt
-        self.snapshot.record(
-            TaskEvent(
-                key=key,
-                state="DONE",
-                attempt=attempt,
-                wall_seconds=_row_wall_seconds(row),
-                store_key=_row_store_key(row),
-            )
-        )
 
     def on_wave_start(self, keys: Sequence[str]) -> None:
         """A wave was submitted to the executor (announces ``RUNNING``)."""
         for key in keys:
-            previous = self.snapshot.tasks.get(key)
-            attempt = self._attempts.get(key, 0)
-            if previous is not None and previous.state != "PENDING":
+            attempt = self._attempt(key)
+            if self.snapshot.state(key) not in (None, "PENDING"):
                 # Re-running an interrupted/failed task: a fresh attempt
                 # supersedes the stale state the killed run left behind.
                 attempt += 1
-            attempt = max(1, attempt)
-            self._attempts[key] = attempt
             self.snapshot.record(TaskEvent(key=key, state="RUNNING", attempt=attempt))
 
     def on_retrying(self, keys: Sequence[str]) -> None:
         """The executor resubmitted these tasks (worker death, pool rebuild)."""
         for key in keys:
-            attempt = self._attempts.get(key, 1) + 1
-            self._attempts[key] = attempt
-            self.snapshot.record(TaskEvent(key=key, state="RETRYING", attempt=attempt))
+            self.snapshot.record(
+                TaskEvent(key=key, state="RETRYING", attempt=self._attempt(key) + 1)
+            )
 
-    def on_done(self, key: str, row: Optional[Mapping[str, Any]]) -> None:
+    def on_done(self, key: str, row: Mapping[str, Any]) -> None:
+        """A task finished; its ``DONE`` event carries the row as JSON text."""
+        store_key = row.get("store_key")
         self.snapshot.record(
             TaskEvent(
                 key=key,
                 state="DONE",
-                attempt=max(1, self._attempts.get(key, 1)),
+                attempt=self._attempt(key),
                 wall_seconds=_row_wall_seconds(row),
-                store_key=_row_store_key(row),
+                store_key=str(store_key) if store_key is not None else None,
+                row=json.dumps(row, default=str),
             )
         )
 
-    def on_failed(self, key: str, error: Optional[Mapping[str, Any]]) -> None:
-        detail = None
-        if error is not None:
-            detail = {
-                "type": str(error.get("type", "Exception")),
-                "message": str(error.get("message", "")),
-            }
+    def on_failed(self, key: str, error: Mapping[str, Any]) -> None:
+        """A task raised; ``error`` is :func:`~repro.evaluation.journal.describe_error` detail."""
+        detail = {"type": str(error["type"]), "message": str(error["message"])}
         self.snapshot.record(
-            TaskEvent(
-                key=key,
-                state="FAILED",
-                attempt=max(1, self._attempts.get(key, 1)),
-                error=detail,
-            )
+            TaskEvent(key=key, state="FAILED", attempt=self._attempt(key), error=detail)
         )
 
     def on_wave_end(self) -> None:
         self._emit_progress()
 
 
-def _row_wall_seconds(row: Optional[Mapping[str, Any]]) -> Optional[float]:
+def _row_wall_seconds(row: Mapping[str, Any]) -> Optional[float]:
     """Wall time a result row carries, if any (sweep rows record
     ``elapsed_seconds``; scalability rows record ``total_seconds``)."""
-    if row is None:
-        return None
     for column in ("elapsed_seconds", "total_seconds"):
         value = row.get(column)
         if isinstance(value, (int, float)):
             return float(value)
     return None
-
-
-def _row_store_key(row: Optional[Mapping[str, Any]]) -> Optional[str]:
-    if row is None:
-        return None
-    value = row.get("store_key")
-    return str(value) if value is not None else None

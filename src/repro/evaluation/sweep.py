@@ -1,11 +1,14 @@
 """Generic parameter-sweep runner used by the benchmark harnesses.
 
 Sweeps can be **checkpointed**: pass ``journal=`` to :meth:`ParameterSweep.run`
-and every combination's state (pending → running → done/failed, with error
-detail) is persisted through a :class:`~repro.evaluation.journal.RunJournal`;
-an interrupted or partially-failed sweep re-run with the same journal resumes
-from the recorded rows instead of restarting — completed combinations are
-never executed (and, when the runner discloses, never re-disclosed) again.
+and every combination's state (``PENDING → RUNNING → DONE | FAILED``, with
+the result row or error detail) is appended to the run's one event log,
+``<journal>.events.jsonl``, under a
+:class:`~repro.evaluation.journal.RunJournal` header that names the run.
+An interrupted or partially-failed sweep re-run with the same journal
+resumes from the logged rows instead of restarting — completed
+combinations are never executed (and, when the runner discloses, never
+re-disclosed) again.
 """
 
 from __future__ import annotations
@@ -14,13 +17,18 @@ import hashlib
 import itertools
 import json
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Union
 
-from repro.evaluation.journal import PathLike, RunJournal, check_error_policy, checkpointed_map
-from repro.evaluation.snapshot import SnapshotRecorder, SweepSnapshot
+from repro.evaluation.journal import (
+    PathLike,
+    RunJournal,
+    check_error_policy,
+    checkpointed_map,
+    open_run,
+)
+from repro.evaluation.snapshot import SweepSnapshot
 from repro.exceptions import EvaluationError
 from repro.execution import ExecutorSpec, executor_scope
 
@@ -66,8 +74,8 @@ class SweepResult:
     name: str
     rows: List[Dict[str, Any]] = field(default_factory=list)
     errors: List[Dict[str, Any]] = field(default_factory=list)
-    #: The run's reduced :class:`~repro.evaluation.snapshot.SweepSnapshot`
-    #: when the run was observed (``snapshot=``/``progress=``), else ``None``.
+    #: The run's reduced :class:`~repro.evaluation.snapshot.SweepSnapshot`;
+    #: ``None`` only for an unjournaled, unobserved ``fail_fast`` run.
     snapshot: Optional[Any] = None
 
     def column(self, key: str) -> List[Any]:
@@ -128,20 +136,6 @@ class ParameterSweep:
                 raise EvaluationError(f"parameter {key!r} has no values")
         self.name = str(name)
 
-    def with_parameter(self, name: str, values: Iterable[Any]) -> "ParameterSweep":
-        """A new sweep whose grid gains one more parameter axis.
-
-        The main use is cross-engine validation: augmenting any existing grid
-        with ``engine=("reference", "vectorized")`` runs every configuration
-        under both execution engines so their rows can be compared
-        (``result.filter(engine="reference")`` vs ``...filter(engine="vectorized")``).
-        """
-        if name in self.grid:
-            raise EvaluationError(f"parameter {name!r} already in the grid")
-        grid = dict(self.grid)
-        grid[name] = list(values)
-        return ParameterSweep(self.runner, grid, name=self.name)
-
     def combinations(self) -> List[Dict[str, Any]]:
         """All parameter combinations, in deterministic order."""
         keys = list(self.grid)
@@ -176,9 +170,10 @@ class ParameterSweep:
         Fault tolerance
         ---------------
         ``journal`` (a path or an open
-        :class:`~repro.evaluation.journal.RunJournal`) checkpoints per-
-        combination state after every pool-width wave; a re-run with the
-        same journal resumes from the recorded rows instead of restarting.
+        :class:`~repro.evaluation.journal.RunJournal`) records every
+        combination's state, and its result row, in the event log
+        ``<journal>.events.jsonl``; a re-run with the same journal resumes
+        from the logged rows instead of restarting.
         ``on_error`` selects the failure policy: ``"fail_fast"`` (default)
         stops at the first failed combination — raising the runner's own
         exception when unjournaled, or a checkpointing
@@ -197,6 +192,8 @@ class ParameterSweep:
         path) and/or ``progress`` (a callable receiving one canonical
         ``sweep-progress`` JSON line per wave) turn the run into a monitored
         job; the reduced snapshot comes back on ``SweepResult.snapshot``.
+        With a journal, ``snapshot`` must be ``None`` or the journal's own
+        ``<journal>.events.jsonl``: one run keeps one log.
         """
         check_error_policy(on_error)
         if scheduler is not None and (executor is not None or max_workers is not None):
@@ -205,54 +202,32 @@ class ParameterSweep:
             task_timeout = scheduler.task_timeout
         task = partial(_run_combination, runner=self.runner, record_time=record_time)
         combinations = self.combinations()
-
-        plan = scheduler.plan.to_dict() if scheduler is not None else None
-        snap: Optional[SweepSnapshot] = None
-        observer = None
-        if snapshot is not None or progress is not None:
-            if isinstance(snapshot, SweepSnapshot):
-                snap = snapshot
-            elif snapshot is None:
-                snap = SweepSnapshot(name=self.name, total=len(combinations), plan=plan)
-            else:
-                snap = SweepSnapshot.open(
-                    snapshot, name=self.name, total=len(combinations), plan=plan
-                )
-            if snap.plan is None and plan is not None:
-                snap.plan = plan
-            observer = SnapshotRecorder(snap, progress=progress)
-
-        @contextmanager
-        def scope():
-            if scheduler is not None:
-                with scheduler.scope() as pool:
-                    yield pool
-            else:
-                with executor_scope(executor, max_workers=max_workers) as pool:
-                    yield pool
-
-        if journal is None and on_error == "fail_fast" and observer is None:
+        if scheduler is not None:
+            scope = scheduler.scope()
+        else:
+            scope = executor_scope(executor, max_workers=max_workers)
+        if journal is None and snapshot is None and progress is None and on_error == "fail_fast":
             # The historical path: the first failure propagates unwrapped.
-            with scope() as pool:
+            with scope as pool:
                 rows = pool.map(task, combinations, timeout=task_timeout)
             return SweepResult(name=self.name, rows=rows)
-        if not isinstance(journal, (RunJournal, type(None))):
-            journal = RunJournal(journal, fingerprint=self.fingerprint())
+        recorder, resume = open_run(
+            journal,
+            snapshot,
+            progress,
+            fingerprint=self.fingerprint(),
+            name=self.name,
+            total=len(combinations),
+            plan=scheduler.plan.to_dict() if scheduler is not None else None,
+        )
         keys = [combination_key(params) for params in combinations]
-        with scope() as pool:
+        with scope as pool:
             rows, errors = checkpointed_map(
-                pool,
-                task,
-                combinations,
-                keys,
-                journal,
-                on_error=on_error,
-                timeout=task_timeout,
-                observer=observer,
+                pool, task, combinations, keys, recorder, resume, on_error, task_timeout
             )
         return SweepResult(
             name=self.name,
             rows=[row for row in rows if row is not None],
             errors=errors,
-            snapshot=snap,
+            snapshot=recorder.snapshot,
         )

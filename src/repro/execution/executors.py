@@ -348,42 +348,11 @@ def make_executor(
     return ProcessExecutor(max_workers=max_workers, task_timeout=task_timeout)
 
 
-def _check_worker_budget(
-    spec: ExecutorSpec, max_workers: Optional[int], budget: Any
-) -> None:
-    """Reject an executor request that would oversubscribe a worker budget.
-
-    ``budget`` is an int or any object with a ``total`` attribute (e.g. a
-    :class:`repro.execution.scheduler.WorkerBudget` — duck-typed so this
-    module stays import-cycle-free).  Without this check a ``--workers``
-    value above the budget used to be honoured silently; now it is a
-    :class:`ValidationError` before any pool is built.
-    """
-    total = getattr(budget, "total", budget)
-    total = int(total)
-    if total < 1:
-        raise ValidationError(f"worker budget must be >= 1, got {total}")
-    if isinstance(spec, Executor):
-        requested = int(spec.max_workers)
-    elif spec is None or spec == "serial":
-        requested = 1
-    elif max_workers is not None:
-        requested = int(max_workers)
-    else:
-        requested = default_max_workers()
-    if requested > total:
-        raise ValidationError(
-            f"--workers {requested} exceeds the worker budget of {total} slot(s); "
-            f"lower --workers or raise --worker-budget"
-        )
-
-
 @contextmanager
 def executor_scope(
     spec: ExecutorSpec = None,
     max_workers: Optional[int] = None,
     task_timeout: Optional[float] = None,
-    budget: Any = None,
 ) -> Iterator[Executor]:
     """Context manager resolving ``spec`` and closing only pools it created.
 
@@ -391,13 +360,7 @@ def executor_scope(
     lifecycle); a name spec gets a fresh executor that is closed on exit —
     including exception exits, where any work the failure already cancelled
     (see the executors' fail-fast cancellation) keeps the close prompt.
-
-    ``budget`` (an int or an object with a ``total`` attribute) caps the
-    worker count this scope may request: exceeding it raises
-    :class:`ValidationError` instead of silently oversubscribing the host.
     """
-    if budget is not None:
-        _check_worker_budget(spec, max_workers, budget)
     if isinstance(spec, Executor):
         yield spec
         return

@@ -257,10 +257,10 @@ class TestSweepResume:
 
         with pytest.raises(SweepInterrupted):
             sweep.run(journal=journal_path, on_error="fail_fast")
-        journal = RunJournal(journal_path)
-        done = [k for k in journal.entries if journal.status(k) == "done"]
+        log = RunJournal(journal_path).log()
+        done = [k for k in log.tasks if log.state(k) == "DONE"]
         assert len(done) == 2  # levels 3 and 4 completed before the stop
-        first_digests = {key: journal.row(key)["digest"] for key in done}
+        first_digests = {key: log.row(key)["digest"] for key in done}
 
         # Clear the fault and resume with the same journal.
         (tmp_path / "failures-armed").unlink()
@@ -270,7 +270,7 @@ class TestSweepResume:
             assert runner.invocations(0.5, levels) == 1  # never re-disclosed
         assert runner.invocations(0.5, 5) == 2  # the failed one re-ran
         for key, digest in first_digests.items():
-            resumed = RunJournal(journal_path).row(key)
+            resumed = RunJournal(journal_path).log().row(key)
             assert resumed["digest"] == digest  # rows reused verbatim
 
     def test_collect_errors_keeps_going_and_reports(self, tmp_path):
@@ -293,6 +293,82 @@ class TestSweepResume:
         other = ParameterSweep(runner, {"epsilon_g": [0.9], "levels": [3]}, name="a")
         with pytest.raises(EvaluationError, match="different run"):
             other.run(journal=journal_path)
+
+
+class TestRunLog:
+    """The event log is a journaled run's only state record; the journal
+    file is a header naming the run."""
+
+    GRID = {"epsilon_g": [0.5], "levels": [3, 4, 5]}
+
+    def test_journal_holds_only_version_and_fingerprint(self, tmp_path):
+        runner = _CountingRunner(tmp_path)
+        sweep = ParameterSweep(runner, self.GRID, name="log")
+        journal_path = tmp_path / "journal.json"
+        result = sweep.run(journal=journal_path)
+        assert json.loads(journal_path.read_text()) == {
+            "version": 2,
+            "fingerprint": sweep.fingerprint(),
+        }
+        log = RunJournal(journal_path).log()
+        keys = [combination_key(params) for params in sweep.combinations()]
+        assert [log.row(key) for key in keys] == result.rows
+
+    def test_journal_bytes_do_not_change_between_waves(self, tmp_path):
+        runner = _CountingRunner(tmp_path)
+        journal_path = tmp_path / "journal.json"
+        seen = []
+        ParameterSweep(runner, self.GRID, name="log").run(
+            journal=journal_path, progress=lambda line: seen.append(journal_path.read_bytes())
+        )
+        assert len(seen) == 4  # the schedule line, then one per wave
+        assert set(seen) == {journal_path.read_bytes()}
+
+    def test_a_different_snapshot_path_is_refused(self, tmp_path):
+        runner = _CountingRunner(tmp_path)
+        sweep = ParameterSweep(runner, self.GRID, name="log")
+        journal_path = tmp_path / "journal.json"
+        other = tmp_path / "elsewhere.jsonl"
+        with pytest.raises(EvaluationError) as excinfo:
+            sweep.run(journal=journal_path, snapshot=other)
+        assert str(journal_path) in str(excinfo.value)
+        assert str(other) in str(excinfo.value)
+        assert runner.invocations(0.5, 3) == 0
+        assert not journal_path.exists()
+
+    def test_version_1_journal_resumes_without_rerunning_its_done_rows(self, tmp_path):
+        runner = _CountingRunner(tmp_path)
+        sweep = ParameterSweep(runner, self.GRID, name="log")
+        journal_path = tmp_path / "journal.json"
+        done_key = combination_key({"epsilon_g": 0.5, "levels": 3})
+        done_row = {"epsilon_g": 0.5, "levels": 3, "digest": "recorded-before-upgrade"}
+        journal_path.write_text(
+            json.dumps(
+                {
+                    "version": 1,
+                    "fingerprint": sweep.fingerprint(),
+                    "entries": {
+                        done_key: {"status": "done", "row": done_row, "error": None},
+                        combination_key({"epsilon_g": 0.5, "levels": 4}): {
+                            "status": "running",
+                            "row": None,
+                            "error": None,
+                        },
+                    },
+                },
+                indent=2,
+            )
+        )
+        # The stream an older run kept beside its journal: bare DONE events.
+        (tmp_path / "journal.json.events.jsonl").write_text(
+            f'{{"attempt":1,"key":{json.dumps(done_key)},"state":"DONE"}}\n'
+        )
+        result = sweep.run(journal=journal_path)
+        assert runner.invocations(0.5, 3) == 0  # never re-disclosed
+        assert runner.invocations(0.5, 4) == runner.invocations(0.5, 5) == 1
+        assert result.rows[0] == done_row
+        assert "entries" not in json.loads(journal_path.read_text())
+        assert RunJournal(journal_path).log().row(done_key) == done_row
 
 
 def _square_row(x):
@@ -361,9 +437,9 @@ class TestSweepOrchestrationUnderChaos:
         finally:
             pool.close()
 
-        interrupted = RunJournal(journal_path)
+        interrupted = RunJournal(journal_path).log()
         done_keys = [
-            key for key in interrupted.entries if interrupted.status(key) == "done"
+            key for key in interrupted.tasks if interrupted.state(key) == "DONE"
         ]
         assert 0 < len(done_keys) < 100  # genuinely mid-flight
         from repro.evaluation.snapshot import SweepSnapshot
@@ -415,7 +491,7 @@ class TestSweepOrchestrationUnderChaos:
         inner = ProcessExecutor(max_workers=2)  # default rebuild budget: recovers
         chaos = FaultInjectingExecutor(inner, plan, tmp_path / "faults")
         sweep = ParameterSweep(_square_row, {"x": [1, 2, 3, 4]}, name="retry-vis")
-        snapshot_path = tmp_path / "events.jsonl"
+        snapshot_path = tmp_path / "journal.json.events.jsonl"
         try:
             result = sweep.run(
                 executor=chaos, journal=tmp_path / "journal.json", snapshot=snapshot_path

@@ -126,31 +126,6 @@ class TestExecutorScopeBudget:
         with executor_scope("thread", max_workers=64) as pool:
             assert pool.max_workers == 64
 
-    def test_scope_rejects_workers_over_int_budget(self):
-        with pytest.raises(ValidationError, match="exceeds the worker budget of 2"):
-            with executor_scope("process", max_workers=3, budget=2):
-                pass
-
-    def test_scope_accepts_budget_objects(self):
-        with pytest.raises(ValidationError, match="exceeds the worker budget"):
-            with executor_scope("thread", max_workers=5, budget=WorkerBudget(4)):
-                pass
-        with executor_scope("thread", max_workers=4, budget=WorkerBudget(4)) as pool:
-            assert pool.max_workers == 4
-
-    def test_scope_checks_executor_instances_too(self):
-        pool = ThreadExecutor(max_workers=8)
-        try:
-            with pytest.raises(ValidationError, match="exceeds the worker budget"):
-                with executor_scope(pool, budget=2):
-                    pass
-        finally:
-            pool.close()
-
-    def test_serial_always_fits_any_budget(self):
-        with executor_scope(None, budget=1) as pool:
-            assert pool.name == "serial"
-
 
 class TestProcessExecutorRecovery:
     """The sweep's crash-surviving executor: reusable, fail-fast on task

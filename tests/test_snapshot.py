@@ -12,11 +12,13 @@ resume have both written to it.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.evaluation.journal import checkpointed_map
 from repro.evaluation.snapshot import (
     TASK_STATES,
     SnapshotRecorder,
@@ -25,6 +27,7 @@ from repro.evaluation.snapshot import (
     canonical_line,
 )
 from repro.exceptions import EvaluationError, ValidationError
+from repro.execution import SerialExecutor
 
 # -- hypothesis strategies ---------------------------------------------------
 
@@ -104,6 +107,12 @@ class TestTaskEvent:
         assert not failed.supersedes(rerun)
         running = TaskEvent(key="a", state="RUNNING", attempt=1)
         assert failed.supersedes(running)
+
+    def test_row_bearing_done_supersedes_a_bare_done(self):
+        bare = TaskEvent(key="a", state="DONE", attempt=1)
+        with_row = TaskEvent(key="a", state="DONE", attempt=1, row='{"y": 1}')
+        assert with_row.supersedes(bare)
+        assert not bare.supersedes(with_row)
 
     def test_dict_round_trip_omits_unset_fields(self):
         event = TaskEvent(key="a", state="DONE", attempt=2, wall_seconds=0.5)
@@ -208,6 +217,38 @@ class TestSnapshotStreamFile:
         assert reopened.state("a") == "DONE"
         assert reopened.state("b") is None
 
+    def test_append_after_a_torn_line_starts_a_fresh_line(self, tmp_path):
+        """A resumed writer must not glue its first event onto the torn
+        tail: both resumed events survive, and the stream stays openable."""
+        path = tmp_path / "events.jsonl"
+        SweepSnapshot(path=path).record(TaskEvent(key="a", state="DONE"))
+        with path.open("a") as handle:
+            handle.write('{"key":"b","state":"RUN')  # killed mid-append
+        resumed = SweepSnapshot.open(path)
+        resumed.record(TaskEvent(key="b", state="RUNNING", attempt=2))
+        resumed.record(TaskEvent(key="c", state="DONE", wall_seconds=0.1))
+        reopened = SweepSnapshot.open(path)
+        assert reopened.state("a") == "DONE"
+        assert reopened.state("b") == "RUNNING" and reopened.attempt("b") == 2
+        assert reopened.state("c") == "DONE"
+        assert len(path.read_text().splitlines()) == 3
+
+    def test_whole_last_event_without_newline_is_kept(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text('{"attempt":1,"key":"a","state":"DONE"}')
+        resumed = SweepSnapshot.open(path)
+        assert resumed.state("a") == "DONE"
+        resumed.record(TaskEvent(key="b", state="PENDING"))
+        reopened = SweepSnapshot.open(path)
+        assert reopened.state("a") == "DONE" and reopened.state("b") == "PENDING"
+
+    def test_opening_a_torn_stream_does_not_touch_the_file(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text('{"attempt":1,"key":"a","state":"DONE"}\n{"key":"b"')
+        before = path.read_bytes()
+        SweepSnapshot.open(path)
+        assert path.read_bytes() == before
+
     def test_mid_stream_corruption_raises(self, tmp_path):
         path = tmp_path / "events.jsonl"
         path.write_text('garbage\n{"key":"a","state":"DONE","attempt":1}\n')
@@ -261,8 +302,28 @@ class TestSnapshotRecorder:
 
     def test_reused_rows_report_done_without_new_attempt(self):
         snapshot = SweepSnapshot(name="s", total=1)
-        snapshot.record(TaskEvent(key="a", state="DONE", attempt=3, wall_seconds=0.2))
+        snapshot.record(
+            TaskEvent(key="a", state="DONE", attempt=3, wall_seconds=0.2, row='{"y": 4}')
+        )
+        recorder = SnapshotRecorder(snapshot)
+        rows, errors = checkpointed_map(
+            SerialExecutor(), _never_called, [2], ["a"], recorder, resume=True
+        )
+        assert rows == [{"y": 4}] and errors == []
+        assert snapshot.attempt("a") == 3  # no phantom re-run
+        assert snapshot.state("a") == "DONE"
+
+    def test_done_event_carries_the_row_in_column_order(self):
+        snapshot = SweepSnapshot(name="s")
         recorder = SnapshotRecorder(snapshot)
         recorder.on_schedule(["a"])
-        recorder.on_reused("a", {"elapsed_seconds": 0.2})
-        assert snapshot.attempt("a") == 3  # no phantom re-run
+        recorder.on_wave_start(["a"])
+        recorder.on_done("a", {"z": 1, "a": 0.5, "out": Path("out.db")})
+        # Serialised like the rows it replaces: json with default=str.
+        assert list(snapshot.row("a")) == ["z", "a", "out"]
+        assert snapshot.row("a") == {"z": 1, "a": 0.5, "out": "out.db"}
+        assert snapshot.row("missing") is None
+
+
+def _never_called(item):
+    raise AssertionError(f"a reused row re-ran item {item!r}")
