@@ -84,11 +84,11 @@ populates a store from the command line, and ``repro report --store FILE.db
 --key KEY`` re-renders Figure-1-style per-level metrics from the stored
 artefact without touching the graph again.
 
-The store sits on a pluggable :class:`~repro.core.store.StoreBackend`
-(a single queryable SQLite file for any path —
-:class:`~repro.core.sqlite_backend.SqliteBackend`, inspected with
-``repro query`` / :class:`~repro.core.catalog.ReleaseCatalog` — or
-:meth:`ReleaseStore.in_memory` for tests and caches) and can keep an LRU
+Every store is a :class:`~repro.core.sqlite_backend.SqliteBackend`: a
+single queryable SQLite file for any path, or a private in-memory SQLite
+database from :meth:`ReleaseStore.in_memory` for tests and caches.  Either
+is inspected with ``repro query`` /
+:class:`~repro.core.catalog.ReleaseCatalog`, and the store can keep an LRU
 read-through cache of parsed releases (``cache_size=...``) whose hits are
 re-validated against the backend's change fingerprint.
 
@@ -148,7 +148,7 @@ from repro.privacy.guarantees import (
 )
 from repro.core.catalog import ReleaseCatalog, ReleaseFilter
 from repro.core.sqlite_backend import SqliteBackend
-from repro.core.store import MemoryBackend, StoreBackend, import_directory_store
+from repro.core.store import StoreBackend, import_directory_store
 from repro.exceptions import ServingError
 from repro.serving.client import fetch_json, http_get
 from repro.serving.server import ReleaseServer, create_server
@@ -174,7 +174,6 @@ __all__ = [
     "DisclosurePipeline",
     "ReleaseStore",
     "StoreBackend",
-    "MemoryBackend",
     "import_directory_store",
     "SqliteBackend",
     "ReleaseCatalog",

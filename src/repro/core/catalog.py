@@ -1,4 +1,4 @@
-"""Queryable release catalog over any :class:`~repro.core.store.ReleaseStore`.
+"""Queryable release catalog over a :class:`~repro.core.store.ReleaseStore`.
 
 A production store accumulates thousands of releases — ``get_or_create``
 resume, journaled sweeps and a multi-process serving fleet all write into
@@ -7,21 +7,15 @@ operational questions like *"all gaussian releases at epsilon 0.5 on this
 graph fingerprint"*.  This module is the repository layer that can:
 
 * :class:`ReleaseFilter` — a typed filter (mechanism, epsilon, graph
-  fingerprint, key glob, created-at lower bound) that compiles to
-  parameterized SQL on a :class:`~repro.core.sqlite_backend.SqliteBackend`
-  and to an equivalent Python predicate everywhere else;
+  fingerprint, key glob, created-at lower bound) that compiles to a
+  parameterized SQL ``WHERE`` clause;
 * :class:`ReleaseCatalog` — ``rows(filter)`` returns one dictionary per
-  matching release, sorted by key.  Backends exposing ``query_catalog``
-  (the SQLite backend) answer from their indexed catalog columns without
-  reading a single document; every other backend is served by a full-scan
-  fallback that parses each stored document through the **same** column
-  extraction, so the two paths return identical result sets for identically
-  seeded stores;
-* :func:`catalog_row` / :func:`graph_fingerprint` — the single definition of
-  how catalog columns are derived from a stored release document.  The
-  SQLite backend extracts them at ``put`` time and persists them as real
-  columns; the scan fallback extracts them at query time.  One function,
-  two call sites, zero drift.
+  matching release, sorted by key, answered by the store backend's indexed
+  catalog columns without reading a single document;
+* :func:`catalog_columns` / :func:`graph_fingerprint` — the single
+  definition of how catalog columns are derived from a stored release
+  document.  The SQLite backend extracts them at ``put`` time (and when a
+  migration backfills an older database) and persists them as real columns.
 
 Catalog columns (:data:`CATALOG_COLUMNS`, in display order): ``key``,
 ``dataset``, ``mechanism``, ``epsilon``, ``levels`` (released level count),
@@ -36,11 +30,10 @@ CSV, or canonical JSON (:func:`format_rows`).
 from __future__ import annotations
 
 import csv
-import fnmatch
 import hashlib
 import io
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -131,31 +124,68 @@ def catalog_row(
     return row
 
 
+def _sqlite_glob(pattern: str) -> str:
+    """A shell-style pattern in SQLite ``GLOB`` spelling.
+
+    The two differ only in character classes: the shell negates with
+    ``[!...]`` and reads ``^`` as a member, SQLite negates with ``[^...]``
+    and reads ``!`` as a member.  The shell also reads a ``[`` without a
+    closing ``]`` as a literal.  Ranges pass through unchanged; the two
+    disagree only on reversed ones (``[z-a]``) and on ``]`` as a start.
+    """
+    out: List[str] = []
+    index = 0
+    while index < len(pattern):
+        close = -1
+        if pattern[index] == "[":
+            # The first member may be "]", so the class closes after it.
+            first = index + 1 + (pattern[index + 1 : index + 2] == "!")
+            close = pattern.find("]", first + 1)
+        if close == -1:  # one literal character (an unclosed [ included)
+            out.append("[[]" if pattern[index] == "[" else pattern[index])
+            index += 1
+            continue
+        body = pattern[index + 1 : close]
+        index = close + 1
+        if body.startswith("!"):
+            out.append(f"[^{body[1:]}]")
+        elif body.startswith("^"):
+            # A leading ^ is a member in the shell but negates in SQLite:
+            # move it to the end, and a trailing - to the front, where
+            # SQLite reads both as members.
+            rest = body.lstrip("^")
+            if rest.endswith("-"):
+                rest = "-" + rest[:-1]
+            out.append(f"[{rest}^]" if rest else "^")
+        else:
+            out.append(f"[{body}]")
+    return "".join(out)
+
+
 @dataclass(frozen=True)
 class ReleaseFilter:
     """A typed conjunction of catalog predicates.
 
-    Every field is optional; ``None`` means "no constraint".  The same
-    filter compiles to parameterized SQL (:meth:`sql_where`) on the SQLite
-    backend and evaluates as a Python predicate (:meth:`matches`) in the
-    full-scan fallback — the two must stay semantically identical, which is
-    what the cross-backend parity tests pin.
+    Every field is optional; ``None`` means "no constraint".  The filter
+    compiles to parameterized SQL (:meth:`sql_where`) over the backend's
+    catalog columns.
 
     Parameters
     ----------
     mechanism:
         Exact mechanism name (``"gaussian"``, ``"laplace"``, ...).
     epsilon:
-        Exact per-level budget ``epsilon_g``.  Both paths compare the float
-        parsed from the same stored JSON, so equality is well-defined.
+        Exact per-level budget ``epsilon_g``, compared with the float parsed
+        from the stored JSON, so equality is well-defined.
     graph:
         Exact graph fingerprint (:func:`graph_fingerprint`).
     key_glob:
-        Shell-style key pattern (``*``, ``?``, ``[...]`` character classes;
-        case-sensitive on both paths).
+        Shell-style key pattern, as :func:`fnmatch.fnmatchcase` reads it:
+        ``*``, ``?``, ``[...]`` classes and ``[!...]`` negated classes,
+        case-sensitive.
     since:
         ISO-8601 lower bound on ``created_at``.  Rows without a recorded
-        ``created_at`` (in-memory stores, clock-less SQLite writers) never
+        ``created_at`` (stores written without a clock) never
         match a ``since`` filter — an unknown age is not evidence of
         recency.
     """
@@ -166,11 +196,6 @@ class ReleaseFilter:
     key_glob: Optional[str] = None
     since: Optional[str] = None
 
-    def is_empty(self) -> bool:
-        """Whether the filter constrains nothing (every row matches)."""
-        return all(getattr(self, spec.name) is None for spec in fields(self))
-
-    # -- SQL path ------------------------------------------------------
     def sql_where(self) -> Tuple[str, List[object]]:
         """``(WHERE clause, parameters)`` for the SQLite catalog table.
 
@@ -190,7 +215,7 @@ class ReleaseFilter:
             params.append(self.graph)
         if self.key_glob is not None:
             clauses.append("key GLOB ?")
-            params.append(self.key_glob)
+            params.append(_sqlite_glob(self.key_glob))
         if self.since is not None:
             clauses.append("created_at IS NOT NULL AND created_at >= ?")
             params.append(self.since)
@@ -198,70 +223,16 @@ class ReleaseFilter:
             return "", []
         return " WHERE " + " AND ".join(clauses), params
 
-    # -- scan path -----------------------------------------------------
-    def matches(self, row: Dict[str, object]) -> bool:
-        """Whether one catalog row satisfies every set predicate."""
-        if self.mechanism is not None and row.get("mechanism") != self.mechanism:
-            return False
-        if self.epsilon is not None and row.get("epsilon") != float(self.epsilon):
-            return False
-        if self.graph is not None and row.get("graph") != self.graph:
-            return False
-        if self.key_glob is not None and not fnmatch.fnmatchcase(
-            str(row.get("key")), self.key_glob
-        ):
-            return False
-        if self.since is not None:
-            created_at = row.get("created_at")
-            if created_at is None or str(created_at) < self.since:
-                return False
-        return True
-
 
 class ReleaseCatalog:
-    """The repository over a store's catalog columns.
-
-    Backends that maintain an indexed catalog expose ``query_catalog(filter)``
-    (the SQLite backend); :meth:`rows` uses it when present and otherwise
-    falls back to a full scan that extracts the same columns from every
-    stored document — so one ``repro query`` command inspects any store.
-    """
+    """The repository over a store's catalog columns."""
 
     def __init__(self, store: ReleaseStore):
         self.store = store
 
     def rows(self, release_filter: Optional[ReleaseFilter] = None) -> List[Dict[str, object]]:
         """Matching catalog rows, sorted by key."""
-        release_filter = release_filter or ReleaseFilter()
-        query = getattr(self.store.backend, "query_catalog", None)
-        if callable(query):
-            return query(release_filter)
-        return self.scan(release_filter)
-
-    def scan(self, release_filter: ReleaseFilter) -> List[Dict[str, object]]:
-        """The full-scan path: parse every document, filter in Python.
-
-        The fallback for backends without ``query_catalog``, and the
-        baseline the indexed path is benchmarked against on the same store.
-        A release deleted between ``keys()`` and its read (or stored with an
-        unparseable document) is skipped rather than failing the whole
-        listing — the catalog is an inspection tool, not an integrity
-        checker.
-        """
-        rows: List[Dict[str, object]] = []
-        backend = self.store.backend
-        for key in self.store.keys():
-            try:
-                document = backend.get_document(key)
-            except KeyError:
-                continue
-            try:
-                row = catalog_row(key, document, created_at=None)
-            except ReleaseIntegrityError:
-                continue
-            if release_filter.matches(row):
-                rows.append(row)
-        return sorted(rows, key=lambda row: str(row["key"]))
+        return self.store.backend.query_catalog(release_filter or ReleaseFilter())
 
 
 def format_rows(rows: List[Dict[str, object]], output_format: str = "table") -> str:

@@ -352,9 +352,9 @@ class GraphPublisher:
 
         With ``processes > 1`` the result is a
         :class:`~repro.serving.fleet.ServerFleet` — N ``SO_REUSEPORT``
-        worker processes over the store *file* — so the store must be
-        SQLite-backed (each worker opens its own handle; an in-memory
-        store cannot cross process boundaries).  Otherwise a single
+        worker processes over the store *file* — so the store must be a
+        SQLite file (each worker opens its own handle; an in-memory store
+        cannot cross process boundaries).  Otherwise a single
         :class:`~repro.serving.server.ReleaseServer` is returned.
         """
         from repro.serving.server import DEFAULT_CACHE_SIZE, ReleaseServer
@@ -367,7 +367,7 @@ class GraphPublisher:
 
             if store.root is None:
                 raise ValidationError(
-                    "serve(processes>1) needs a SQLite-backed store: "
+                    "serve(processes>1) needs a SQLite-backed store file: "
                     f"{store.backend.describe()} cannot be shared across processes"
                 )
             return ServerFleet(

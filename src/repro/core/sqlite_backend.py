@@ -1,35 +1,41 @@
-"""A single-file SQLite backend for the release store, with catalog columns.
+"""The release store's SQLite backend, with catalog and lineage columns.
 
-:class:`SqliteBackend` is the release store's one durable backend.  It
-implements the same seven-byte-method :class:`~repro.core.store.StoreBackend`
-contract as the in-memory backend — ``put``/``get_document``/``get_answers``/
-``exists``/``delete``/``keys``/``fingerprint`` — so every serving, cache and
-fault-injection test runs against both.  On top of the raw bytes it
-maintains *catalog columns* (dataset, mechanism, epsilon, released level
-count, graph fingerprint, caller-supplied created-at) extracted from each
-document at ``put`` time via :func:`repro.core.catalog.catalog_columns`,
-which is what makes ``repro query`` an indexed SQL lookup instead of a
-full-document scan.
+:class:`SqliteBackend` is the backend of every
+:class:`~repro.core.store.ReleaseStore`: a path opens one durable file, and
+``SqliteBackend(None)`` (what :meth:`ReleaseStore.in_memory` opens) a
+private in-memory database.  Besides the
+:class:`~repro.core.store.StoreBackend` byte methods it keeps *catalog
+columns* (dataset, mechanism, epsilon, released level count, graph
+fingerprint, caller-supplied created-at) and *lineage columns* (the
+provenance ``graph_revision`` and affected-level count), extracted from each
+document at ``put`` time.  ``repro query`` and the serving layer's staleness
+verdicts are indexed SQL over those columns; no document is re-read.
 
 Design points:
 
 * **Schema versioning.**  A ``schema_version`` table records the applied
   version; :data:`MIGRATIONS` is the ordered in-code migration list, applied
-  inside one transaction per migration on every open.  A v1 database (bytes
-  only) upgraded by a v2 process gets its catalog columns backfilled from
-  the stored documents — the upgrade path is itself under test.
+  inside one transaction per migration on every open.  Each migration that
+  adds derived columns backfills them from the stored documents with the
+  same extraction ``put`` uses, so an upgraded database answers every query
+  like one written at the latest version.
 * **WAL mode.**  ``journal_mode=WAL`` lets the multi-process serving fleet
   read concurrently with a writer; ``synchronous=NORMAL`` is safe in WAL
   (a torn write rolls back to the last committed transaction, which is
   exactly what the kill-9 crash test asserts).  Switching a new file to WAL
   is retried while another process holds the lock, so pool workers may all
   open one new path at once.
+* **In-memory databases.**  ``file:/repro-<uuid>?vfs=memdb`` is shared by
+  every connection of the process with ordinary locking, so ``busy_timeout``
+  covers concurrent writers.  It vanishes with its last connection, so the
+  backend holds one keeper connection for its lifetime.
 * **Fingerprints from a revision column.**  Every ``put`` stamps the row
   with the next value of a store-wide monotonic counter (kept in ``meta``,
-  bumped inside the same transaction).  ``fingerprint()`` returns
-  ``rev:{n}`` without touching the blobs, and because the counter never
-  reuses a value — even across delete/re-put of the same key — the LRU and
-  response caches never mistake new bytes for a cached entry.
+  bumped inside the same transaction; ``delete`` bumps it too).
+  ``fingerprint()`` returns ``rev:{n}`` without touching the blobs, and
+  because the counter never reuses a value — even across delete/re-put of
+  the same key — the LRU and response caches never mistake new bytes for a
+  cached entry.
 * **No wall-clock reads.**  ``created_at`` is ``NULL`` unless the caller
   supplies a ``clock`` callable (the CLI passes one for interactive
   writes); the backend itself never reads time, keeping stored artefacts
@@ -44,14 +50,16 @@ Design points:
 
 from __future__ import annotations
 
+import json
 import os
 import sqlite3
 import time
+import uuid
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.core.catalog import ReleaseFilter, catalog_columns
+from repro.core.catalog import CATALOG_COLUMNS, ReleaseFilter, catalog_columns
 from repro.core.store import PathLike, StoreBackend
 from repro.exceptions import ReleaseIntegrityError
 
@@ -61,6 +69,41 @@ BUSY_TIMEOUT_MS = 10_000
 
 #: Idle connections a process keeps for reuse; extras close on return.
 MAX_IDLE_CONNECTIONS = 8
+
+#: The columns ``put`` derives from a document, in ``INSERT`` order.
+_DERIVED_COLUMNS = (
+    "dataset", "mechanism", "epsilon", "levels", "graph_fingerprint",  # v2
+    "graph_revision", "affected_levels",  # v3
+)
+
+
+def _derived_columns(document: bytes) -> Dict[str, object]:
+    """The :data:`_DERIVED_COLUMNS` of one document: its catalog columns,
+    provenance ``graph_revision`` and ``affected_levels`` count.  Foreign
+    bytes (tests store ``b"not json"`` on purpose) get all-``NULL`` columns.
+    """
+    try:
+        parsed = json.loads(bytes(document).decode("utf-8"))
+        columns = catalog_columns(parsed)
+        provenance = parsed.get("provenance") or {}
+        revision = provenance.get("graph_revision")
+        columns["graph_fingerprint"] = columns.pop("graph")
+        columns["graph_revision"] = int(revision) if revision is not None else None
+        columns["affected_levels"] = len(provenance.get("affected_levels", ()))
+        return columns
+    except (ValueError, TypeError, AttributeError):
+        return dict.fromkeys(_DERIVED_COLUMNS)
+
+
+def _backfill(conn: sqlite3.Connection, names: Tuple[str, ...]) -> None:
+    """Fill derived columns ``names`` of every stored row, as ``put`` would."""
+    assignments = ", ".join(f"{name} = ?" for name in names)
+    for key, document in conn.execute("SELECT key, document FROM releases").fetchall():
+        columns = _derived_columns(document)
+        conn.execute(
+            f"UPDATE releases SET {assignments} WHERE key = ?",
+            (*(columns[name] for name in names), key),
+        )
 
 
 def _migration_1_initial(conn: sqlite3.Connection) -> None:
@@ -81,12 +124,7 @@ def _migration_1_initial(conn: sqlite3.Connection) -> None:
 
 
 def _migration_2_catalog_columns(conn: sqlite3.Connection) -> None:
-    """v2: extracted catalog columns + backfill of pre-catalog rows.
-
-    The backfill runs the same extraction as a fresh ``put``, so a store
-    created at schema v1 answers catalog queries identically to one written
-    at v2 from the start.
-    """
+    """v2: extracted catalog columns + backfill of pre-catalog rows."""
     conn.execute("ALTER TABLE releases ADD COLUMN dataset TEXT")
     conn.execute("ALTER TABLE releases ADD COLUMN mechanism TEXT")
     conn.execute("ALTER TABLE releases ADD COLUMN epsilon REAL")
@@ -95,23 +133,17 @@ def _migration_2_catalog_columns(conn: sqlite3.Connection) -> None:
     conn.execute(
         "CREATE INDEX idx_releases_catalog ON releases (mechanism, epsilon)"
     )
-    for key, document in conn.execute("SELECT key, document FROM releases").fetchall():
-        try:
-            columns = catalog_columns(bytes(document))
-        except ReleaseIntegrityError:
-            continue  # unparseable document: leave its catalog columns NULL
-        conn.execute(
-            "UPDATE releases SET dataset = ?, mechanism = ?, epsilon = ?,"
-            " levels = ?, graph_fingerprint = ? WHERE key = ?",
-            (
-                columns["dataset"],
-                columns["mechanism"],
-                columns["epsilon"],
-                columns["levels"],
-                columns["graph"],
-                key,
-            ),
-        )
+    _backfill(conn, _DERIVED_COLUMNS[:5])
+
+
+def _migration_3_lineage_columns(conn: sqlite3.Connection) -> None:
+    """v3: provenance lineage columns (staleness) + backfill."""
+    conn.execute("ALTER TABLE releases ADD COLUMN graph_revision INTEGER")
+    conn.execute("ALTER TABLE releases ADD COLUMN affected_levels INTEGER")
+    conn.execute(
+        "CREATE INDEX idx_releases_lineage ON releases (dataset, graph_revision)"
+    )
+    _backfill(conn, _DERIVED_COLUMNS[5:])
 
 
 #: Ordered migration list: ``(target_version, apply(conn))``.  Applied in
@@ -120,19 +152,21 @@ def _migration_2_catalog_columns(conn: sqlite3.Connection) -> None:
 MIGRATIONS = (
     (1, _migration_1_initial),
     (2, _migration_2_catalog_columns),
+    (3, _migration_3_lineage_columns),
 )
 
 SCHEMA_VERSION = MIGRATIONS[-1][0]
 
 
 class SqliteBackend(StoreBackend):
-    """Release storage in one SQLite file, queryable by catalog columns.
+    """Release storage in one SQLite database, queryable by derived columns.
 
     Parameters
     ----------
     path:
         The database file; parent directories are created, the schema is
-        created/migrated on open.
+        created/migrated on open.  ``None`` opens a private in-memory
+        database that lives as long as this backend.
     clock:
         Optional zero-argument callable returning the ``created_at`` string
         stamped on each ``put`` (e.g. :func:`repro.core.catalog.system_clock`).
@@ -140,13 +174,19 @@ class SqliteBackend(StoreBackend):
         wall clock itself.
     """
 
-    def __init__(self, path: PathLike, clock: Optional[Callable[[], str]] = None):
-        self.path = Path(path)
-        self.root = self.path  # fleet/publisher hand this to worker processes
+    def __init__(self, path: Optional[PathLike], clock: Optional[Callable[[], str]] = None):
+        # root is what the fleet/publisher hand to worker processes; an
+        # in-memory database has none, so it cannot be served by a fleet.
+        self.path = self.root = Path(path) if path is not None else None
         self._clock = clock
         self._idle: List[sqlite3.Connection] = []
         self._idle_pid = os.getpid()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        if self.path is None:
+            self._database = f"file:/repro-{uuid.uuid4().hex}?vfs=memdb"
+            self._keeper = self._connect()
+        else:
+            self._database = str(self.path)
+            self.path.parent.mkdir(parents=True, exist_ok=True)
         self._migrate()
 
     # -- connection management ----------------------------------------
@@ -154,11 +194,15 @@ class SqliteBackend(StoreBackend):
         # check_same_thread=False: a pooled connection moves between
         # threads, but _connection() hands it to one thread at a time.
         conn = sqlite3.connect(
-            str(self.path), timeout=BUSY_TIMEOUT_MS / 1000, check_same_thread=False
+            self._database,
+            timeout=BUSY_TIMEOUT_MS / 1000,
+            check_same_thread=False,
+            uri=self.path is None,
         )
         conn.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
-        _enable_wal(conn)
-        conn.execute("PRAGMA synchronous=NORMAL")
+        if self.path is not None:
+            _enable_wal(conn)
+            conn.execute("PRAGMA synchronous=NORMAL")
         # Explicit transaction control: BEGIN IMMEDIATE in put(), not the
         # driver's lazy autocommit-ish statement batching.
         conn.isolation_level = None
@@ -192,6 +236,18 @@ class SqliteBackend(StoreBackend):
             while self._idle:
                 self._idle.pop().close()
 
+    @contextmanager
+    def _write(self) -> Iterator[sqlite3.Connection]:
+        """One ``BEGIN IMMEDIATE`` transaction, committed on success."""
+        with self._connection() as conn:
+            conn.execute("BEGIN IMMEDIATE")
+            try:
+                yield conn
+                conn.execute("COMMIT")
+            except BaseException:
+                conn.execute("ROLLBACK")
+                raise
+
     # -- schema --------------------------------------------------------
     def _migrate(self) -> None:
         with self._connection() as conn:
@@ -202,30 +258,27 @@ class SqliteBackend(StoreBackend):
             current = row[0] if row and row[0] is not None else 0
             if current > SCHEMA_VERSION:
                 raise ReleaseIntegrityError(
-                    f"store {self.path} has schema version {current}, newer than this "
-                    f"code understands ({SCHEMA_VERSION}); refusing to open"
+                    f"store {self.describe()} has schema version {current}, newer than "
+                    f"this code understands ({SCHEMA_VERSION}); refusing to open"
                 )
-            for version, apply in MIGRATIONS:
-                if version <= current:
-                    continue
-                conn.execute("BEGIN IMMEDIATE")
-                try:
-                    # Re-check under the write lock: another process may have
-                    # migrated between our read and our BEGIN.
-                    row = conn.execute("SELECT MAX(version) FROM schema_version").fetchone()
-                    if (row[0] or 0) >= version:
-                        conn.execute("ROLLBACK")
-                        continue
+        for version, apply in MIGRATIONS:
+            if version <= current:
+                continue
+            with self._write() as conn:
+                # Re-check under the write lock: another process may have
+                # migrated between our read and our BEGIN.
+                row = conn.execute("SELECT MAX(version) FROM schema_version").fetchone()
+                if (row[0] or 0) < version:
                     apply(conn)
                     conn.execute("INSERT INTO schema_version (version) VALUES (?)", (version,))
-                    conn.execute("COMMIT")
-                except BaseException:
-                    conn.execute("ROLLBACK")
-                    raise
 
     def _fetchone(self, sql: str, params: tuple = ()) -> Optional[tuple]:
         with self._connection() as conn:
             return conn.execute(sql, params).fetchone()
+
+    def _fetchall(self, sql: str, params: tuple = ()) -> List[tuple]:
+        with self._connection() as conn:
+            return conn.execute(sql, params).fetchall()
 
     def schema_version(self) -> int:
         """The applied schema version (for tests and diagnostics)."""
@@ -234,50 +287,26 @@ class SqliteBackend(StoreBackend):
 
     # -- StoreBackend --------------------------------------------------
     def put(self, key: str, document: bytes, answers: bytes) -> None:
-        try:
-            columns = catalog_columns(document)
-        except ReleaseIntegrityError:
-            # Foreign bytes (tests store b"not json" deliberately): keep the
-            # byte contract, leave the catalog columns NULL.
-            columns = {
-                "dataset": None,
-                "mechanism": None,
-                "epsilon": None,
-                "levels": None,
-                "graph": None,
-            }
+        columns = _derived_columns(document)
         created_at = self._clock() if self._clock is not None else None
-        with self._connection() as conn:
-            conn.execute("BEGIN IMMEDIATE")
-            try:
-                conn.execute("UPDATE meta SET value = value + 1 WHERE name = 'revision'")
-                revision = conn.execute(
-                    "SELECT value FROM meta WHERE name = 'revision'"
-                ).fetchone()[0]
-                conn.execute(
-                    """
-                    INSERT OR REPLACE INTO releases
-                        (key, document, answers, revision, created_at,
-                         dataset, mechanism, epsilon, levels, graph_fingerprint)
-                    VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
-                    """,
-                    (
-                        key,
-                        sqlite3.Binary(document),
-                        sqlite3.Binary(answers),
-                        revision,
-                        created_at,
-                        columns["dataset"],
-                        columns["mechanism"],
-                        columns["epsilon"],
-                        columns["levels"],
-                        columns["graph"],
-                    ),
-                )
-                conn.execute("COMMIT")
-            except BaseException:
-                conn.execute("ROLLBACK")
-                raise
+        with self._write() as conn:
+            conn.execute("UPDATE meta SET value = value + 1 WHERE name = 'revision'")
+            revision = conn.execute(
+                "SELECT value FROM meta WHERE name = 'revision'"
+            ).fetchone()[0]
+            conn.execute(
+                "INSERT OR REPLACE INTO releases"
+                f" (key, document, answers, revision, created_at, {', '.join(_DERIVED_COLUMNS)})"
+                f" VALUES (?, ?, ?, ?, ?{', ?' * len(_DERIVED_COLUMNS)})",
+                (
+                    key,
+                    sqlite3.Binary(document),
+                    sqlite3.Binary(answers),
+                    revision,
+                    created_at,
+                    *(columns[name] for name in _DERIVED_COLUMNS),
+                ),
+            )
 
     def get_document(self, key: str) -> bytes:
         row = self._fetchone("SELECT document FROM releases WHERE key = ?", (key,))
@@ -293,54 +322,65 @@ class SqliteBackend(StoreBackend):
         return self._fetchone("SELECT 1 FROM releases WHERE key = ?", (key,)) is not None
 
     def delete(self, key: str) -> None:
-        with self._connection() as conn:
-            conn.execute("BEGIN IMMEDIATE")
-            try:
-                conn.execute("DELETE FROM releases WHERE key = ?", (key,))
-                conn.execute("COMMIT")
-            except BaseException:
-                conn.execute("ROLLBACK")
-                raise
+        with self._write() as conn:
+            if conn.execute("DELETE FROM releases WHERE key = ?", (key,)).rowcount:
+                conn.execute("UPDATE meta SET value = value + 1 WHERE name = 'revision'")
 
     def keys(self) -> List[str]:
-        with self._connection() as conn:
-            return [row[0] for row in conn.execute("SELECT key FROM releases ORDER BY key")]
+        return [row[0] for row in self._fetchall("SELECT key FROM releases ORDER BY key")]
 
     def fingerprint(self, key: str) -> Optional[str]:
         row = self._fetchone("SELECT revision FROM releases WHERE key = ?", (key,))
         return f"rev:{row[0]}" if row is not None else None
 
     def describe(self) -> str:
-        return str(self.path)
+        return str(self.path) if self.path is not None else "<in-memory store>"
 
-    # -- catalog -------------------------------------------------------
+    # -- catalog and lineage -------------------------------------------
     def query_catalog(self, release_filter: ReleaseFilter) -> List[Dict[str, object]]:
         """Catalog rows matching ``release_filter``, straight from SQL.
 
-        The indexed path behind :class:`~repro.core.catalog.ReleaseCatalog`:
-        no document blob is read, the filter compiles to a parameterized
-        WHERE clause, and rows come back in the same shape and order as the
-        full-scan fallback.
+        The path behind :class:`~repro.core.catalog.ReleaseCatalog`: no
+        document blob is read, and the filter compiles to a parameterized
+        WHERE clause.
         """
         where, params = release_filter.sql_where()
-        with self._connection() as conn:
-            rows = conn.execute(
-                "SELECT key, dataset, mechanism, epsilon, levels, graph_fingerprint,"
-                f" created_at FROM releases{where} ORDER BY key",
-                params,
-            ).fetchall()
-        return [
-            {
-                "key": row[0],
-                "dataset": row[1],
-                "mechanism": row[2],
-                "epsilon": row[3],
-                "levels": row[4],
-                "graph": row[5],
-                "created_at": row[6],
-            }
-            for row in rows
-        ]
+        rows = self._fetchall(
+            "SELECT key, dataset, mechanism, epsilon, levels, graph_fingerprint,"
+            f" created_at FROM releases{where} ORDER BY key",
+            tuple(params),
+        )
+        return [dict(zip(CATALOG_COLUMNS, row)) for row in rows]
+
+    def revision(self) -> int:
+        return int(self._fetchone("SELECT value FROM meta WHERE name = 'revision'")[0])
+
+    def lineage(self, key: str) -> Tuple[Optional[int], Optional[int], Optional[int]]:
+        row = self._fetchone(
+            """
+            SELECT served.graph_revision, latest.graph_revision, latest.affected_levels
+            FROM releases AS served
+            LEFT JOIN releases AS latest ON latest.key = (
+                SELECT key FROM releases
+                WHERE dataset = served.dataset AND graph_revision IS NOT NULL
+                ORDER BY graph_revision DESC, key LIMIT 1
+            )
+            WHERE served.key = ?
+            """,
+            (key,),
+        )
+        return row if row is not None else (None, None, None)
+
+    def stale_keys(self) -> Tuple[int, List[str]]:
+        rows = self._fetchall(
+            """
+            SELECT key, graph_revision < (
+                SELECT MAX(graph_revision) FROM releases WHERE dataset = served.dataset
+            )
+            FROM releases AS served ORDER BY key
+            """
+        )
+        return len(rows), [key for key, stale in rows if stale]
 
 
 def _enable_wal(conn: sqlite3.Connection) -> None:

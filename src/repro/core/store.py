@@ -9,14 +9,12 @@ the release *document* — canonical JSON with the numeric answer vectors
 replaced by references — and the *answers* — those vectors as float64 npz
 arrays, so the round-trip is lossless down to the last bit.
 
-* :class:`~repro.core.sqlite_backend.SqliteBackend` is the one durable
-  backend, selected by constructing the store with a path: one WAL-mode
-  SQLite file holding both artefacts per row, plus extracted catalog
-  columns that make the store queryable by mechanism/epsilon/graph
-  fingerprint (``repro query``, :mod:`repro.core.catalog`).
-* :class:`MemoryBackend` keeps the same two artefacts per key in process
-  memory — the natural backend for tests and for serving-layer caches — and
-  produces byte-identical documents.
+Every store is a :class:`~repro.core.sqlite_backend.SqliteBackend`: a path
+opens one WAL-mode SQLite file, and :meth:`ReleaseStore.in_memory` opens a
+private in-memory SQLite database.  Either way each row holds both
+artefacts plus catalog columns extracted at write time, so catalog
+(``repro query``, :mod:`repro.core.catalog`) and staleness
+(:mod:`repro.serving.staleness`) questions are SQL queries on every store.
 
 Stores written by the former one-directory-per-release backend
 (``<key>/release.json`` + ``answers.npz``) are copied into a SQLite store,
@@ -132,12 +130,6 @@ def _restore_answers(document: dict, arrays: Dict[str, np.ndarray]) -> dict:
     return document
 
 
-def _document_bytes(document: dict) -> bytes:
-    """Canonical serialisation of a release document — identical across
-    backends (and to the serving layer's responses) by construction."""
-    return canonical_json_bytes(document)
-
-
 def _answers_bytes(arrays: Dict[str, np.ndarray]) -> bytes:
     buffer = io.BytesIO()
     np.savez(buffer, **arrays)
@@ -151,10 +143,10 @@ class StoreBackend(ABC):
     """Byte-level I/O behind a :class:`ReleaseStore`.
 
     A backend stores, per (already slugified) key, exactly two artefacts: the
-    release *document* (canonical JSON bytes) and the *answers* (npz bytes).
-    Keeping the contract this small is what lets the same :class:`ReleaseStore`
-    interface target a SQLite file, process memory, or a fault-injecting
-    wrapper around either.
+    release *document* (canonical JSON bytes) and the *answers* (npz bytes),
+    and answers the catalog and staleness queries from columns derived from
+    the document when it was stored.  The one real backend is SQLite; the
+    abstraction lets a fault-injecting wrapper stand in for it.
     """
 
     @abstractmethod
@@ -194,48 +186,28 @@ class StoreBackend(ABC):
     def describe(self) -> str:
         """Human-readable location for error messages and ``repr``."""
 
+    @abstractmethod
+    def query_catalog(self, release_filter) -> List[Dict[str, object]]:
+        """Catalog rows matching a :class:`~repro.core.catalog.ReleaseFilter`,
+        sorted by key."""
 
-class MemoryBackend(StoreBackend):
-    """In-process backend: the same two artefacts per key, held as bytes.
+    @abstractmethod
+    def revision(self) -> int:
+        """The store-wide revision, bumped by every ``put`` and ``delete``."""
 
-    Used for tests and for serving deployments that pre-load a working set;
-    because documents are serialised through the same canonical writer, a
-    release stored here is byte-identical to its SQLite-backed twin.
-    """
+    @abstractmethod
+    def lineage(self, key: str) -> Tuple[Optional[int], Optional[int], Optional[int]]:
+        """``(graph_revision, latest, latest_affected_levels)`` for ``key``.
 
-    def __init__(self):
-        self._blobs: Dict[str, Tuple[bytes, bytes, int]] = {}
-        self._revision = 0
-        self._lock = threading.Lock()
+        ``latest`` is the highest ``graph_revision`` among releases of the
+        same dataset, and ``latest_affected_levels`` the affected-level
+        count of the smallest key stored at it.  All ``None`` when unknown.
+        """
 
-    def put(self, key: str, document: bytes, answers: bytes) -> None:
-        with self._lock:
-            self._revision += 1
-            self._blobs[key] = (document, answers, self._revision)
-
-    def get_document(self, key: str) -> bytes:
-        return self._blobs[key][0]
-
-    def get_answers(self, key: str) -> Optional[bytes]:
-        entry = self._blobs.get(key)
-        return entry[1] if entry is not None else None
-
-    def exists(self, key: str) -> bool:
-        return key in self._blobs
-
-    def delete(self, key: str) -> None:
-        with self._lock:
-            self._blobs.pop(key, None)
-
-    def keys(self) -> List[str]:
-        return sorted(self._blobs)
-
-    def fingerprint(self, key: str) -> Optional[str]:
-        entry = self._blobs.get(key)
-        return f"rev:{entry[2]}" if entry is not None else None
-
-    def describe(self) -> str:
-        return "<in-memory store>"
+    @abstractmethod
+    def stale_keys(self) -> Tuple[int, List[str]]:
+        """``(stored key count, sorted keys behind their dataset's latest
+        graph_revision)``."""
 
 
 class ReleaseStore:
@@ -308,8 +280,13 @@ class ReleaseStore:
 
     @classmethod
     def in_memory(cls, cache_size: int = 0) -> "ReleaseStore":
-        """A store backed by process memory (tests, serving caches)."""
-        return cls(MemoryBackend(), cache_size=cache_size)
+        """A store on a private in-memory SQLite database (tests, caches).
+
+        It has no ``root``, so it cannot be handed to worker processes.
+        """
+        from repro.core.sqlite_backend import SqliteBackend
+
+        return cls(SqliteBackend(None), cache_size=cache_size)
 
     # ------------------------------------------------------------------
     # Keys
@@ -404,8 +381,12 @@ class ReleaseStore:
         release twice is idempotent.
         """
         key = _slugify(key) if key is not None else self._default_key(release)
-        document, arrays = _strip_answers(release.to_dict())
-        self.backend.put(key, _document_bytes(document), _answers_bytes(arrays))
+        return self._put(key, release.to_dict())
+
+    def _put(self, key: str, document: dict) -> str:
+        """Store ``document`` (canonical JSON + npz answers) under ``key``."""
+        document, arrays = _strip_answers(document)
+        self.backend.put(key, canonical_json_bytes(document), _answers_bytes(arrays))
         self._cache_drop(key)
         return key
 
@@ -518,12 +499,8 @@ class ReleaseStore:
     # ------------------------------------------------------------------
     def save_level(self, view: LevelRelease, key: str) -> str:
         """Persist a single level release (e.g. one role's view)."""
-        key = _slugify(key)
         document = {"level_view": True, "levels": {str(view.level): view.to_dict()}}
-        document, arrays = _strip_answers(document)
-        self.backend.put(key, _document_bytes(document), _answers_bytes(arrays))
-        self._cache_drop(key)
-        return key
+        return self._put(_slugify(key), document)
 
     def load_level(self, key: str) -> LevelRelease:
         """Inverse of :meth:`save_level`."""

@@ -284,3 +284,19 @@ class FaultInjectingBackend(StoreBackend):
 
     def describe(self) -> str:
         return f"fault-injecting({self.inner.describe()})"
+
+    def query_catalog(self, release_filter) -> List[Dict[str, object]]:
+        self._before("query_catalog")
+        return self.inner.query_catalog(release_filter)
+
+    def revision(self) -> int:
+        self._before("revision")
+        return self.inner.revision()
+
+    def lineage(self, key: str) -> Tuple[Optional[int], Optional[int], Optional[int]]:
+        self._before("lineage")
+        return self.inner.lineage(key)
+
+    def stale_keys(self) -> Tuple[int, List[str]]:
+        self._before("stale_keys")
+        return self.inner.stale_keys()

@@ -239,6 +239,7 @@ class ReleaseRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serving/1.0"
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # keep-alive replies must not wait ~40 ms
 
     # -- plumbing --------------------------------------------------------
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
@@ -323,8 +324,7 @@ class ReleaseRequestHandler(BaseHTTPRequestHandler):
             # The metadata body embeds a staleness verdict that depends on
             # *sibling* releases (a refresh republishing another key makes
             # this one stale without touching its bytes), so its cache entry
-            # is pinned to the whole store's fingerprint set, not just the
-            # key's own.
+            # is pinned to the store-wide revision, not just the key's own.
             fingerprint = f"{fingerprint}|{self.server.staleness.token()}"
         return "/" + "/".join(segments), fingerprint
 

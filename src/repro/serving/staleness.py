@@ -9,162 +9,58 @@ refresh path (:meth:`~repro.core.publisher.GraphPublisher.refresh`) archives
 every refresh under a revision-qualified key and republishes the live alias,
 which is exactly the signal this index watches.
 
-:class:`StalenessIndex` keeps one tiny entry per store key — ``(fingerprint,
-dataset, graph_revision, affected-level count)`` parsed lazily from the
-cheap :meth:`~repro.core.store.ReleaseStore.load_document` path — pinned to
-the key's change fingerprint, so an unchanged artefact is never re-read and
-a republished one is re-parsed exactly once.  The index also exposes a
-:meth:`token` over all ``(key, fingerprint)`` pairs: the server composes it
-into the response-cache fingerprint of metadata routes, so *any* republish
-invalidates every cached metadata body (a sibling's refresh changes this
-release's staleness verdict without touching its bytes).
+:class:`StalenessIndex` keeps no state: each verdict is one indexed SQL
+query over lineage columns the store wrote at ``put`` time, so no document
+is read.  Its :meth:`~StalenessIndex.token` is the store-wide revision; the
+server composes it into the response-cache fingerprint of metadata routes,
+so any republish or deletion invalidates every cached metadata body (a
+sibling's refresh changes this release's verdict without touching its bytes).
 """
 
 from __future__ import annotations
 
-import hashlib
-import threading
-from typing import Dict, NamedTuple, Optional
-
-from repro.core.store import ReleaseStore
-from repro.exceptions import ReleaseIntegrityError
-
-
-class _Entry(NamedTuple):
-    """What the index remembers about one stored release."""
-
-    fingerprint: Optional[str]
-    dataset: Optional[str]
-    revision: Optional[int]
-    affected_levels: int
-
-
-def _parse_entry(fingerprint: Optional[str], document: dict) -> _Entry:
-    provenance = document.get("provenance") or {}
-    revision = provenance.get("graph_revision")
-    return _Entry(
-        fingerprint=fingerprint,
-        dataset=document.get("dataset_name"),
-        revision=int(revision) if revision is not None else None,
-        affected_levels=len(provenance.get("affected_levels", ())),
-    )
+from repro.core.store import ReleaseStore, _slugify
 
 
 class StalenessIndex:
-    """Lazily-maintained revision index over a :class:`ReleaseStore`.
+    """Staleness verdicts over a :class:`ReleaseStore`, answered in SQL.
 
-    Thread-safe: handler threads of the HTTP server share one instance.
+    Thread-safe: it only issues read queries, one per call.
     """
 
     def __init__(self, store: ReleaseStore):
         self._store = store
-        self._lock = threading.Lock()
-        self._entries: Dict[str, _Entry] = {}
 
-    # ------------------------------------------------------------------
-    # Index maintenance
-    # ------------------------------------------------------------------
-    def _entry_for(self, key: str) -> Optional[_Entry]:
-        """The current entry for ``key``, re-parsing only on fingerprint change.
-
-        A key whose document cannot be read (corrupt artefact — the server
-        quarantines it separately) is remembered as an unknown-revision
-        entry at its fingerprint, so it is not re-read on every request.
-        """
-        fingerprint = self._store.fingerprint(key)
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None and cached.fingerprint == fingerprint:
-                return cached
-        try:
-            document = self._store.load_document(key)
-        except ReleaseIntegrityError:
-            entry = _Entry(fingerprint, None, None, 0)
-        else:
-            entry = _parse_entry(fingerprint, document)
-        with self._lock:
-            self._entries[key] = entry
-        return entry
-
-    def _refresh(self) -> Dict[str, _Entry]:
-        """Bring the index in line with the store's current key set."""
-        keys = set(self._store.keys())
-        with self._lock:
-            dropped = [key for key in self._entries if key not in keys]
-            for key in dropped:
-                del self._entries[key]
-        return {key: self._entry_for(key) for key in sorted(keys)}
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
     def staleness_for(self, key: str) -> dict:
         """The staleness verdict for one served release.
 
         ``stale`` is true when a same-dataset release in the store carries a
         higher ``graph_revision``; ``revisions_behind`` quantifies the gap
         and ``affected_levels`` reports how many levels the *newest* release
-        re-perturbed to get there (0 for a from-scratch disclosure).  A
-        release without a recorded revision (stored before provenance
-        stamping existed) reports ``stale: false`` with null revisions —
-        unknown, not known-fresh, but never blocking.
+        (the smallest key among ties) re-perturbed to get there (0 for a
+        from-scratch disclosure).  A release without a recorded revision
+        (stored before provenance stamping existed) reports ``stale: false``
+        with a null revision — unknown, not known-fresh, but never blocking.
         """
-        entries = self._refresh()
-        entry = entries.get(key) or self._entry_for(key)
-        latest_revision: Optional[int] = None
-        latest_affected = 0
-        if entry is not None and entry.dataset is not None:
-            for other in entries.values():
-                if other.dataset != entry.dataset or other.revision is None:
-                    continue
-                if latest_revision is None or other.revision > latest_revision:
-                    latest_revision = other.revision
-                    latest_affected = other.affected_levels
-        served = entry.revision if entry is not None else None
-        stale = served is not None and latest_revision is not None and served < latest_revision
+        served, latest, latest_affected = self._store.backend.lineage(_slugify(key))
+        stale = served is not None and latest is not None and served < latest
         return {
             "graph_revision": served,
-            "latest_revision": latest_revision,
+            "latest_revision": latest,
             "stale": stale,
-            "revisions_behind": (latest_revision - served) if stale else 0,
+            "revisions_behind": (latest - served) if stale else 0,
             "affected_levels": latest_affected if stale else 0,
         }
 
     def summary(self) -> dict:
         """Store-wide staleness for ``/healthz``."""
-        entries = self._refresh()
-        latest: Dict[str, int] = {}
-        for entry in entries.values():
-            if entry is None or entry.dataset is None or entry.revision is None:
-                continue
-            if entry.dataset not in latest or entry.revision > latest[entry.dataset]:
-                latest[entry.dataset] = entry.revision
-        stale_keys = sorted(
-            key
-            for key, entry in entries.items()
-            if entry is not None
-            and entry.dataset is not None
-            and entry.revision is not None
-            and entry.revision < latest.get(entry.dataset, entry.revision)
-        )
-        return {
-            "tracked": len(entries),
-            "stale": len(stale_keys),
-            "stale_keys": stale_keys,
-        }
+        tracked, stale_keys = self._store.backend.stale_keys()
+        return {"tracked": tracked, "stale": len(stale_keys), "stale_keys": stale_keys}
 
     def token(self) -> str:
-        """A digest over every ``(key, fingerprint)`` pair in the store.
+        """The store-wide revision, which every ``put`` and ``delete`` bumps.
 
-        Changes whenever any key is added, removed or republished — the
-        cache-composition hook that lets a *sibling's* refresh invalidate a
-        cached metadata response whose own bytes did not move.  Fingerprints
-        only (no document reads), so computing it is cheap on the hot path.
+        The cache-composition hook that lets a *sibling's* refresh invalidate
+        a cached metadata response whose own bytes did not move.
         """
-        digest = hashlib.sha256()
-        for key in sorted(self._store.keys()):
-            digest.update(key.encode("utf-8"))
-            digest.update(b"\x00")
-            digest.update((self._store.fingerprint(key) or "").encode("utf-8"))
-            digest.update(b"\x01")
-        return digest.hexdigest()
+        return str(self._store.backend.revision())

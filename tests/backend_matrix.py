@@ -13,7 +13,9 @@ from typing import Callable, List, Optional
 
 from repro.core.store import ReleaseStore
 
-#: Every store-backend kind the parameterized suites can target.
+#: Every store-backend kind the parameterized suites can target.  Both are
+#: SqliteBackend, but a file and an in-memory (memdb) database open their
+#: connections differently, so both stay under test.
 STORE_BACKEND_KINDS = ("memory", "sqlite")
 
 

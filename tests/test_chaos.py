@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.config import DisclosureConfig
 from repro.core.discloser import MultiLevelDiscloser
-from repro.core.store import MemoryBackend, ReleaseStore
+from repro.core.store import ReleaseStore
 from repro.datasets.dblp_like import generate_dblp_like
 from repro.evaluation.journal import RunJournal
 from repro.evaluation.scalability import run_scalability, scalability_key
@@ -189,7 +189,7 @@ class TestInjectedDelays:
 
 class TestFaultInjectingBackend:
     def test_scripted_call_fails_then_recovers(self):
-        backend = FaultInjectingBackend(MemoryBackend(), fail={"put": (1,)})
+        backend = FaultInjectingBackend(ReleaseStore.in_memory().backend, fail={"put": (1,)})
         store = ReleaseStore(backend)
         graph = generate_dblp_like(num_authors=40, seed=2)
         release = _disclose(graph)
@@ -205,15 +205,15 @@ class TestFaultInjectingBackend:
         the persisted artefact — only delay it."""
         graph = generate_dblp_like(num_authors=40, seed=2)
         release = _disclose(graph)
-        clean_store = ReleaseStore(MemoryBackend())
+        clean_store = ReleaseStore.in_memory()
         clean_store.save(release, key="r")
 
-        flaky = ReleaseStore(FaultInjectingBackend(MemoryBackend(), fail={"put": (1,)}))
+        flaky = ReleaseStore(FaultInjectingBackend(ReleaseStore.in_memory().backend, fail={"put": (1,)}))
         FAST_RETRY.call(lambda: flaky.save(release, key="r"), key="r", sleep=lambda _: None)
         assert flaky.backend.inner.get_document("r") == clean_store.backend.get_document("r")
 
     def test_delay_is_applied_without_failing(self):
-        backend = FaultInjectingBackend(MemoryBackend(), delay={"exists": 0.01})
+        backend = FaultInjectingBackend(ReleaseStore.in_memory().backend, delay={"exists": 0.01})
         assert backend.exists("nope") is False
         assert backend.calls["exists"] == 1
 

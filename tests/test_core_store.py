@@ -191,6 +191,15 @@ class TestGetOrCreate:
     def test_concurrent_writers_on_one_key_never_error(self, store, release):
         """Racing get_or_create calls all succeed and agree on the stored
         artefact."""
+        self._race_get_or_create(store, release)
+
+    def test_concurrent_writers_on_one_key_never_error_in_memory(self, release):
+        """The same race on an in-memory store, whose connections share one
+        memdb database."""
+        self._race_get_or_create(ReleaseStore.in_memory(), release)
+
+    @staticmethod
+    def _race_get_or_create(store, release):
         import threading
 
         results, failures = [], []

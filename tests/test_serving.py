@@ -199,6 +199,28 @@ class TestViews:
         finally:
             connection.close()
 
+    def test_keep_alive_requests_do_not_wait_on_delayed_acks(self, served):
+        """A reply written in two segments must not sit in Nagle's buffer
+        until the client's delayed ACK (~40 ms on Linux) releases it."""
+        import http.client
+        import time
+
+        path = f"/releases/{served.key}/views/public"
+        connection = http.client.HTTPConnection(served.server.host, served.server.port)
+        try:
+            connection.request("GET", path)
+            connection.getresponse().read()  # warm the response cache
+            start = time.perf_counter()
+            for _ in range(20):
+                connection.request("GET", path)
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+            elapsed = time.perf_counter() - start
+        finally:
+            connection.close()
+        assert elapsed < 20 * 0.040 / 2
+
     def test_fetch_json_raises_serving_error_on_non_200(self, served):
         with pytest.raises(ServingError) as excinfo:
             fetch_json(served.server.url, "/releases/nope")
@@ -430,10 +452,9 @@ class TestLoadShedding:
     """S3: bounded in-flight requests shed cleanly and recover."""
 
     def _slow_served(self, release, policy, delay, **server_kwargs):
-        from repro.core.store import MemoryBackend
         from repro.execution.faults import FaultInjectingBackend
 
-        backend = FaultInjectingBackend(MemoryBackend(), delay={"get_document": delay})
+        backend = FaultInjectingBackend(ReleaseStore.in_memory().backend, delay={"get_document": delay})
         store = ReleaseStore(backend)
         key = store.save(release)
         server = ReleaseServer(store, policy, port=0, **server_kwargs)

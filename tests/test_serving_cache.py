@@ -16,7 +16,7 @@ from backend_matrix import make_release_store, store_backend_matrix
 from repro.core.access import AccessPolicy
 from repro.core.config import DisclosureConfig
 from repro.core.discloser import MultiLevelDiscloser
-from repro.core.store import MemoryBackend, ReleaseStore
+from repro.core.store import ReleaseStore
 from repro.exceptions import ValidationError
 from repro.execution.faults import FaultInjectingBackend
 from repro.grouping.specialization import SpecializationConfig
@@ -408,7 +408,7 @@ class TestZeroWorkWhenWarm:
         if backend_kind == "sqlite":
             inner = SqliteBackend(tmp_path / "store.db")
         else:
-            inner = MemoryBackend()
+            inner = ReleaseStore.in_memory().backend
         backend = FaultInjectingBackend(inner)
         # cache_size=0: every uncached view request would hit the backend,
         # so a flat call count below is attributable to the response cache.
@@ -453,7 +453,7 @@ class TestZeroWorkWhenWarm:
     ):
         from repro.serving import server as server_module
 
-        backend = FaultInjectingBackend(MemoryBackend())
+        backend = FaultInjectingBackend(ReleaseStore.in_memory().backend)
         store = ReleaseStore(backend, cache_size=0)
         key = store.save(release)
         with ReleaseServer(store, policy, port=0, response_cache_size=0) as server:

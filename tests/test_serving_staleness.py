@@ -113,22 +113,44 @@ class TestStalenessIndex:
         save_at_revision(store, base_release, "live-r11", 11)
         assert index.token() != before
 
-    def test_unchanged_artifacts_are_parsed_once(self, base_release, tmp_path):
+    def test_unchanged_artifacts_are_parsed_once(
+        self, base_release, tmp_path, monkeypatch
+    ):
+        """A document is parsed once, when it is stored: verdicts come from
+        the lineage columns and read no document blob."""
         store = ReleaseStore(tmp_path / "store.db")
         save_at_revision(store, base_release, "live", 10)
+        save_at_revision(store, base_release, "live-r13", 13, affected=[1])
+
+        def forbidden(key):
+            raise AssertionError("staleness read a document blob")
+
+        monkeypatch.setattr(store.backend, "get_document", forbidden)
         index = StalenessIndex(store)
-        index.staleness_for("live")
-        loads = {"count": 0}
-        original = store.load_document
+        assert index.staleness_for("live")["stale"] is True
+        assert index.summary()["stale_keys"] == ["live"]
+        index.token()
 
-        def counting_load(key):
-            loads["count"] += 1
-            return original(key)
+    def test_ties_at_the_newest_revision_take_the_smallest_key(
+        self, base_release, tmp_path
+    ):
+        store = ReleaseStore(tmp_path / "store.db")
+        save_at_revision(store, base_release, "live", 10)
+        save_at_revision(store, base_release, "live-r13-b", 13, affected=[1, 2, 3])
+        save_at_revision(store, base_release, "live-r13-a", 13, affected=[1])
+        assert StalenessIndex(store).staleness_for("live")["affected_levels"] == 1
 
-        store.load_document = counting_load
-        index.staleness_for("live")
-        index.summary()
-        assert loads["count"] == 0
+    def test_in_memory_store_answers_like_a_file_store(self, base_release, tmp_path):
+        file_store = ReleaseStore(tmp_path / "store.db")
+        memory_store = ReleaseStore.in_memory()
+        for store in (file_store, memory_store):
+            save_at_revision(store, base_release, "live", 10)
+            save_at_revision(store, base_release, "live-r13", 13, affected=[2])
+        for key in ("live", "live-r13", "absent"):
+            assert StalenessIndex(memory_store).staleness_for(key) == StalenessIndex(
+                file_store
+            ).staleness_for(key)
+        assert StalenessIndex(memory_store).summary() == StalenessIndex(file_store).summary()
 
 
 class TestServedStaleness:
@@ -157,6 +179,21 @@ class TestServedStaleness:
             save_at_revision(store, base_release, "live", 13)
             payload = fetch_json(server.url, "/releases/live")
             assert payload["staleness"]["stale"] is False
+
+    def test_deleting_the_newest_sibling_clears_a_cached_stale_verdict(
+        self, base_release, policy, tmp_path
+    ):
+        store = ReleaseStore(tmp_path / "store.db")
+        save_at_revision(store, base_release, "live", 10)
+        save_at_revision(store, base_release, "live-r13", 13)
+        with ReleaseServer(store, policy, port=0) as server:
+            assert fetch_json(server.url, "/releases/live")["staleness"]["stale"] is True
+            # Neither `live`'s bytes nor its fingerprint move; only the
+            # store-wide revision that delete bumps can evict the cached body.
+            store.delete("live-r13")
+            payload = fetch_json(server.url, "/releases/live")
+            assert payload["staleness"]["stale"] is False
+            assert payload["staleness"]["latest_revision"] == 10
 
     def test_healthz_reports_staleness_summary(self, base_release, policy, tmp_path):
         store = ReleaseStore(tmp_path / "store.db")

@@ -1,9 +1,10 @@
 """Tests for the SQLite store backend: path handling, the race-free first
-open, schema migrations (with the v1 → v2 catalog backfill), WAL
-crash-safety under kill -9 (reusing the :class:`KillWorkerFault` toolkit),
-monotonic revision fingerprints, and the SQL catalog path's parity with the
-full-scan fallback."""
+open, schema migrations (with the v1 → v2 catalog and v2 → v3 lineage
+backfills), WAL crash-safety under kill -9 (reusing the
+:class:`KillWorkerFault` toolkit), monotonic revision fingerprints, and the
+SQL catalog path's agreement with a document-parsing oracle."""
 
+import fnmatch
 import multiprocessing
 import sqlite3
 import sys
@@ -14,6 +15,7 @@ import pytest
 from repro.core.catalog import (
     ReleaseCatalog,
     ReleaseFilter,
+    catalog_columns,
     catalog_row,
     graph_fingerprint,
 )
@@ -183,11 +185,65 @@ class TestSchemaMigrations:
         conn.close()
 
         backend = SqliteBackend(db_path)
-        assert backend.schema_version() == 2
+        assert backend.schema_version() == sqlite_backend_module.SCHEMA_VERSION
         (row,) = backend.query_catalog(ReleaseFilter())
         assert row == catalog_row(key, document, created_at=None)
         assert row["mechanism"] == "gaussian"
         assert row["epsilon"] == 0.5
+
+    def test_v2_database_is_upgraded_and_lineage_backfilled(
+        self, db_path, release, tmp_path
+    ):
+        """A database written at schema v2 (catalog columns, no lineage
+        columns) upgrades to v3, and its staleness verdicts then match a
+        store written at v3 from the start."""
+        from repro.core.release import MultiLevelRelease
+        from repro.serving import StalenessIndex
+
+        current = ReleaseStore(tmp_path / "current.db")
+        for key, revision, affected in (("live", 10, []), ("live-r13", 13, [1, 2])):
+            clone = MultiLevelRelease.from_dict(release.to_dict())
+            clone.provenance = dict(release.provenance)
+            clone.provenance["graph_revision"] = revision
+            clone.provenance["affected_levels"] = affected
+            current.save(clone, key=key)
+
+        conn = sqlite3.connect(str(db_path))
+        conn.execute("CREATE TABLE schema_version (version INTEGER NOT NULL)")
+        sqlite_backend_module._migration_1_initial(conn)
+        sqlite_backend_module._migration_2_catalog_columns(conn)
+        conn.execute("INSERT INTO schema_version (version) VALUES (1), (2)")
+        for revision, key in enumerate(current.keys(), start=1):
+            document = current.backend.get_document(key)
+            columns = catalog_columns(document)  # what a v2 put extracted
+            conn.execute(
+                "INSERT INTO releases (key, document, answers, revision, dataset,"
+                " mechanism, epsilon, levels, graph_fingerprint)"
+                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                (
+                    key,
+                    sqlite3.Binary(document),
+                    sqlite3.Binary(current.backend.get_answers(key)),
+                    revision,
+                    columns["dataset"],
+                    columns["mechanism"],
+                    columns["epsilon"],
+                    columns["levels"],
+                    columns["graph"],
+                ),
+            )
+        conn.execute("UPDATE meta SET value = 2 WHERE name = 'revision'")
+        conn.commit()
+        conn.close()
+
+        upgraded = ReleaseStore(db_path)
+        assert upgraded.backend.schema_version() == 3
+        for key in ("live", "live-r13"):
+            assert StalenessIndex(upgraded).staleness_for(key) == StalenessIndex(
+                current
+            ).staleness_for(key)
+        assert StalenessIndex(upgraded).staleness_for("live")["affected_levels"] == 2
+        assert StalenessIndex(upgraded).summary() == StalenessIndex(current).summary()
 
     def test_newer_schema_is_refused(self, db_path):
         SqliteBackend(db_path)
@@ -366,18 +422,40 @@ class TestCrashSafety:
         assert store.load("victim").to_dict() == release.to_dict()
 
 
+def _oracle_rows(store, release_filter):
+    """Catalog rows by parsing every stored document and filtering in
+    Python, with :func:`fnmatch.fnmatchcase` as the meaning of a key glob."""
+    rows = []
+    for key in store.keys():
+        row = catalog_row(key, store.backend.get_document(key))
+        if release_filter.mechanism is not None and row["mechanism"] != release_filter.mechanism:
+            continue
+        if release_filter.epsilon is not None and row["epsilon"] != float(release_filter.epsilon):
+            continue
+        if release_filter.graph is not None and row["graph"] != release_filter.graph:
+            continue
+        if release_filter.key_glob is not None and not fnmatch.fnmatchcase(
+            key, release_filter.key_glob
+        ):
+            continue
+        if release_filter.since is not None:
+            continue  # no seeded store has a clock, so no row has an age
+        rows.append(row)
+    return rows
+
+
 class TestCatalogParity:
-    """The SQL path and the full-scan fallback must return identical rows
-    for identically seeded stores — the tentpole acceptance criterion."""
+    """SQL catalog rows must equal the document-parsing oracle's, on file
+    and in-memory stores alike."""
 
     @pytest.fixture
     def seeded(self, tmp_path, release, laplace_release):
         sqlite_store = ReleaseStore(tmp_path / "cat.db")
-        scan_store = ReleaseStore.in_memory()  # no query_catalog: full scan
-        for store in (sqlite_store, scan_store):
+        memory_store = ReleaseStore.in_memory()
+        for store in (sqlite_store, memory_store):
             store.save(release, key="gauss-half")
             store.save(laplace_release, key="laplace-one")
-        return sqlite_store, scan_store
+        return sqlite_store, memory_store
 
     @pytest.mark.parametrize(
         "release_filter",
@@ -391,24 +469,42 @@ class TestCatalogParity:
             ReleaseFilter(key_glob="[gl]*"),
             ReleaseFilter(since="2020-01-01"),  # no clock: nothing matches
             ReleaseFilter(epsilon=99.0),
+            # Shell negation: [!g] is "not g", not the set {!, g}.
+            ReleaseFilter(key_glob="[!g]*"),
+            ReleaseFilter(key_glob="*-[!h]*"),
+            ReleaseFilter(key_glob="[!a-k]*"),
+            # A leading ^ is a class member in the shell, not a negation.
+            ReleaseFilter(key_glob="[^g]*"),
+            ReleaseFilter(key_glob="[^gl]*"),
         ],
         ids=lambda f: repr(f)[:60],
     )
     def test_sql_and_scan_paths_agree(self, seeded, release_filter):
-        sqlite_store, scan_store = seeded
-        sql_rows = ReleaseCatalog(sqlite_store).rows(release_filter)
-        scan_rows = ReleaseCatalog(scan_store).rows(release_filter)
-        assert sql_rows == scan_rows
+        for store in seeded:
+            sql_rows = ReleaseCatalog(store).rows(release_filter)
+            assert sql_rows == _oracle_rows(store, release_filter)
+
+    @pytest.mark.parametrize("pattern", ["run-[!0]", "run-[^0]", "run-[", "run-[!"])
+    def test_key_glob_keeps_its_shell_meaning(self, tmp_path, pattern):
+        """``[!0]`` is "not 0" (SQLite alone reads it as {!, 0}), a leading
+        ``^`` is a member, and an unclosed ``[`` is a literal."""
+        store = ReleaseStore(tmp_path / "glob.db")
+        for key in ("run-0", "run-1", "run-!", "run-^", "run-["):
+            store.backend.put(key, b"{}", b"npz")
+        release_filter = ReleaseFilter(key_glob=pattern)
+        rows = ReleaseCatalog(store).rows(release_filter)
+        expected = sorted(key for key in store.keys() if fnmatch.fnmatchcase(key, pattern))
+        assert [row["key"] for row in rows] == expected
 
     def test_graph_filter_agrees_and_spans_mechanisms(self, seeded, release):
-        sqlite_store, scan_store = seeded
         fingerprint = graph_fingerprint(release.to_dict())
         release_filter = ReleaseFilter(graph=fingerprint)
-        sql_rows = ReleaseCatalog(sqlite_store).rows(release_filter)
-        assert sql_rows == ReleaseCatalog(scan_store).rows(release_filter)
-        # Same graph + same specialization ⇒ same fingerprint for both
-        # mechanisms, so the graph filter finds both releases.
-        assert [row["key"] for row in sql_rows] == ["gauss-half", "laplace-one"]
+        for store in seeded:
+            sql_rows = ReleaseCatalog(store).rows(release_filter)
+            assert sql_rows == _oracle_rows(store, release_filter)
+            # Same graph + same specialization ⇒ same fingerprint for both
+            # mechanisms, so the graph filter finds both releases.
+            assert [row["key"] for row in sql_rows] == ["gauss-half", "laplace-one"]
 
     def test_clocked_store_supports_since(self, tmp_path, release):
         ticks = iter(["2026-01-01T00:00:00+00:00", "2026-06-01T00:00:00+00:00"])

@@ -7,7 +7,7 @@ import pytest
 from backend_matrix import make_release_store, store_backend_matrix
 from repro.core.config import DisclosureConfig
 from repro.core.discloser import MultiLevelDiscloser
-from repro.core.store import MemoryBackend, ReleaseStore, import_directory_store
+from repro.core.store import ReleaseStore, import_directory_store
 from repro.exceptions import ReleaseIntegrityError, ValidationError
 from repro.grouping.specialization import SpecializationConfig
 
@@ -322,7 +322,7 @@ class TestReadThroughCache:
         assert store.cache_info()["size"] == 1
 
     def test_memory_backend_cache_invalidated_by_put(self, release):
-        store = ReleaseStore(MemoryBackend(), cache_size=4)
+        store = ReleaseStore.in_memory(cache_size=4)
         key = store.save(release, key="run")
         first = store.load(key)
         store.save(release, key="run")  # bumps the backend revision
