@@ -74,33 +74,6 @@ def test_bench_figure1_curves(benchmark, bench_graph, bench_hierarchy, results_d
     assert result.rer_at(7, 1.0) > 5 * result.rer_at(0, 1.0)
 
 
-@pytest.mark.slow
-def test_bench_figure1_golden_cross_engine():
-    """Bench-scale golden check: both engines reproduce identical curves.
-
-    The small-graph golden regression lives in ``tests/test_golden_figure1.py``
-    (tier 1); this slow variant repeats the cross-engine comparison at the
-    benchmark scale, where any engine divergence hidden by small graphs
-    would surface.  Each engine gets its own freshly loaded graph — the
-    session ``bench_graph`` may carry compiled arrays from earlier
-    benchmarks, which would let the cached-arrays fast path leak into the
-    reference run.
-    """
-    from repro.datasets.registry import load_dataset
-
-    results = {}
-    for engine in ("reference", "vectorized"):
-        graph = load_dataset("dblp", scale=BENCH_SCALE, seed=BENCH_SEED)
-        config = Figure1Config(
-            num_levels=9, num_trials=40, scale=BENCH_SCALE, seed=BENCH_SEED, engine=engine
-        )
-        results[engine] = run_figure1(graph=graph, config=config)
-    reference, vectorized = results["reference"], results["vectorized"]
-    assert reference.sensitivities == vectorized.sensitivities
-    for level in reference.levels():
-        assert reference.series_for(level) == vectorized.series_for(level)
-
-
 def test_bench_figure1_analytic_fast_path(benchmark, bench_graph, bench_hierarchy, results_dir):
     """Time the closed-form (deterministic) variant used by regression tests."""
     config = Figure1Config(num_levels=9, scale=BENCH_SCALE, seed=BENCH_SEED)

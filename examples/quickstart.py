@@ -9,11 +9,9 @@ author-paper graph and prints, for every information level ``I_{9,i}``:
 * the relative error against the (normally hidden) true count, and
 * the privacy certificate of the whole release.
 
-The pipeline runs on the vectorized execution engine
-(``DisclosureConfig(engine="vectorized")``, the default): the graph is
-compiled once into array form and whole workloads are answered with batched
-NumPy kernels.  Pass ``engine="reference"`` to run the pure-Python path —
-the answers are identical, just slower.  The example also shows the batched
+The pipeline has one execution path: the graph is compiled once into
+array form, and whole workloads, group sensitivities and split scores are
+answered with batched NumPy kernels.  The example also shows the batched
 query API, ``QueryWorkload.evaluate_batch``, which answers several queries
 from one compiled view.
 
@@ -55,8 +53,6 @@ def main(num_authors: int = 2_000) -> None:
     print(f"Generated {graph!r}")
 
     config = DisclosureConfig.paper_defaults(epsilon_g=0.999)
-    # paper_defaults uses engine="vectorized"; spell it out for the example:
-    config.engine = "vectorized"
     discloser = MultiLevelDiscloser(config=config, rng=42)
     release = discloser.disclose(graph)
 

@@ -23,21 +23,18 @@ Quickstart
 >>> release.levels()[:3]
 [0, 1, 2]
 
-Execution engines
------------------
-The pipeline has two interchangeable execution engines.  The default,
-``engine="vectorized"``, compiles the graph once into a
+One execution engine
+--------------------
+Every aggregate has one implementation.  The graph is compiled once into a
 :class:`~repro.graphs.arrays.GraphArrays` view (CSR-style edge arrays,
-contiguous index maps, per-node degree vectors, cached on the graph and
-invalidated on mutation) and answers whole workloads with
-``np.bincount``/segment sums plus one batched noise draw per level;
-``engine="reference"`` keeps the pure-Python per-group path.  Both produce
-identical answers — ``tests/test_engine_parity.py`` asserts bit-for-bit
-equality — while the vectorized engine is an order of magnitude faster on
-large graphs (``benchmarks/results/engines.json``).
-
->>> config = DisclosureConfig(epsilon_g=0.5, engine="vectorized")  # the default
->>> release = MultiLevelDiscloser(config, rng=1).disclose(graph)
+contiguous index maps, per-node degree vectors, cached on the graph per
+revision and delta-recompiled after a mutation); workloads, group
+sensitivities and split scores are ``np.bincount``/segment sums over it, and
+each level draws its noise in one batched call.  The earlier pure-Python
+"reference" engine and the ``engine`` knob that chose it are gone (stored
+configs that still carry the setting load unchanged); ``Query.evaluate``
+remains as the readable per-query oracle that
+``tests/test_engine_parity.py`` compares the vectorized kernels against.
 
 Batched query evaluation is also available directly: build a
 :class:`~repro.queries.workload.QueryWorkload` and call

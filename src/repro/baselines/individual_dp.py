@@ -34,8 +34,9 @@ from repro.grouping.hierarchy import GroupHierarchy
 from repro.mechanisms.base import PrivacyCost
 from repro.privacy.conversion import group_guarantee_from_individual
 from repro.privacy.guarantees import IndividualPrivacyGuarantee, PrivacyUnit
+from repro.privacy.sensitivity import group_count_sensitivity
 from repro.utils.rng import RandomState
-from repro.utils.validation import check_engine, check_fraction, check_positive
+from repro.utils.validation import check_fraction, check_positive
 
 
 class IndividualCalibrateStage(CalibrateStage):
@@ -105,7 +106,6 @@ class IndividualDPDiscloser:
         mechanism: str = "laplace",
         queries: WorkloadLike = None,
         rng: RandomState = None,
-        engine: str = "vectorized",
         executor: ExecutorSpec = None,
     ):
         self.epsilon_i = check_positive(epsilon_i, "epsilon_i")
@@ -113,7 +113,6 @@ class IndividualDPDiscloser:
         if mechanism not in ("laplace", "gaussian"):
             raise ValueError(f"mechanism must be 'laplace' or 'gaussian', got {mechanism!r}")
         self.mechanism = mechanism
-        self.engine = check_engine(engine)
         self.executor = executor
         self.workload = normalise_workload(queries, default_name="individual-baseline")
         self._noise_seeds = DiscloseSeedStream(rng, "individual-dp-baseline")
@@ -130,7 +129,6 @@ class IndividualDPDiscloser:
         )
         context = PipelineContext(
             graph=graph,
-            engine=self.engine,
             workload=self.workload,
             executor=self.executor,
             noise_seed=noise_seed,
@@ -158,12 +156,7 @@ class IndividualDPDiscloser:
         """
         implied: Dict[int, float] = {}
         for level in hierarchy.level_indices():
-            partition = hierarchy.partition_at(level)
-            worst_records = max(
-                (graph.associations_incident_to(group.members) for group in partition.groups()),
-                default=1,
-            )
-            worst_records = max(1, worst_records)
+            worst_records = group_count_sensitivity(graph, hierarchy.partition_at(level))
             implied[level] = self.epsilon_i * worst_records
         return implied
 

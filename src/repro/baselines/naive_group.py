@@ -34,7 +34,7 @@ from repro.execution import ExecutorSpec
 from repro.graphs.bipartite import BipartiteGraph
 from repro.grouping.hierarchy import GroupHierarchy
 from repro.utils.rng import RandomState
-from repro.utils.validation import check_engine, check_fraction, check_positive
+from repro.utils.validation import check_fraction, check_positive
 
 
 class NaiveGroupDPDiscloser:
@@ -62,7 +62,6 @@ class NaiveGroupDPDiscloser:
         mechanism: str = "gaussian",
         queries: WorkloadLike = None,
         rng: RandomState = None,
-        engine: str = "vectorized",
         executor: ExecutorSpec = None,
     ):
         self.epsilon_g = check_positive(epsilon_g, "epsilon_g")
@@ -70,7 +69,6 @@ class NaiveGroupDPDiscloser:
         if mechanism not in ("laplace", "gaussian"):
             raise ValueError(f"mechanism must be 'laplace' or 'gaussian', got {mechanism!r}")
         self.mechanism = mechanism
-        self.engine = check_engine(engine)
         self.executor = executor
         self.workload = normalise_workload(queries, default_name="naive-group-baseline")
         self._noise_seeds = DiscloseSeedStream(rng, "naive-group-baseline")
@@ -98,7 +96,6 @@ class NaiveGroupDPDiscloser:
         )
         context = PipelineContext(
             graph=graph,
-            engine=self.engine,
             workload=self.workload,
             hierarchy=hierarchy,
             executor=executor if executor is not None else self.executor,

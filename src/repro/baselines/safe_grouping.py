@@ -33,7 +33,7 @@ from repro.graphs.bipartite import BipartiteGraph, Side
 from repro.grouping.partition import Group, Partition
 from repro.core.common import DiscloseSeedStream
 from repro.utils.rng import RandomState, derive_seedseq
-from repro.utils.validation import check_engine, check_positive_int
+from repro.utils.validation import check_positive_int
 
 Node = Hashable
 
@@ -163,23 +163,15 @@ class PairCountStage(PipelineStage):
         graph = context.graph
         left_partition: Partition = context.extras["left_partition"]
         right_partition: Partition = context.extras["right_partition"]
-        counts: Dict[Tuple[str, str], int] = {}
-        if context.engine == "vectorized":
-            # One bincount over the compiled edge arrays replaces the
-            # per-association Python loop.
-            matrix = graph.arrays().cross_group_matrix(left_partition, right_partition)
-            left_ids = left_partition.group_ids()
-            right_ids = right_partition.group_ids()
-            nonzero = matrix.nonzero()
-            for i, j, value in zip(*nonzero, matrix[nonzero]):
-                counts[(left_ids[i], right_ids[j])] = int(value)
-        else:
-            left_of = {node: group.group_id for group in left_partition.groups() for node in group.members}
-            right_of = {node: group.group_id for group in right_partition.groups() for node in group.members}
-            for left, right in graph.associations():
-                key = (left_of[left], right_of[right])
-                counts[key] = counts.get(key, 0) + 1
-        context.extras["group_pair_counts"] = counts
+        # One bincount over the compiled edge arrays.
+        matrix = graph.arrays().cross_group_matrix(left_partition, right_partition)
+        left_ids = left_partition.group_ids()
+        right_ids = right_partition.group_ids()
+        nonzero = matrix.nonzero()
+        context.extras["group_pair_counts"] = {
+            (left_ids[i], right_ids[j]): int(value)
+            for i, j, value in zip(*nonzero, matrix[nonzero])
+        }
 
 
 class SafeAssembleStage(PipelineStage):
@@ -225,12 +217,10 @@ class SafeGroupingDiscloser:
         k: int = 3,
         max_attempts: int = 50,
         rng: RandomState = None,
-        engine: str = "vectorized",
         executor: ExecutorSpec = None,
     ):
         self.k = check_positive_int(k, "k")
         self.max_attempts = check_positive_int(max_attempts, "max_attempts")
-        self.engine = check_engine(engine)
         self.executor = executor
         self._seeds = DiscloseSeedStream(rng, "safe-grouping")
 
@@ -246,9 +236,7 @@ class SafeGroupingDiscloser:
                 SafeAssembleStage(self.k),
             ]
         )
-        context = PipelineContext(
-            graph=graph, engine=self.engine, executor=self.executor, noise_seed=seed
-        )
+        context = PipelineContext(graph=graph, executor=self.executor, noise_seed=seed)
         return pipeline.run(context).extras["safe_release"]
 
     @staticmethod

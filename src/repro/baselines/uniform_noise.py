@@ -31,7 +31,7 @@ from repro.execution import ExecutorSpec
 from repro.graphs.bipartite import BipartiteGraph
 from repro.grouping.hierarchy import GroupHierarchy
 from repro.utils.rng import RandomState
-from repro.utils.validation import check_engine, check_fraction, check_positive
+from repro.utils.validation import check_fraction, check_positive
 
 
 class UniformNoiseDiscloser:
@@ -43,12 +43,10 @@ class UniformNoiseDiscloser:
         delta: float = 1e-5,
         queries: WorkloadLike = None,
         rng: RandomState = None,
-        engine: str = "vectorized",
         executor: ExecutorSpec = None,
     ):
         self.epsilon_g = check_positive(epsilon_g, "epsilon_g")
         self.delta = check_fraction(delta, "delta")
-        self.engine = check_engine(engine)
         self.executor = executor
         self.workload = normalise_workload(queries, default_name="uniform-noise-baseline")
         self._noise_seeds = DiscloseSeedStream(rng, "uniform-noise-baseline")
@@ -72,7 +70,6 @@ class UniformNoiseDiscloser:
         )
         context = PipelineContext(
             graph=graph,
-            engine=self.engine,
             workload=self.workload,
             hierarchy=hierarchy,
             executor=executor if executor is not None else self.executor,

@@ -9,7 +9,7 @@ from repro.core.common import uses_l2_sensitivity as common_uses_l2_sensitivity
 from repro.exceptions import ValidationError
 from repro.execution import check_executor_name
 from repro.grouping.specialization import SpecializationConfig
-from repro.utils.validation import check_engine, check_fraction, check_positive, check_positive_int
+from repro.utils.validation import check_fraction, check_positive, check_positive_int
 
 #: Mechanisms supported by phase 2 (noise injection).
 SUPPORTED_MECHANISMS: Tuple[str, ...] = (
@@ -57,17 +57,6 @@ class DisclosureConfig:
         (``"uniform"``, ``"geometric"`` or ``"proportional"``).
     allocation_ratio:
         Ratio parameter of the geometric allocation.
-    engine:
-        ``"vectorized"`` (default) answers the workload through the compiled
-        :class:`~repro.graphs.arrays.GraphArrays` view and draws each level's
-        noise as one batched array; ``"reference"`` keeps the pure-Python
-        per-query path.  The two engines produce identical true answers, and
-        identical releases for the Gaussian/Laplace mechanism families under
-        the same seed (see ``tests/test_engine_parity.py``).  Note the
-        sensitivity/scoring fast paths are opportunistic — they key off
-        ``graph.cached_arrays()`` — so a reference-engine run on a graph
-        whose arrays were already compiled still uses the (value-identical)
-        array kernels; benchmark the engines on separate graph objects.
     executor:
         Where the independent per-level perturbations run: ``"serial"``
         (default), ``"thread"`` or ``"process"``.  Every level draws its
@@ -86,7 +75,6 @@ class DisclosureConfig:
     budget_mode: str = "per_level"
     allocation: str = "uniform"
     allocation_ratio: float = 2.0
-    engine: str = "vectorized"
     executor: str = "serial"
     max_workers: Optional[int] = None
 
@@ -101,7 +89,6 @@ class DisclosureConfig:
             raise ValidationError(
                 f"budget_mode must be one of {SUPPORTED_BUDGET_MODES}, got {self.budget_mode!r}"
             )
-        check_engine(self.engine)
         check_executor_name(self.executor)
         if self.max_workers is not None:
             self.max_workers = check_positive_int(self.max_workers, "max_workers")
@@ -145,7 +132,6 @@ class DisclosureConfig:
             "budget_mode": self.budget_mode,
             "allocation": self.allocation,
             "allocation_ratio": self.allocation_ratio,
-            "engine": self.engine,
             "executor": self.executor,
             "max_workers": self.max_workers,
         }
@@ -156,7 +142,8 @@ class DisclosureConfig:
         a stored release, which is how ``repro refresh`` reconstructs the
         original disclosure's configuration.  Unknown keys are ignored and
         missing keys fall back to the defaults, so configs stored by older
-        versions still load."""
+        versions still load (including those that recorded the retired
+        ``engine`` setting)."""
         kwargs = {
             key: data[key]
             for key in (
@@ -166,7 +153,6 @@ class DisclosureConfig:
                 "budget_mode",
                 "allocation",
                 "allocation_ratio",
-                "engine",
                 "executor",
                 "max_workers",
             )

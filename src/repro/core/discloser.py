@@ -89,8 +89,6 @@ class MultiLevelDiscloser:
     # ------------------------------------------------------------------
     def build_hierarchy(self, graph: BipartiteGraph) -> GroupHierarchy:
         """Run only the specialization phase and return the hierarchy."""
-        if self.config.engine == "vectorized":
-            graph.arrays()  # compile once so split scoring takes the array fast path
         result = self.specializer.build(graph)
         self.ledger.charge(result.privacy_cost, label="specialization")
         return result.hierarchy
@@ -127,7 +125,6 @@ class MultiLevelDiscloser:
         release_config["executor"] = executor_name(executor_spec)
         context = PipelineContext(
             graph=graph,
-            engine=self.config.engine,
             workload=self.workload,
             hierarchy=hierarchy,
             specializer=self.specializer,

@@ -4,9 +4,8 @@ The paper's two-phase procedure decomposes into five explicit stages:
 
 1. :class:`SpecializeStage` — build the group hierarchy (phase 1), unless the
    caller supplied one;
-2. :class:`CompileStage` — compile the graph's array view (vectorized
-   engine), resolve the released levels and evaluate the true workload
-   answers once;
+2. :class:`CompileStage` — compile the graph's array view, resolve the
+   released levels and evaluate the true workload answers once;
 3. :class:`CalibrateStage` — compute each level's sensitivity and epsilon and
    freeze them into picklable :class:`LevelPlan` payloads, one per level,
    each carrying its own derived noise seed;
@@ -95,11 +94,7 @@ class LevelOutcome:
     noise_scale: float
 
 
-def perturb_level(
-    plan: LevelPlan,
-    true_answers: Dict[str, QueryAnswer],
-    batched: bool = True,
-) -> LevelOutcome:
+def perturb_level(plan: LevelPlan, true_answers: Dict[str, QueryAnswer]) -> LevelOutcome:
     """Perturb the workload answers for one level plan.
 
     Module-level (hence process-picklable) and pure: the only randomness
@@ -109,7 +104,7 @@ def perturb_level(
     mechanism = build_mechanism(
         plan.mechanism, plan.epsilon, plan.sensitivity, delta=plan.delta, rng=plan.noise_seed
     )
-    answers = noisy_workload_answers(mechanism, true_answers, batched=batched)
+    answers = noisy_workload_answers(mechanism, true_answers)
     return LevelOutcome(
         level=plan.level,
         answers=answers,
@@ -131,7 +126,6 @@ class PipelineContext:
     """
 
     graph: BipartiteGraph
-    engine: str = "vectorized"
     workload: Optional[QueryWorkload] = None
     hierarchy: Optional[GroupHierarchy] = None
     specializer: Optional[Specializer] = None
@@ -149,7 +143,6 @@ class PipelineContext:
 
     # Stage products.
     arrays: Optional[GraphArrays] = None
-    batched: bool = False
     levels: List[int] = field(default_factory=list)
     true_answers: Optional[Dict[str, QueryAnswer]] = None
     sensitivities: Dict[int, float] = field(default_factory=dict)
@@ -198,8 +191,6 @@ class SpecializeStage(PipelineStage):
             return
         if context.specializer is None:
             raise DisclosureError("no hierarchy given and no specializer configured")
-        if context.engine == "vectorized":
-            context.graph.arrays()  # compile once so split scoring takes the fast path
         result = context.specializer.build(context.graph)
         context.hierarchy = result.hierarchy
         context.specialization_cost = result.privacy_cost
@@ -212,9 +203,7 @@ class CompileStage(PipelineStage):
     name = "compile"
 
     def run(self, context: PipelineContext) -> None:
-        context.batched = context.engine == "vectorized"
-        if context.batched:
-            context.arrays = context.graph.arrays()
+        context.arrays = context.graph.arrays()
         if context.hierarchy is not None:
             if context.requested_levels is not None:
                 requested = list(context.requested_levels)
@@ -238,12 +227,9 @@ class CompileStage(PipelineStage):
                 )
             context.levels = levels
         if context.workload is not None:
-            if context.batched:
-                context.true_answers = context.workload.evaluate_batch(
-                    context.graph, arrays=context.arrays
-                )
-            else:
-                context.true_answers = context.workload.evaluate(context.graph)
+            context.true_answers = context.workload.evaluate_batch(
+                context.graph, arrays=context.arrays
+            )
 
 
 class CalibrateStage(PipelineStage):
@@ -414,9 +400,7 @@ class PerturbStage(PipelineStage):
     def run(self, context: PipelineContext) -> None:
         if context.true_answers is None:
             raise DisclosureError("perturbation requires evaluated true answers")
-        task = partial(
-            perturb_level, true_answers=context.true_answers, batched=context.batched
-        )
+        task = partial(perturb_level, true_answers=context.true_answers)
         executor: Executor = context.executor
         context.outcomes = executor.map(task, context.plans)
 

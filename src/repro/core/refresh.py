@@ -122,7 +122,6 @@ def refresh_release(
     release_config["executor"] = executor_name(executor_spec)
     context = PipelineContext(
         graph=graph,
-        engine=config.engine,
         workload=workload,
         hierarchy=hierarchy,
         ledger=ledger,
@@ -151,7 +150,7 @@ def refresh_release(
 
     context.plans = affected
     if affected:
-        task = partial(perturb_level, true_answers=context.true_answers, batched=context.batched)
+        task = partial(perturb_level, true_answers=context.true_answers)
         with executor_scope(executor_spec, max_workers=context.max_workers) as pool:
             context.outcomes = pool.map(task, affected)
     else:

@@ -36,7 +36,6 @@ from repro.grouping.specialization import SpecializationConfig, Specializer
 from repro.mechanisms.calibration import gaussian_sigma, laplace_scale
 from repro.privacy.sensitivity import group_count_sensitivity
 from repro.utils.rng import RandomState, as_rng, derive_rng
-from repro.utils.validation import check_engine
 
 #: The εg values on the x-axis of Figure 1.
 PAPER_EPSILONS: Tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -47,14 +46,7 @@ PAPER_TEXT_EPSILON: float = 0.999
 
 @dataclass
 class Figure1Config:
-    """Parameters of a Figure 1 reproduction run.
-
-    ``engine`` selects the execution path: ``"vectorized"`` (default)
-    compiles the graph's :class:`~repro.graphs.arrays.GraphArrays` once so
-    specialization scoring and per-level sensitivities run on the array fast
-    path; ``"reference"`` keeps the pure-Python path.  Both produce identical
-    results for the same seed — the golden regression test runs both.
-    """
+    """Parameters of a Figure 1 reproduction run."""
 
     epsilons: Tuple[float, ...] = PAPER_EPSILONS
     num_levels: int = 9
@@ -65,12 +57,10 @@ class Figure1Config:
     scale: str = "small"
     specialization_epsilon: float = 1.0
     seed: int = 20170605
-    engine: str = "vectorized"
     executor: str = "serial"
     max_workers: Optional[int] = None
 
     def __post_init__(self):
-        check_engine(self.engine)
         check_executor_name(self.executor)
 
     def release_levels(self) -> List[int]:
@@ -94,7 +84,6 @@ class Figure1Config:
             "scale": self.scale,
             "specialization_epsilon": self.specialization_epsilon,
             "seed": self.seed,
-            "engine": self.engine,
             "executor": (
                 executor_name(executor_override)
                 if executor_override is not None
@@ -187,8 +176,6 @@ def build_figure1_hierarchy(
         epsilon=config.specialization_epsilon,
         include_individual_level=True,
     )
-    if config.engine == "vectorized":
-        graph.arrays()  # compile once so split scoring takes the array fast path
     specializer = Specializer(config=spec_config, rng=rng if rng is not None else config.seed)
     return specializer.build(graph).hierarchy
 
@@ -270,8 +257,6 @@ def run_figure1(
     config = config if config is not None else Figure1Config()
     if graph is None:
         graph = load_dataset(config.dataset, config.scale, seed=config.seed)
-    if config.engine == "vectorized":
-        graph.arrays()  # sensitivities below take the array fast path
     if hierarchy is None:
         hierarchy = build_figure1_hierarchy(graph, config, rng=derive_rng(config.seed, "figure1-spec"))
     noise_rng = as_rng(rng if rng is not None else derive_rng(config.seed, "figure1-noise"))
@@ -286,18 +271,14 @@ def run_figure1(
     # epsilon, rescaled by each level's calibrated scale.  This is the
     # standard variance-reduction trick for comparing configurations and
     # keeps the sampled curves ordered by level exactly as the analytic
-    # expectations are.  The vectorized engine draws the whole
-    # (epsilon x trial) matrix in one generator call; numpy fills batched
-    # draws sequentially from the same bit stream, so the rows are identical
-    # to the reference engine's per-epsilon draws.  (For a Monte-Carlo over
-    # *both* pipeline phases with per-trial derived streams, see
-    # :func:`run_figure1_trials`.)
+    # expectations are.  The whole (epsilon x trial) matrix comes from one
+    # generator call; numpy fills batched draws sequentially from the same
+    # bit stream, so row ``i`` equals the ``i``-th of per-epsilon draws.
+    # (For a Monte-Carlo over *both* pipeline phases with per-trial derived
+    # streams, see :func:`run_figure1_trials`.)
     draw = noise_rng.normal if config.mechanism == "gaussian" else noise_rng.laplace
-    if config.engine == "vectorized":
-        unit_matrix = draw(0.0, 1.0, size=(len(config.epsilons), config.num_trials))
-        unit_rows = [unit_matrix[index] for index in range(len(config.epsilons))]
-    else:
-        unit_rows = [draw(0.0, 1.0, size=config.num_trials) for _ in config.epsilons]
+    unit_matrix = draw(0.0, 1.0, size=(len(config.epsilons), config.num_trials))
+    unit_rows = [unit_matrix[index] for index in range(len(config.epsilons))]
 
     task = partial(
         _epsilon_rer_row,
@@ -340,8 +321,6 @@ def run_figure1_analytic(
     config = config if config is not None else Figure1Config()
     if graph is None:
         graph = load_dataset(config.dataset, config.scale, seed=config.seed)
-    if config.engine == "vectorized":
-        graph.arrays()  # sensitivities below take the array fast path
     if hierarchy is None:
         hierarchy = build_figure1_hierarchy(graph, config, rng=derive_rng(config.seed, "figure1-spec"))
 

@@ -76,7 +76,6 @@ def _measure_size(
     task: Tuple[int, int, Optional[np.random.SeedSequence]],
     num_levels: int,
     epsilon_g: float,
-    engine: str,
 ) -> Tuple[Dict[str, float], MultiLevelRelease]:
     """Time one graph size end to end (executor task; self-contained).
 
@@ -92,13 +91,11 @@ def _measure_size(
     config = DisclosureConfig(
         epsilon_g=epsilon_g,
         specialization=SpecializationConfig(num_levels=num_levels),
-        engine=engine,
     )
     discloser = MultiLevelDiscloser(config=config, rng=index)
 
     start = time.perf_counter()
-    if engine == "vectorized":
-        graph.arrays()  # compile inside the timed phase-1 window
+    graph.arrays()  # compile inside the timed phase-1 window
     hierarchy = discloser.specializer.build(graph).hierarchy
     spec_seconds = time.perf_counter() - start
 
@@ -113,16 +110,17 @@ def _measure_size(
         "specialization_seconds": spec_seconds,
         "noise_seconds": noise_seconds,
         "total_seconds": spec_seconds + noise_seconds,
-        "engine": engine,
     }
     return row, release
 
 
 def scalability_key(
-    engine: str, num_levels: int, epsilon_g: float, seed: RandomState, num_authors: int
+    num_levels: int, epsilon_g: float, seed: RandomState, num_authors: int
 ) -> str:
     """Store/journal key for one measured graph size."""
-    return f"scalability-{engine}-l{num_levels}-eps{epsilon_g}-seed{seed}-{int(num_authors)}"
+    # "vectorized" names the retired engine setting; it stays so that stored
+    # keys and resumable journals from earlier versions remain valid.
+    return f"scalability-vectorized-l{num_levels}-eps{epsilon_g}-seed{seed}-{int(num_authors)}"
 
 
 def scalability_fingerprint(
@@ -130,7 +128,6 @@ def scalability_fingerprint(
     num_levels: int,
     epsilon_g: float,
     seed: RandomState,
-    engine: str,
 ) -> str:
     """Identifies one scalability configuration for journal compatibility."""
     payload = json.dumps(
@@ -140,7 +137,8 @@ def scalability_fingerprint(
             "num_levels": num_levels,
             "epsilon_g": epsilon_g,
             "seed": str(seed),
-            "engine": engine,
+            # Kept (see scalability_key) so existing journals still resume.
+            "engine": "vectorized",
         },
         sort_keys=True,
     )
@@ -152,7 +150,6 @@ def run_scalability(
     num_levels: int = 6,
     epsilon_g: float = 0.5,
     seed: RandomState = 3,
-    engine: str = "vectorized",
     executor: ExecutorSpec = None,
     store: Optional[ReleaseStore] = None,
     task_timeout: Optional[float] = None,
@@ -175,9 +172,6 @@ def run_scalability(
         Per-level budget of the phase-2 noise.
     seed:
         Base seed; each size derives its own stream.
-    engine:
-        ``"vectorized"`` (default) or ``"reference"`` — both are timed by
-        ``benchmarks/test_bench_engines.py`` to record the speedup.
     executor:
         Fan the independent sizes out through an executor (default serial —
         the right choice when absolute timings matter).
@@ -219,10 +213,8 @@ def run_scalability(
         )
         for index, count in enumerate(author_counts)
     ]
-    keys = [
-        scalability_key(engine, num_levels, epsilon_g, seed, count) for count in author_counts
-    ]
-    task = partial(_measure_size, num_levels=num_levels, epsilon_g=epsilon_g, engine=engine)
+    keys = [scalability_key(num_levels, epsilon_g, seed, count) for count in author_counts]
+    task = partial(_measure_size, num_levels=num_levels, epsilon_g=epsilon_g)
 
     def persist(key: str, item: Any, payload: Tuple[Dict[str, float], MultiLevelRelease]):
         row, release = payload
@@ -234,8 +226,8 @@ def run_scalability(
         journal,
         snapshot,
         progress,
-        fingerprint=scalability_fingerprint(author_counts, num_levels, epsilon_g, seed, engine),
-        name=f"scalability-{engine}",
+        fingerprint=scalability_fingerprint(author_counts, num_levels, epsilon_g, seed),
+        name="scalability-vectorized",  # the key prefix, kept for the same reason
         total=len(tasks),
     )
     with executor_scope(executor) as pool:

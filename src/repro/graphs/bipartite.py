@@ -161,7 +161,7 @@ class BipartiteGraph:
         record, so log revisions stay contiguous.  The stale compiled view is
         *kept* (not dropped): :meth:`arrays` uses it as the base for an
         incremental :meth:`~repro.graphs.arrays.GraphArrays.delta_compile`,
-        and :meth:`cached_arrays` still reports it as absent because its
+        and :meth:`GraphArrays.is_fresh` reports it stale because its
         revision no longer matches.
         """
         self._revision += 1
@@ -205,18 +205,6 @@ class BipartiteGraph:
         elif self._arrays.revision != self._revision:
             self._arrays = GraphArrays.delta_compile(self._arrays, self)
         return self._arrays
-
-    def cached_arrays(self) -> Optional["GraphArrays"]:
-        """The compiled view if present *and* fresh, else ``None``.
-
-        Fast-path helpers use this to vectorise opportunistically: the
-        vectorized engine compiles arrays up front, after which every
-        downstream aggregate sees them here; the reference engine never
-        compiles, so it keeps the pure-Python code paths.
-        """
-        if self._arrays is not None and self._arrays.revision == self._revision:
-            return self._arrays
-        return None
 
     # ------------------------------------------------------------------
     # Node management

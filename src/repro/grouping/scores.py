@@ -56,20 +56,6 @@ class BalanceScore(SplitScore):
         return -abs(len(split.part_a) - len(split.part_b))
 
 
-def _cached_arrays(graph: BipartiteGraph):
-    """The graph's compiled array view, if the vectorized engine built one.
-
-    Split scoring is the hottest loop of phase 1 (one score per candidate per
-    Exponential-Mechanism round); when the disclosure pipeline runs with
-    ``engine="vectorized"`` it compiles :class:`~repro.graphs.arrays.GraphArrays`
-    before specialization, and the scores below read degree mass from the
-    compiled degree vectors instead of per-node dict lookups.  Both paths
-    compute the same integer masses, so the Exponential Mechanism sees
-    bit-identical score vectors either way.
-    """
-    return graph.cached_arrays()
-
-
 class BalancedAssociationScore(SplitScore):
     """Prefers splits whose two parts carry (nearly) equal **association** mass.
 
@@ -92,28 +78,23 @@ class BalancedAssociationScore(SplitScore):
         self.degree_bound = check_positive(degree_bound, "degree_bound")
         self.sensitivity = 1.0
 
-    def _incident(self, graph: BipartiteGraph, nodes) -> int:
-        arrays = _cached_arrays(graph)
-        if arrays is not None:
-            return arrays.degree_mass(nodes)
-        return sum(graph.degree(node) for node in nodes if graph.has_node(node))
-
     def score(self, graph: BipartiteGraph, split: CandidateSplit) -> float:
-        mass_a = self._incident(graph, split.part_a)
-        mass_b = self._incident(graph, split.part_b)
+        arrays = graph.arrays()
+        mass_a = arrays.degree_mass(split.part_a)
+        mass_b = arrays.degree_mass(split.part_b)
         return -abs(mass_a - mass_b) / self.degree_bound
 
     def scores(self, graph: BipartiteGraph, splits: Sequence[CandidateSplit]) -> np.ndarray:
         """Batched scoring of one candidate set.
 
         Candidates produced by a :class:`~repro.grouping.splitters.Splitter`
-        are prefix cuts of one shared node ordering, so with compiled arrays
-        a single aligned degree scan plus prefix sums scores every candidate
-        — O(n + k) instead of O(n * k).  The masses are exact integers either
+        are prefix cuts of one shared node ordering, so a single aligned
+        degree scan plus prefix sums scores every candidate — O(n + k)
+        instead of O(n * k).  Other candidate sets (a custom splitter's) are
+        scored one split at a time; the masses are exact integers either
         way, so the Exponential Mechanism sees identical scores.
         """
-        arrays = _cached_arrays(graph)
-        if arrays is None or not splits:
+        if not splits:
             return super().scores(graph, splits)
         ordering = tuple(splits[0].part_a) + tuple(splits[0].part_b)
         shared_ordering = all(
@@ -124,7 +105,7 @@ class BalancedAssociationScore(SplitScore):
         if not shared_ordering:
             return super().scores(graph, splits)
         prefix = np.zeros(len(ordering) + 1, dtype=np.int64)
-        np.cumsum(arrays.degrees_aligned(ordering), out=prefix[1:])
+        np.cumsum(graph.arrays().degrees_aligned(ordering), out=prefix[1:])
         total = int(prefix[-1])
         values = [
             -abs(2 * int(prefix[len(split.part_a)]) - total) / self.degree_bound
@@ -147,16 +128,8 @@ class EdgeUniformityScore(SplitScore):
 
     @staticmethod
     def _degree_std(graph: BipartiteGraph, nodes) -> float:
-        arrays = _cached_arrays(graph)
-        if arrays is not None:
-            degrees_array = arrays.degrees_of(nodes)
-            if not degrees_array.size:
-                return 0.0
-            return float(np.std(degrees_array))
-        degrees = [graph.degree(node) for node in nodes if graph.has_node(node)]
-        if not degrees:
-            return 0.0
-        return float(np.std(np.asarray(degrees, dtype=float)))
+        degrees = graph.arrays().degrees_of(nodes)
+        return float(np.std(degrees)) if degrees.size else 0.0
 
     def score(self, graph: BipartiteGraph, split: CandidateSplit) -> float:
         std_a = self._degree_std(graph, split.part_a)

@@ -99,19 +99,6 @@ class NumericMechanism(Mechanism):
         array = np.asarray(value, dtype=float)
         return array + self.sample_noise(size=array.shape)
 
-    def randomise_batch(self, values: ArrayLike) -> np.ndarray:
-        """Perturb a whole batch of values with one vectorized noise draw.
-
-        Unlike :meth:`randomise` this always returns an ``ndarray`` (scalars
-        are promoted to shape ``(1,)``) and always draws the noise as a
-        single array — one call into the generator regardless of batch size.
-        For a given seed the result is identical to
-        ``values + sample_noise(size=values.shape)`` from a fresh generator,
-        which the parity suite asserts for every numeric mechanism.
-        """
-        array = np.atleast_1d(np.asarray(values, dtype=float))
-        return array + self.sample_noise(size=array.shape)
-
     def randomise_many(self, answers: Sequence[ArrayLike]) -> List[np.ndarray]:
         """Perturb several answer vectors with one concatenated noise draw.
 
@@ -136,5 +123,4 @@ class NumericMechanism(Mechanism):
 
     # British/American aliases keep the public API friendly to both spellings.
     randomize = randomise
-    randomize_batch = randomise_batch
     randomize_many = randomise_many

@@ -22,6 +22,7 @@ from typing import Hashable, Optional
 from repro.exceptions import ValidationError
 from repro.graphs.bipartite import BipartiteGraph
 from repro.grouping.partition import Partition
+from repro.privacy.sensitivity import group_count_sensitivity, node_count_sensitivity
 
 Element = Hashable
 
@@ -92,12 +93,7 @@ class NodeAdjacency(AdjacencyRelation):
         return "node"
 
     def count_query_sensitivity(self, graph: BipartiteGraph) -> float:
-        max_degree = 0
-        for node in graph.nodes():
-            max_degree = max(max_degree, graph.degree(node))
-        if self.degree_bound is not None:
-            return float(min(max_degree, self.degree_bound)) if max_degree else float(self.degree_bound)
-        return float(max_degree) if max_degree else 1.0
+        return node_count_sensitivity(graph, degree_bound=self.degree_bound)
 
 
 class GroupAdjacency(AdjacencyRelation):
@@ -123,11 +119,7 @@ class GroupAdjacency(AdjacencyRelation):
         return "group"
 
     def count_query_sensitivity(self, graph: BipartiteGraph) -> float:
-        worst = 0
-        for group in self.partition.groups():
-            incident = graph.associations_incident_to(group.members)
-            worst = max(worst, incident)
-        return float(worst) if worst else 1.0
+        return group_count_sensitivity(graph, self.partition)
 
     def max_group_size(self) -> int:
         """Largest group size in the underlying partition."""

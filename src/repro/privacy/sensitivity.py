@@ -21,8 +21,11 @@ from __future__ import annotations
 import math
 from typing import Dict, Hashable, Iterable, Optional
 
+import numpy as np
+
 from repro.exceptions import SensitivityError
-from repro.graphs.bipartite import BipartiteGraph
+from repro.graphs.arrays import NO_GROUP
+from repro.graphs.bipartite import BipartiteGraph, Side
 from repro.grouping.partition import Partition
 
 Node = Hashable
@@ -38,13 +41,8 @@ def individual_count_sensitivity() -> float:
 
 def node_count_sensitivity(graph: BipartiteGraph, degree_bound: Optional[int] = None) -> float:
     """Sensitivity of the global count under node adjacency (max degree)."""
-    arrays = graph.cached_arrays()
-    if arrays is not None:
-        max_degree = int(arrays.degrees.max()) if arrays.degrees.size else 0
-    else:
-        max_degree = 0
-        for node in graph.nodes():
-            max_degree = max(max_degree, graph.degree(node))
+    degrees = graph.arrays().degrees
+    max_degree = int(degrees.max()) if degrees.size else 0
     if degree_bound is not None:
         max_degree = min(max_degree, degree_bound) if max_degree else degree_bound
     return float(max_degree) if max_degree else 1.0
@@ -59,28 +57,14 @@ def group_count_sensitivity(graph: BipartiteGraph, partition: Partition) -> floa
     """
     if partition.num_groups() == 0:
         raise SensitivityError("partition has no groups")
-    arrays = graph.cached_arrays()
-    if arrays is not None:
-        worst = int(arrays.incident_counts(partition).max(initial=0))
-        return float(worst) if worst else 1.0
-    worst = 0
-    for group in partition.groups():
-        worst = max(worst, graph.associations_incident_to(group.members))
+    worst = int(graph.arrays().incident_counts(partition).max(initial=0))
     return float(worst) if worst else 1.0
 
 
 def per_group_incident_counts(graph: BipartiteGraph, partition: Partition) -> Dict[str, int]:
     """Number of associations incident to each group of ``partition``."""
-    arrays = graph.cached_arrays()
-    if arrays is not None:
-        counts = arrays.incident_counts(partition)
-        return {
-            group.group_id: int(counts[i]) for i, group in enumerate(partition.groups())
-        }
-    return {
-        group.group_id: graph.associations_incident_to(group.members)
-        for group in partition.groups()
-    }
+    counts = graph.arrays().incident_counts(partition)
+    return {group.group_id: int(counts[i]) for i, group in enumerate(partition.groups())}
 
 
 def group_workload_l1_sensitivity(graph: BipartiteGraph, partition: Partition) -> float:
@@ -95,15 +79,7 @@ def group_workload_l1_sensitivity(graph: BipartiteGraph, partition: Partition) -
     """
     if partition.num_groups() == 0:
         raise SensitivityError("partition has no groups")
-    arrays = graph.cached_arrays()
-    if arrays is not None:
-        worst = int(arrays.induced_counts(partition).max(initial=0))
-        return float(worst) if worst else 1.0
-    from repro.graphs.subgraphs import subgraph_association_count
-
-    worst = 0
-    for group in partition.groups():
-        worst = max(worst, subgraph_association_count(graph, group.members))
+    worst = int(graph.arrays().induced_counts(partition).max(initial=0))
     return float(worst) if worst else 1.0
 
 
@@ -115,6 +91,23 @@ def group_workload_l2_sensitivity(graph: BipartiteGraph, partition: Partition) -
     coincide.
     """
     return group_workload_l1_sensitivity(graph, partition)
+
+
+def group_degree_histogram_sensitivity(
+    graph: BipartiteGraph, partition: Partition, side: Side
+) -> float:
+    """L1 sensitivity of one side's degree histogram under group adjacency.
+
+    Removing a group deletes its members on ``side`` (each leaves its bin)
+    and every association incident to the group, which can move each
+    outside neighbour on ``side`` to another bin.  The change is therefore
+    bounded by ``members_on_side + 2 * incident`` for the worst group.
+    """
+    arrays = graph.arrays()
+    codes = arrays.partition_codes(partition, scope=Side(side).value)
+    members = np.bincount(codes[codes != NO_GROUP], minlength=partition.num_groups())
+    incident = arrays.incident_counts(partition)
+    return max(1.0, float((members + 2 * incident).max(initial=0)))
 
 
 def cross_level_sensitivities(

@@ -65,12 +65,12 @@ class Query(abc.ABC):
     def evaluate_arrays(self, graph: BipartiteGraph, arrays: Optional[GraphArrays] = None) -> QueryAnswer:
         """Compute the true answer from a compiled array view.
 
-        The vectorized engine calls this with a shared
+        The pipeline calls this with a shared
         :class:`~repro.graphs.arrays.GraphArrays`; subclasses override it
         with a ``np.bincount``/segment-sum implementation that must agree
         with :meth:`evaluate` exactly (the parity suite enforces this).  The
-        default falls back to the reference path, so custom queries work
-        under either engine without changes.
+        default falls back to :meth:`evaluate`, so custom queries work
+        without an array kernel.
         """
         return self.evaluate(graph)
 

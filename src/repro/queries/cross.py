@@ -14,11 +14,11 @@ from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.exceptions import SensitivityError, ValidationError
+from repro.exceptions import ValidationError
 from repro.graphs.arrays import GraphArrays
 from repro.graphs.bipartite import BipartiteGraph, Side
 from repro.grouping.partition import Partition
-from repro.privacy.sensitivity import node_count_sensitivity
+from repro.privacy.sensitivity import group_count_sensitivity, node_count_sensitivity
 from repro.queries.base import Query, QueryAnswer
 
 Node = Hashable
@@ -102,10 +102,7 @@ class CrossGroupCountQuery(Query):
             return 1.0
         if adjacency == "node":
             return node_count_sensitivity(graph)
-        worst = 0
-        for group in partition.groups():
-            worst = max(worst, graph.associations_incident_to(group.members))
-        return float(worst) if worst else 1.0
+        return group_count_sensitivity(graph, partition)
 
     def answer_as_matrix(self, answer: Dict[str, float]) -> Dict[Tuple[str, str], float]:
         """Convert a released flat answer back into a (left, right) -> value mapping."""

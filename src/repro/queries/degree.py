@@ -15,6 +15,7 @@ from repro.graphs.arrays import GraphArrays
 from repro.graphs.bipartite import BipartiteGraph, Side
 from repro.graphs.stats import degree_sequence
 from repro.grouping.partition import Partition
+from repro.privacy.sensitivity import group_degree_histogram_sensitivity
 from repro.queries.base import Query, QueryAnswer
 
 
@@ -62,17 +63,7 @@ class DegreeHistogramQuery(Query):
             # Adding/removing one node changes one bin by 1 and (through its
             # associations) moves up to max_degree neighbours between bins.
             return 1.0 + 2.0 * self.max_degree
-        # Group adjacency: every node of the group leaves the histogram and
-        # every outside neighbour of the group may shift one bin; bounded by
-        # group size + 2 * (associations incident to the group).
-        worst = 1.0
-        for group in partition.groups():
-            members_on_side = [
-                m for m in group.members if graph.has_node(m) and graph.side_of(m) == self.side
-            ]
-            incident = graph.associations_incident_to(group.members)
-            worst = max(worst, len(members_on_side) + 2.0 * incident)
-        return worst
+        return group_degree_histogram_sensitivity(graph, partition, self.side)
 
     def l2_sensitivity(
         self, graph: BipartiteGraph, adjacency: str = "individual", partition: Optional[Partition] = None

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
-import numpy as np
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mechanisms.base import NumericMechanism
 
@@ -45,8 +43,8 @@ class QueryWorkload:
         The array view is compiled (or fetched from the graph's cache) once
         and shared by every member query, so a multi-query workload pays the
         node/edge scan a single time instead of once per query.  Answers are
-        exactly equal to :meth:`evaluate` — the vectorized kernels compute
-        the same integer counts — which ``tests/test_engine_parity.py``
+        exactly equal to :meth:`evaluate` — the array kernels compute the
+        same integer counts — which ``tests/test_engine_parity.py``
         locks down.
         """
         arrays = arrays if arrays is not None else graph.arrays()
@@ -85,26 +83,15 @@ class QueryWorkload:
 
 
 def noisy_workload_answers(
-    mechanism: "NumericMechanism",
-    true_answers: Dict[str, QueryAnswer],
-    batched: bool = True,
+    mechanism: "NumericMechanism", true_answers: Dict[str, QueryAnswer]
 ) -> Dict[str, Dict[str, float]]:
     """Perturb evaluated workload answers into the release's label->value form.
 
-    ``batched=True`` (the vectorized engine) draws one concatenated noise
-    array for the whole workload via
-    :meth:`~repro.mechanisms.base.NumericMechanism.randomise_many`;
-    ``batched=False`` reproduces the reference engine's per-query draws.  For
-    the Gaussian and Laplace families the two are bit-for-bit identical under
-    the same seed.
+    Draws one concatenated noise array for the whole workload via
+    :meth:`~repro.mechanisms.base.NumericMechanism.randomise_many`.
     """
-    answers: Dict[str, Dict[str, float]] = {}
-    if batched:
-        noisy_batch = mechanism.randomise_many([a.values for a in true_answers.values()])
-        for (name, answer), noisy in zip(true_answers.items(), noisy_batch):
-            answers[name] = {label: float(v) for label, v in zip(answer.labels, noisy)}
-    else:
-        for name, answer in true_answers.items():
-            noisy = np.atleast_1d(np.asarray(mechanism.randomise(answer.values), dtype=float))
-            answers[name] = {label: float(v) for label, v in zip(answer.labels, noisy)}
-    return answers
+    noisy_batch = mechanism.randomise_many([a.values for a in true_answers.values()])
+    return {
+        name: {label: float(v) for label, v in zip(answer.labels, noisy)}
+        for (name, answer), noisy in zip(true_answers.items(), noisy_batch)
+    }

@@ -16,17 +16,6 @@ from repro.exceptions import ValidationError
 
 Number = Union[int, float]
 
-#: Execution engines accepted wherever the library takes an ``engine`` knob.
-SUPPORTED_ENGINES: Tuple[str, ...] = ("reference", "vectorized")
-
-
-def check_engine(value: Any, name: str = "engine") -> str:
-    """Ensure ``value`` names a supported execution engine; return it."""
-    if value not in SUPPORTED_ENGINES:
-        raise ValidationError(f"{name} must be one of {SUPPORTED_ENGINES}, got {value!r}")
-    return value
-
-
 def check_type(value: Any, types: Union[Type, Tuple[Type, ...]], name: str) -> Any:
     """Ensure ``value`` is an instance of ``types``; return it unchanged."""
     if not isinstance(value, types):

@@ -1,17 +1,18 @@
-"""Property-based parity suite: the vectorized engine equals the reference engine.
+"""Property-based parity suite: the array kernels equal the per-query oracle.
 
 Three layers of parity, each exact (no tolerances):
 
-* **query parity** — for randomized graphs and partitions every vectorized
+* **query parity** — for randomized graphs and partitions every array-backed
   query answer (``evaluate_arrays`` / ``evaluate_batch``) equals the
-  reference answer bit for bit;
-* **mechanism parity** — ``randomise_batch`` with seed ``s`` matches the
+  readable per-query ``evaluate`` bit for bit;
+* **mechanism parity** — ``randomise_many`` with seed ``s`` matches the
   same-shape draw from a fresh generator for every numeric mechanism, and
-  ``randomise_many`` matches per-answer draws for the stream-concatenating
-  families (Gaussian, Laplace);
-* **pipeline parity** — ``engine="reference"`` and ``engine="vectorized"``
-  produce identical multi-level releases under the same seed for the
-  Gaussian/Laplace mechanism families, and identical true answers always.
+  matches per-answer draws for the stream-concatenating families (Gaussian,
+  Laplace);
+* **executor parity** — serial, thread and process execution produce
+  identical releases under the same seed.
+
+Released values themselves are pinned by ``tests/test_golden_releases.py``.
 """
 
 from __future__ import annotations
@@ -23,13 +24,10 @@ from hypothesis import strategies as st
 
 from repro.core.config import DisclosureConfig
 from repro.core.discloser import MultiLevelDiscloser
-from repro.baselines.individual_dp import IndividualDPDiscloser
-from repro.baselines.naive_group import NaiveGroupDPDiscloser
-from repro.baselines.safe_grouping import SafeGroupingDiscloser
-from repro.baselines.uniform_noise import UniformNoiseDiscloser
 from repro.datasets.dblp_like import generate_dblp_like
 from repro.graphs.bipartite import BipartiteGraph, Side
 from repro.grouping.partition import Group, Partition
+from repro.grouping.scores import BalancedAssociationScore, SplitScore
 from repro.grouping.specialization import SpecializationConfig, Specializer
 from repro.mechanisms.gaussian import AnalyticGaussianMechanism, GaussianMechanism
 from repro.mechanisms.geometric import GeometricMechanism
@@ -191,17 +189,17 @@ def test_evaluate_batch_reflects_mutation():
 @pytest.mark.parametrize("make_mechanism", MECHANISMS)
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000), size=st.integers(1, 40))
-def test_randomise_batch_matches_fresh_generator(make_mechanism, seed, size):
+def test_randomise_many_matches_fresh_generator(make_mechanism, seed, size):
     values = np.arange(size, dtype=float) * 3.5
-    noised = make_mechanism(seed).randomise_batch(values)
+    (noised,) = make_mechanism(seed).randomise_many([values])
     fresh = make_mechanism(seed)
     expected = values + fresh.sample_noise(size=values.shape)
     assert np.array_equal(noised, np.atleast_1d(expected))
 
 
 @pytest.mark.parametrize("make_mechanism", MECHANISMS)
-def test_randomise_batch_scalar_promotes_to_array(make_mechanism):
-    noised = make_mechanism(0).randomise_batch(12.0)
+def test_randomise_many_scalar_promotes_to_array(make_mechanism):
+    (noised,) = make_mechanism(0).randomise_many([12.0])
     assert isinstance(noised, np.ndarray) and noised.shape == (1,)
 
 
@@ -227,102 +225,41 @@ def test_randomise_many_preserves_shapes_and_empty():
     assert mech.randomise_many([]) == []
 
 
-def test_geometric_randomise_batch_stays_integral():
+def test_geometric_randomise_many_stays_integral():
     values = np.array([3.0, 10.0, 0.0])
-    noised = GeometricMechanism(epsilon=0.5, rng=4).randomise_batch(values)
+    (noised,) = GeometricMechanism(epsilon=0.5, rng=4).randomise_many([values])
     assert np.array_equal(noised, np.round(noised))
 
 
 # ----------------------------------------------------------------------
-# Pipeline parity
+# Split scoring
 # ----------------------------------------------------------------------
-def _release_pair(mechanism: str, seed: int, queries=None):
-    releases = {}
-    for engine in ("reference", "vectorized"):
-        graph = generate_dblp_like(num_authors=120, seed=9)
-        config = DisclosureConfig(
-            epsilon_g=0.8,
-            mechanism=mechanism,
-            specialization=SpecializationConfig(num_levels=5),
-            engine=engine,
-        )
-        discloser = MultiLevelDiscloser(config=config, queries=queries, rng=seed)
-        releases[engine] = discloser.disclose(graph)
-    return releases["reference"], releases["vectorized"]
+class _PerSplitScore(BalancedAssociationScore):
+    """The default score with the prefix-sum batch disabled."""
 
-
-@pytest.mark.parametrize("mechanism", ["gaussian", "laplace", "analytic_gaussian"])
-def test_discloser_release_parity(mechanism):
-    reference, vectorized = _release_pair(mechanism, seed=31)
-    assert reference.levels() == vectorized.levels()
-    for level in reference.levels():
-        ref_level, vec_level = reference.level(level), vectorized.level(level)
-        assert ref_level.sensitivity == vec_level.sensitivity
-        assert ref_level.noise_scale == vec_level.noise_scale
-        assert ref_level.answers == vec_level.answers
-
-
-def test_discloser_release_parity_multi_query_workload():
-    queries = [TotalAssociationCountQuery(), DegreeHistogramQuery(max_degree=15)]
-    reference, vectorized = _release_pair("gaussian", seed=5, queries=queries)
-    for level in reference.levels():
-        assert reference.level(level).answers == vectorized.level(level).answers
-
-
-def test_discloser_geometric_true_answer_parity():
-    """Geometric batch noise interleaves its two streams differently, so only
-    the *true* answers (and calibration) are asserted identical."""
-    reference, vectorized = _release_pair("geometric", seed=13)
-    assert reference.levels() == vectorized.levels()
-    for level in reference.levels():
-        assert reference.level(level).sensitivity == vectorized.level(level).sensitivity
-        assert reference.level(level).noise_scale == vectorized.level(level).noise_scale
+    def scores(self, graph, splits):
+        return SplitScore.scores(self, graph, splits)
 
 
 def test_specializer_hierarchy_parity():
-    """Phase-1 split scoring is bit-identical with and without compiled arrays."""
+    """Phase-1 hierarchies are bit-identical whether each candidate set is
+    scored by one prefix-sum scan or one split at a time."""
     hierarchies = {}
-    for engine in ("reference", "vectorized"):
+    for name, score in (("batched", BalancedAssociationScore()), ("per-split", _PerSplitScore())):
         graph = generate_dblp_like(num_authors=150, seed=21)
-        if engine == "vectorized":
-            graph.arrays()
-        specializer = Specializer(config=SpecializationConfig(num_levels=5), rng=77)
-        hierarchies[engine] = specializer.build(graph).hierarchy
-    ref, vec = hierarchies["reference"], hierarchies["vectorized"]
-    assert ref.level_indices() == vec.level_indices()
-    for level in ref.level_indices():
-        ref_groups = {g.group_id: g.members for g in ref.partition_at(level).groups()}
-        vec_groups = {g.group_id: g.members for g in vec.partition_at(level).groups()}
-        assert ref_groups == vec_groups
-
-
-@pytest.mark.parametrize("baseline", ["individual", "naive", "uniform"])
-def test_baseline_engine_parity(baseline):
-    def build(engine):
-        # A fresh graph per engine: the opportunistic cached-arrays fast
-        # paths key off the graph object, so sharing one graph would let the
-        # vectorized run leave compiled arrays behind and silently
-        # accelerate (and thereby stop discriminating) the reference run.
-        graph = generate_dblp_like(num_authors=200, seed=42)
-        hierarchy = Specializer(config=SpecializationConfig(num_levels=5), rng=11).build(graph).hierarchy
-        if baseline == "individual":
-            return IndividualDPDiscloser(mechanism="gaussian", rng=3, engine=engine).as_multi_level_release(
-                graph, hierarchy
-            )
-        if baseline == "naive":
-            return NaiveGroupDPDiscloser(rng=3, engine=engine).disclose(graph, hierarchy)
-        return UniformNoiseDiscloser(rng=3, engine=engine).disclose(graph, hierarchy)
-
-    reference, vectorized = build("reference"), build("vectorized")
-    assert reference.levels() == vectorized.levels()
-    for level in reference.levels():
-        assert reference.level(level).answers == vectorized.level(level).answers
+        specializer = Specializer(config=SpecializationConfig(num_levels=5), score=score, rng=77)
+        hierarchies[name] = specializer.build(graph).hierarchy
+    batched, per_split = hierarchies["batched"], hierarchies["per-split"]
+    assert batched.level_indices() == per_split.level_indices()
+    for level in batched.level_indices():
+        batched_groups = {g.group_id: g.members for g in batched.partition_at(level).groups()}
+        per_split_groups = {g.group_id: g.members for g in per_split.partition_at(level).groups()}
+        assert batched_groups == per_split_groups
 
 
 def test_split_scores_parity_for_non_prefix_candidates():
     """The batched prefix-sum scorer must reject candidate sets that are not
     prefix cuts of one shared ordering and fall back to per-split scoring."""
-    from repro.grouping.scores import BalancedAssociationScore
     from repro.grouping.splitters import CandidateSplit
 
     graph = BipartiteGraph()
@@ -337,17 +274,8 @@ def test_split_scores_parity_for_non_prefix_candidates():
         CandidateSplit(part_a=("a1", "b0"), part_b=("b1",)),
     ]
     score = BalancedAssociationScore()
-    reference = [score.score(graph, split) for split in splits]
-    graph.arrays()  # enable the vectorized path
-    vectorized = score.scores(graph, splits)
-    assert vectorized.tolist() == reference
-
-
-def test_safe_grouping_engine_parity(pharmacy_graph):
-    reference = SafeGroupingDiscloser(k=3, rng=7, engine="reference").disclose(pharmacy_graph)
-    vectorized = SafeGroupingDiscloser(k=3, rng=7, engine="vectorized").disclose(pharmacy_graph)
-    assert reference.group_pair_counts == vectorized.group_pair_counts
-    assert reference.total_associations() == vectorized.total_associations()
+    per_split = [score.score(graph, split) for split in splits]
+    assert score.scores(graph, splits).tolist() == per_split
 
 
 # ----------------------------------------------------------------------

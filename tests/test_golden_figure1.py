@@ -1,11 +1,11 @@
 """Golden regression test for the Figure-1 harness.
 
 ``tests/golden/figure1_small.json`` was generated from the seed repository's
-*reference* engine (a dblp-like graph with 250 authors, a 6-level hierarchy,
-seed 20170605) and checked in.  Both execution engines must keep reproducing
-those per-level error metrics within a tight tolerance, so a refactor of the
-graph core, the query layer or the mechanisms cannot silently shift the
-paper's headline figure.
+original pure-Python execution path (a dblp-like graph with 250 authors, a
+6-level hierarchy, seed 20170605) and checked in.  The harness must keep
+reproducing those per-level error metrics within a tight tolerance, so a
+refactor of the graph core, the query layer or the mechanisms cannot
+silently shift the paper's headline figure.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ def golden() -> dict:
         return json.load(fh)
 
 
-def _golden_config(golden: dict, engine: str) -> Figure1Config:
+def _golden_config(golden: dict) -> Figure1Config:
     spec = golden["config"]
     return Figure1Config(
         epsilons=tuple(spec["epsilons"]),
@@ -40,7 +40,6 @@ def _golden_config(golden: dict, engine: str) -> Figure1Config:
         delta=spec["delta"],
         mechanism=spec["mechanism"],
         seed=spec["seed"],
-        engine=engine,
     )
 
 
@@ -65,27 +64,14 @@ def _assert_result_matches(result, expected: dict) -> None:
         assert result.series_for(level) == pytest.approx(expected["series"][str(level)], rel=RTOL)
 
 
-@pytest.mark.parametrize("engine", ["reference", "vectorized"])
-def test_analytic_figure1_matches_golden(golden, engine):
-    config = _golden_config(golden, engine)
+def test_analytic_figure1_matches_golden(golden):
+    config = _golden_config(golden)
     result = run_figure1_analytic(graph=_golden_graph(golden), config=config)
     _assert_result_matches(result, golden["analytic"])
 
 
-@pytest.mark.parametrize("engine", ["reference", "vectorized"])
-def test_sampled_figure1_matches_golden(golden, engine):
-    config = _golden_config(golden, engine)
+def test_sampled_figure1_matches_golden(golden):
+    config = _golden_config(golden)
     result = run_figure1(graph=_golden_graph(golden), config=config)
     _assert_result_matches(result, golden["sampled"])
 
-
-def test_engines_agree_exactly(golden):
-    """Beyond matching the golden file, the two engines agree bit for bit."""
-    results = {}
-    for engine in ("reference", "vectorized"):
-        config = _golden_config(golden, engine)
-        results[engine] = run_figure1(graph=_golden_graph(golden), config=config)
-    reference, vectorized = results["reference"], results["vectorized"]
-    assert reference.sensitivities == vectorized.sensitivities
-    for level in reference.levels():
-        assert reference.series_for(level) == vectorized.series_for(level)

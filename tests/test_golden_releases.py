@@ -20,7 +20,6 @@ which runs :func:`compute_golden` and writes the JSON file.
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -109,7 +108,7 @@ def _roundtrip(value):
     return json.loads(json.dumps(value))
 
 
-@pytest.mark.parametrize("mechanism,seed", MECHANISM_RUNS)
+@pytest.mark.parametrize("mechanism,seed", MECHANISM_RUNS, ids=[m for m, _ in MECHANISM_RUNS])
 def test_discloser_release_matches_golden(golden, mechanism, seed):
     actual = _roundtrip(_levels(_discloser_release(mechanism, seed)))
     assert actual == golden[f"discloser/{mechanism}"]
@@ -133,4 +132,3 @@ def test_safe_grouping_counts_match_golden(golden):
 
 if __name__ == "__main__":
     GOLDEN_PATH.write_text(json.dumps(compute_golden(), indent=1, sort_keys=True) + "\n")
-    sys.exit(0)

@@ -2,8 +2,8 @@
 
 The stale-cache hazard is the critical property here: a compiled view must
 never be served after the graph mutates.  Every structural mutation bumps
-``BipartiteGraph.revision`` and drops the cached view, so ``graph.arrays()``
-recompiles and ``graph.cached_arrays()`` returns ``None`` until it does.
+``BipartiteGraph.revision`` and stales the cached view, so ``graph.arrays()``
+recompiles and the old view's ``is_fresh()`` reports ``False``.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ def test_arrays_are_read_only(tiny_graph):
 def test_arrays_cached_until_mutation(tiny_graph):
     first = tiny_graph.arrays()
     assert tiny_graph.arrays() is first  # cache hit, no recompile
-    assert tiny_graph.cached_arrays() is first
     assert first.is_fresh(tiny_graph)
 
 
@@ -82,7 +81,6 @@ def test_mutation_never_serves_stale_arrays(tiny_graph, mutate):
     mutate(tiny_graph)
     assert tiny_graph.revision > revision
     assert not stale.is_fresh(tiny_graph)
-    assert tiny_graph.cached_arrays() is None
     fresh = tiny_graph.arrays()
     assert fresh is not stale
     assert fresh.num_edges == tiny_graph.num_associations()
@@ -95,14 +93,16 @@ def test_noop_mutations_keep_cache(tiny_graph):
     # no-op and must not invalidate the compiled view.
     assert tiny_graph.add_association("bob", "insulin") is False
     tiny_graph.add_left_node("bob", specialty="endocrinology")
-    assert tiny_graph.cached_arrays() is arrays
+    assert arrays.is_fresh(tiny_graph)
+    assert tiny_graph.arrays() is arrays
 
 
 def test_copy_does_not_share_cache(tiny_graph):
     original = tiny_graph.arrays()
     clone = tiny_graph.copy()
     clone.add_association("carol", "aspirin")
-    assert tiny_graph.cached_arrays() is original
+    assert original.is_fresh(tiny_graph)
+    assert tiny_graph.arrays() is original
     assert clone.arrays().num_edges == original.num_edges + 1
 
 

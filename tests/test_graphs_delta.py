@@ -177,13 +177,12 @@ class TestDeltaCompile:
         old = graph.arrays()
         assert GraphArrays.delta_compile(old, graph) is old
 
-    def test_cached_arrays_still_reports_stale_views_absent(self):
+    def test_stale_view_is_not_fresh_until_recompiled(self):
         graph = small_graph()
-        graph.arrays()
+        stale = graph.arrays()
         graph.add_association("L2", "R3")
-        assert graph.cached_arrays() is None
-        graph.arrays()
-        assert graph.cached_arrays() is not None
+        assert not stale.is_fresh(graph)
+        assert graph.arrays().is_fresh(graph)
 
 
 # Random mutation programs for the hypothesis parity suite.  Each step is a

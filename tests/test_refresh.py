@@ -235,6 +235,32 @@ class TestRefreshProvenance:
         result = discloser.refresh(loaded, mutated, hierarchy=hierarchy)
         assert result.affected_levels == []
 
+    def test_release_stored_with_retired_engine_setting_refreshes(
+        self, mutated, config, tmp_path
+    ):
+        """Older versions recorded ``"engine"`` in the stored config; such a
+        release still loads, rebuilds its config and refreshes exactly like a
+        current one."""
+        discloser = MultiLevelDiscloser(config=config, rng=5)
+        hierarchy = discloser.build_hierarchy(mutated)
+        release = discloser.disclose(mutated, hierarchy=hierarchy)
+        release.config["engine"] = "reference"
+        store = ReleaseStore(tmp_path / "store.db")
+        loaded = store.load(store.save(release, key="old"))
+        assert loaded.config["engine"] == "reference"
+
+        restored = DisclosureConfig.from_dict(loaded.config)
+        assert restored.to_dict() == config.to_dict()
+        mutated.add_right_node("fresh-right")
+        mutated.add_association(next(iter(mutated.left_nodes())), "fresh-right")
+        result = MultiLevelDiscloser(config=restored, rng=5).refresh(
+            loaded, mutated, hierarchy=hierarchy
+        )
+        assert result.affected_levels
+
+        expected = MultiLevelDiscloser(config=config, rng=5).disclose(mutated, hierarchy=hierarchy)
+        assert release_payload(result.release) == release_payload(expected)
+
 
 class TestPublisherRefresh:
     @pytest.fixture
