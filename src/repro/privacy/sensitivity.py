@@ -94,20 +94,27 @@ def group_workload_l2_sensitivity(graph: BipartiteGraph, partition: Partition) -
 
 
 def group_degree_histogram_sensitivity(
-    graph: BipartiteGraph, partition: Partition, side: Side
+    graph: BipartiteGraph, partition: Partition, side: Side, norm: str = "l1"
 ) -> float:
-    """L1 sensitivity of one side's degree histogram under group adjacency.
+    """L1 or L2 sensitivity of one side's degree histogram under group adjacency.
 
-    Removing a group deletes its members on ``side`` (each leaves its bin)
-    and every association incident to the group, which can move each
-    outside neighbour on ``side`` to another bin.  The change is therefore
-    bounded by ``members_on_side + 2 * incident`` for the worst group.
+    Removing a group deletes its ``m`` members on ``side`` (each leaves its
+    bin) and its ``I`` incident associations, which move at most ``I``
+    outside neighbours on ``side`` to another bin.  The change's negative
+    part therefore has mass at most ``m + I`` and its positive part at most
+    ``I``, giving an L1 bound of ``m + 2I``.  The two parts have disjoint
+    support, so the L2 bound is ``sqrt(I**2 + (m + I)**2)``; ``sqrt(L1)``
+    would be too small, because many nodes can leave the same bin.
     """
     arrays = graph.arrays()
     codes = arrays.partition_codes(partition, scope=Side(side).value)
     members = np.bincount(codes[codes != NO_GROUP], minlength=partition.num_groups())
     incident = arrays.incident_counts(partition)
-    return max(1.0, float((members + 2 * incident).max(initial=0)))
+    if norm == "l1":
+        per_group = members + 2 * incident
+    else:
+        per_group = np.sqrt(incident**2 + (members + incident) ** 2)
+    return max(1.0, float(per_group.max(initial=0)))
 
 
 def cross_level_sensitivities(

@@ -68,7 +68,11 @@ class DegreeHistogramQuery(Query):
     def l2_sensitivity(
         self, graph: BipartiteGraph, adjacency: str = "individual", partition: Optional[Partition] = None
     ) -> float:
-        # The histogram changes in many coordinates by +-1; the L2 norm of the
-        # change is bounded by sqrt of the L1 bound.
+        self._require_partition(adjacency, partition)
+        if adjacency == "group":
+            return group_degree_histogram_sensitivity(graph, partition, self.side, norm="l2")
+        # Individual adjacency moves one node by one bin (L2 = sqrt(2)).  Node
+        # adjacency keeps the same sqrt(L1) form; no release path uses it,
+        # and like its L1 bound it can under-count.
         l1 = self.l1_sensitivity(graph, adjacency=adjacency, partition=partition)
         return float(np.sqrt(l1))

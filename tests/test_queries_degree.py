@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graphs.bipartite import Side
+from repro.graphs.bipartite import BipartiteGraph, Side
 from repro.grouping.partition import Group, Partition
 from repro.queries.degree import DegreeHistogramQuery
 
@@ -49,6 +49,36 @@ class TestDegreeHistogramQuery:
         query = DegreeHistogramQuery(max_degree=5)
         l1 = query.l1_sensitivity(tiny_graph, "individual")
         assert query.l2_sensitivity(tiny_graph, "individual") == pytest.approx(np.sqrt(l1))
+
+    def test_group_l2_sensitivity_covers_many_nodes_leaving_one_bin(self):
+        """A 5-edge matching whose right side is one group: removing it moves
+        all five left nodes from bin 1 to bin 0, a change of (+5, -5) with L2
+        norm sqrt(50).  sqrt(L1) = sqrt(10) would under-calibrate."""
+        graph = BipartiteGraph()
+        graph.add_left_nodes([f"a{i}" for i in range(5)])
+        graph.add_right_nodes([f"b{i}" for i in range(5)])
+        graph.add_associations((f"a{i}", f"b{i}") for i in range(5))
+        partition = Partition.from_mapping(
+            {"right": [f"b{i}" for i in range(5)], **{f"a{i}": [f"a{i}"] for i in range(5)}}
+        )
+        query = DegreeHistogramQuery(side=Side.LEFT, max_degree=3)
+        before = query.evaluate(graph).values
+        removed = graph.copy()
+        removed.remove_nodes([f"b{i}" for i in range(5)])
+        change = np.linalg.norm(query.evaluate(removed).values - before)
+        assert change == pytest.approx(np.sqrt(50.0))
+        # The bound sqrt(I**2 + (m + I)**2) with I = 5, m = 0 is tight here.
+        assert query.l2_sensitivity(graph, "group", partition=partition) == pytest.approx(
+            np.sqrt(50.0)
+        )
+
+    def test_group_l2_sensitivity_never_exceeds_l1(self, dblp_graph, dblp_hierarchy):
+        query = DegreeHistogramQuery(side=Side.LEFT, max_degree=15)
+        for level in dblp_hierarchy.level_indices():
+            partition = dblp_hierarchy.partition_at(level)
+            l1 = query.l1_sensitivity(dblp_graph, "group", partition=partition)
+            l2 = query.l2_sensitivity(dblp_graph, "group", partition=partition)
+            assert np.sqrt(l1) <= l2 <= l1
 
     def test_invalid_max_degree(self):
         with pytest.raises(ValueError):
