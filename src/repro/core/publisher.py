@@ -11,6 +11,7 @@ producing per-role exports of each release.
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
@@ -147,16 +148,7 @@ class GraphPublisher:
         """
         config = config if config is not None else self.base_config
         if epsilon_g is not None:
-            config = DisclosureConfig(
-                epsilon_g=epsilon_g,
-                delta=config.delta,
-                mechanism=config.mechanism,
-                specialization=config.specialization,
-                release_levels=config.release_levels,
-                budget_mode=config.budget_mode,
-                allocation=config.allocation,
-                allocation_ratio=config.allocation_ratio,
-            )
+            config = dataclasses.replace(config, epsilon_g=epsilon_g)
         if self._hierarchy is None:
             self.build_hierarchy()
 

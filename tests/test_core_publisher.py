@@ -54,6 +54,18 @@ class TestGraphPublisher:
         for level in release.levels():
             assert release.level(level).guarantee.epsilon == pytest.approx(0.25)
 
+    def test_epsilon_override_keeps_every_other_config_field(self, dblp_graph):
+        base = DisclosureConfig(
+            epsilon_g=0.5,
+            specialization=SpecializationConfig(num_levels=4),
+            executor="thread",
+            max_workers=2,
+        )
+        publisher = GraphPublisher(dblp_graph, base_config=base, rng=3)
+        overridden = publisher.release(epsilon_g=0.3).config
+        assert overridden == {**base.to_dict(), "epsilon_g": 0.3}
+        assert (overridden["executor"], overridden["max_workers"]) == ("thread", 2)
+
     def test_budget_enforced(self, dblp_graph, base_config):
         publisher = GraphPublisher(
             dblp_graph,
