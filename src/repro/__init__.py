@@ -30,10 +30,9 @@ Every aggregate has one implementation.  The graph is compiled once into a
 contiguous index maps, per-node degree vectors, cached on the graph per
 revision and delta-recompiled after a mutation); workloads, group
 sensitivities and split scores are ``np.bincount``/segment sums over it, and
-each level draws its noise in one batched call.  The earlier pure-Python
-"reference" engine and the ``engine`` knob that chose it are gone (stored
-configs that still carry the setting load unchanged); ``Query.evaluate``
-remains as the readable per-query oracle that
+each level draws its noise in one batched call.  There is no ``engine``
+switch; stored configs that still carry the retired setting load unchanged.
+``Query.evaluate`` remains as the readable per-query oracle that
 ``tests/test_engine_parity.py`` compares the vectorized kernels against.
 
 Batched query evaluation is also available directly: build a

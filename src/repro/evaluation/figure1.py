@@ -273,8 +273,9 @@ def run_figure1(
     # keeps the sampled curves ordered by level exactly as the analytic
     # expectations are.  The whole (epsilon x trial) matrix comes from one
     # generator call; numpy fills batched draws sequentially from the same
-    # bit stream, so row ``i`` equals the ``i``-th of per-epsilon draws.
-    # (For a Monte-Carlo over *both* pipeline phases with per-trial derived
+    # bit stream, so its rows equal the per-epsilon draws that
+    # ``tests/golden/figure1_small.json`` was generated with.  (For a
+    # Monte-Carlo over *both* pipeline phases with per-trial derived
     # streams, see :func:`run_figure1_trials`.)
     draw = noise_rng.normal if config.mechanism == "gaussian" else noise_rng.laplace
     unit_matrix = draw(0.0, 1.0, size=(len(config.epsilons), config.num_trials))

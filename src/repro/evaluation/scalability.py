@@ -95,7 +95,6 @@ def _measure_size(
     discloser = MultiLevelDiscloser(config=config, rng=index)
 
     start = time.perf_counter()
-    graph.arrays()  # compile inside the timed phase-1 window
     hierarchy = discloser.specializer.build(graph).hierarchy
     spec_seconds = time.perf_counter() - start
 

@@ -17,6 +17,18 @@ class TestSafeGroupingDiscloser:
         release = SafeGroupingDiscloser(k=3, rng=0).disclose(dblp_graph)
         assert release.total_associations() == dblp_graph.num_associations()
 
+    def test_pair_counts_match_per_association_loop(self, dblp_graph):
+        """The bincount over compiled edge arrays equals a plain count of
+        every association under the published partitions."""
+        release = SafeGroupingDiscloser(k=3, rng=2).disclose(dblp_graph)
+        left_of = {n: g.group_id for g in release.left_partition.groups() for n in g.members}
+        right_of = {n: g.group_id for g in release.right_partition.groups() for n in g.members}
+        expected = {}
+        for left, right in dblp_graph.associations():
+            key = (left_of[left], right_of[right])
+            expected[key] = expected.get(key, 0) + 1
+        assert release.group_pair_counts == expected
+
     def test_group_pair_counts_consistent(self, tiny_graph):
         release = SafeGroupingDiscloser(k=2, rng=1).disclose(tiny_graph)
         assert sum(release.group_pair_counts.values()) == 5
