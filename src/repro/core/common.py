@@ -10,6 +10,7 @@ is wired up in exactly one place.
 from __future__ import annotations
 
 import hashlib
+import json
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple, Union
 
 import numpy as np
@@ -23,7 +24,7 @@ from repro.queries.base import Query
 from repro.queries.counts import TotalAssociationCountQuery
 from repro.queries.workload import QueryWorkload
 from repro.utils.rng import RandomState, derive_seedseq
-from repro.utils.serialization import canonical_json_bytes
+from repro.utils.serialization import canonical_json_bytes, to_jsonable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.grouping.partition import Partition
@@ -85,25 +86,57 @@ def uses_l2_sensitivity(mechanism: str) -> bool:
 # ----------------------------------------------------------------------
 # Level fingerprints (the incremental-refresh contract)
 # ----------------------------------------------------------------------
+#: Version of the partition digest that :func:`fingerprint_partition`
+#: computes, stamped into release provenance as ``fingerprint_version``.
+#: Releases without the field carry :func:`legacy_fingerprint_partition`
+#: digests.
+FINGERPRINT_VERSION = 2
+
+
 def fingerprint_partition(partition: "Partition") -> str:
     """Content digest of a partition: its groups, members and levels.
 
-    Group order is normalised (sorted by group id) so two partitions with the
-    same content always digest identically, regardless of construction order.
-    The digest is memoised on the partition instance — hierarchies are built
-    once and reused across releases, so repeated disclosures pay the
-    serialization once per level.
+    A SHA-256 over a version tag, the digest of the ``str``-sorted node
+    table (computed once per table, so once per hierarchy), the group table
+    ``(id, side, level)`` in group-id order, and every node's group rank in
+    that order, as ``int64`` bytes in node-table ``str`` order.  Two
+    partitions with the same content digest identically whatever order their
+    groups and members were built in.  The digest is memoised on the
+    partition instance — hierarchies are built once and reused across
+    releases, so repeated disclosures hash each level once.
     """
     cached = getattr(partition, "_content_digest", None)
     if cached is not None:
         return cached
+    table = partition.table
+    if table.digest is None:
+        nodes = [table.nodes[i] for i in table.str_order.tolist()]
+        table.digest = hashlib.sha256(_compact_json(nodes)).digest()
+    ids = partition.group_ids()
+    by_id = sorted(range(len(ids)), key=ids.__getitem__)
+    ranks = np.empty(len(ids), dtype=np.int64)
+    ranks[by_id] = np.arange(len(ids), dtype=np.int64)
+    digest = hashlib.sha256(f"repro-partition-v{FINGERPRINT_VERSION}".encode("ascii"))
+    digest.update(table.digest)
+    digest.update(_compact_json([[ids[c], partition.sides[c], partition.levels[c]] for c in by_id]))
+    digest.update(ranks[partition.labels[table.str_order]].astype("<i8").tobytes())
+    partition._content_digest = digest.hexdigest()  # noqa: SLF001 - memo on our own type
+    return partition._content_digest
+
+
+def legacy_fingerprint_partition(partition: "Partition") -> str:
+    """The version-1 partition digest: SHA-256 of the canonical JSON of every
+    group (sorted by group id, members sorted by ``str``).
+
+    Kept only to compare against releases stored before
+    :data:`FINGERPRINT_VERSION` existed, and as a test oracle.
+    """
     groups = sorted(partition.to_dict()["groups"], key=lambda group: str(group.get("group_id")))
-    digest = hashlib.sha256(canonical_json_bytes({"groups": groups})).hexdigest()
-    try:
-        partition._content_digest = digest  # noqa: SLF001 - memo on our own type
-    except AttributeError:  # pragma: no cover - exotic partition subclass
-        pass
-    return digest
+    return hashlib.sha256(canonical_json_bytes({"groups": groups})).hexdigest()
+
+
+def _compact_json(value) -> bytes:
+    return json.dumps(value, separators=(",", ":"), default=to_jsonable).encode("utf-8")
 
 
 def fingerprint_answers(true_answers: Dict[str, "QueryAnswer"]) -> str:

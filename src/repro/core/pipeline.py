@@ -36,10 +36,12 @@ import numpy as np
 from repro.accounting.allocation import make_allocation
 from repro.accounting.budget import BudgetLedger
 from repro.core.common import (
+    FINGERPRINT_VERSION,
     build_mechanism,
     fingerprint_answers,
     fingerprint_level,
     fingerprint_partition,
+    legacy_fingerprint_partition,
     uses_l2_sensitivity,
 )
 from repro.core.release import LevelRelease, MultiLevelRelease
@@ -405,13 +407,15 @@ class PerturbStage(PipelineStage):
         context.outcomes = executor.map(task, context.plans)
 
 
-def level_fingerprints_for(context: PipelineContext) -> Dict[str, str]:
+def level_fingerprints_for(context: PipelineContext, legacy: bool = False) -> Dict[str, str]:
     """Per-level content fingerprints over the context's calibrated plans.
 
     Keys are stringified level numbers (JSON-safe); values digest everything
     that determines the level's released answers given its derived seed.
     Empty when the context has no hierarchy or evaluated answers (a custom
-    pipeline without the compile/calibrate stages).
+    pipeline without the compile/calibrate stages).  ``legacy`` digests
+    partitions with :func:`legacy_fingerprint_partition`, matching releases
+    stored without a ``fingerprint_version``.
     """
     if context.hierarchy is None or context.true_answers is None:
         return {}
@@ -424,7 +428,9 @@ def level_fingerprints_for(context: PipelineContext) -> Dict[str, str]:
             sensitivity=plan.sensitivity,
             mechanism=plan.mechanism,
             delta=plan.delta,
-            partition_digest=fingerprint_partition(partition),
+            partition_digest=(
+                legacy_fingerprint_partition(partition) if legacy else fingerprint_partition(partition)
+            ),
             answers_digest=answers_digest,
         )
     return fingerprints
@@ -467,6 +473,7 @@ class AssembleStage(PipelineStage):
             provenance={
                 "graph_revision": context.graph.revision,
                 "level_fingerprints": level_fingerprints_for(context),
+                "fingerprint_version": FINGERPRINT_VERSION,
             },
         )
 

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 import numpy as np
 
 from repro.accounting.budget import BudgetLedger
-from repro.core.common import WorkloadLike, normalise_workload
+from repro.core.common import FINGERPRINT_VERSION, WorkloadLike, normalise_workload
 from repro.core.pipeline import (
     AssembleStage,
     CompileStage,
@@ -137,13 +137,17 @@ def refresh_release(
     GroupCalibrateStage().run(context)
     fingerprints = level_fingerprints_for(context)
 
-    # ... then re-perturb only the levels whose fingerprints moved.
+    # ... then re-perturb only the levels whose fingerprints moved.  A release
+    # stored without a fingerprint version carries legacy partition digests.
     old_fingerprints: Dict[str, str] = dict(release.provenance.get("level_fingerprints", {}))
+    comparable = fingerprints
+    if old_fingerprints and "fingerprint_version" not in release.provenance:
+        comparable = level_fingerprints_for(context, legacy=True)
     affected = [
         plan
         for plan in context.plans
         if plan.level not in release.level_releases
-        or old_fingerprints.get(str(plan.level)) != fingerprints[str(plan.level)]
+        or old_fingerprints.get(str(plan.level)) != comparable[str(plan.level)]
     ]
     affected_levels = sorted(plan.level for plan in affected)
     reused_levels = sorted(level for level in context.levels if level not in affected_levels)
@@ -171,6 +175,7 @@ def refresh_release(
     refreshed.provenance = {
         "graph_revision": int(revision) if revision is not None else graph.revision,
         "level_fingerprints": fingerprints,
+        "fingerprint_version": FINGERPRINT_VERSION,
         "refreshed_from_revision": release.provenance.get("graph_revision"),
         "affected_levels": affected_levels,
         "reused_levels": reused_levels,

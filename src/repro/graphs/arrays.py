@@ -121,9 +121,10 @@ class GraphArrays:
         ):
             array.setflags(write=False)
         self._graph_ref = weakref.ref(graph) if graph is not None else None
-        # Per-partition group-code memo; weak keys so dropping a Partition
-        # releases its codes.  Keyed values map a scope name to the codes.
+        # Per-partition group codes and per-node-table positions; weak keys
+        # so dropping a Partition or its hierarchy releases them.
         self._partition_codes: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+        self._table_positions: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         #: ``True`` when this view was produced by :meth:`delta_compile`'s
         #: incremental patch path rather than a full :meth:`compile`.
         self.compiled_incrementally = False
@@ -400,52 +401,6 @@ class GraphArrays:
         return self.edge_right[start:stop]
 
     # ------------------------------------------------------------------
-    # Node-set helpers
-    # ------------------------------------------------------------------
-    def indices_of(self, nodes: Iterable[Node], scope: str = "global") -> np.ndarray:
-        """Indices of the given nodes in one index space, preserving order.
-
-        Nodes absent from the graph (or from the requested side) are silently
-        skipped, mirroring how the reference query path ignores stale group
-        members.  ``scope`` is ``"global"``, ``"left"`` or ``"right"``.
-        """
-        index = {
-            "global": self.global_index,
-            "left": self.left_index,
-            "right": self.right_index,
-        }[scope]
-        found = [index[node] for node in nodes if node in index]
-        return np.asarray(found, dtype=np.int64)
-
-    def degree_mass(self, nodes: Iterable[Node]) -> int:
-        """Sum of degrees of the given nodes (absent nodes contribute 0)."""
-        idx = self.indices_of(nodes)
-        if not idx.size:
-            return 0
-        return int(self.degrees[idx].sum())
-
-    def degrees_of(self, nodes: Iterable[Node]) -> np.ndarray:
-        """Degrees of the given (present) nodes, preserving order."""
-        idx = self.indices_of(nodes)
-        return self.degrees[idx].astype(np.float64)
-
-    def degrees_aligned(self, nodes: Sequence[Node]) -> np.ndarray:
-        """Degree per node, position-aligned: absent nodes contribute 0.
-
-        Unlike :meth:`degrees_of` the result has exactly ``len(nodes)``
-        entries, which lets callers take prefix sums over a node ordering.
-        """
-        if not self.degrees.size:
-            return np.zeros(len(nodes), dtype=np.int64)
-        index = self.global_index
-        idx = np.fromiter(
-            (index.get(node, -1) for node in nodes), dtype=np.int64, count=len(nodes)
-        )
-        if not idx.size:
-            return idx
-        return np.where(idx >= 0, self.degrees[np.maximum(idx, 0)], 0)
-
-    # ------------------------------------------------------------------
     # Partition codes
     # ------------------------------------------------------------------
     def partition_codes(self, partition: "Partition", scope: str = "global") -> np.ndarray:
@@ -454,34 +409,23 @@ class GraphArrays:
         Returns an ``int64`` array of length ``num_nodes`` (global scope) or
         the side length, where entry ``i`` is the position of node ``i``'s
         group in ``partition.groups()`` order, or :data:`NO_GROUP` for nodes
-        the partition does not cover.  Codes are memoised per partition (weak
-        keys), so repeated queries against the same grouping pay the node
-        scan once.
+        the partition does not cover.  The codes are the partition's labels
+        gathered through this view's positions in the partition's node table;
+        positions are memoised per table (so the levels of one hierarchy
+        share them) and codes per partition, both under weak keys.
         """
-        memo = self._partition_codes.get(partition)
-        if memo is not None and scope in memo:
-            return memo[scope]
-        length = {"global": self.num_nodes, "left": self.num_left, "right": self.num_right}[scope]
-        index = {
-            "global": self.global_index,
-            "left": self.left_index,
-            "right": self.right_index,
-        }[scope]
-        codes = np.full(length, NO_GROUP, dtype=np.int64)
-        for position, group in enumerate(partition.groups()):
-            for member in group.members:
-                i = index.get(member)
-                if i is not None:
-                    codes[i] = position
-        codes.setflags(write=False)
-        if memo is None:
-            memo = {}
-            try:
-                self._partition_codes[partition] = memo
-            except TypeError:  # pragma: no cover - unhashable/unweakrefable key
-                pass
-        memo[scope] = codes
-        return codes
+        codes = self._partition_codes.get(partition)
+        if codes is None:
+            positions = self._table_positions.get(partition.table)
+            if positions is None:
+                positions = partition.table.positions(self.left_ids + self.right_ids)
+                self._table_positions[partition.table] = positions
+            codes = np.full(self.num_nodes, NO_GROUP, dtype=np.int64)
+            covered = positions >= 0
+            codes[covered] = partition.labels[positions[covered]]
+            codes.setflags(write=False)
+            self._partition_codes[partition] = codes
+        return {"global": codes, "left": codes[: self.num_left], "right": codes[self.num_left :]}[scope]
 
     # ------------------------------------------------------------------
     # Batched aggregate counts (the vectorized query kernels)

@@ -16,7 +16,7 @@ groups.  This package provides:
   deterministic and random baselines for the ablation study.
 """
 
-from repro.grouping.partition import Group, Partition
+from repro.grouping.partition import Group, NodeTable, Partition
 from repro.grouping.hierarchy import GroupHierarchy, LevelStatistics
 from repro.grouping.attribute_grouping import (
     hierarchy_from_attribute_levels,
@@ -29,7 +29,6 @@ from repro.grouping.scores import (
     SplitScore,
 )
 from repro.grouping.splitters import (
-    CandidateSplit,
     DegreeOrderSplitter,
     HashOrderSplitter,
     RandomOrderSplitter,
@@ -46,6 +45,7 @@ from repro.grouping.specialization import (
 __all__ = [
     "Group",
     "Partition",
+    "NodeTable",
     "partition_by_attribute",
     "hierarchy_from_attribute_levels",
     "GroupHierarchy",
@@ -55,7 +55,6 @@ __all__ = [
     "BalancedAssociationScore",
     "EdgeUniformityScore",
     "Splitter",
-    "CandidateSplit",
     "DegreeOrderSplitter",
     "HashOrderSplitter",
     "RandomOrderSplitter",

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Tuple
 
+import numpy as np
+
 from repro.exceptions import HierarchyError
 from repro.grouping.partition import Group, Partition
 
@@ -45,6 +47,14 @@ class LevelStatistics:
             "min_group_size": self.min_group_size,
             "mean_group_size": self.mean_group_size,
         }
+
+
+def _labels_above(child: Partition, parent: Partition) -> np.ndarray:
+    """``parent``'s group code of each of ``child``'s table nodes (-1 when absent)."""
+    if child.table is parent.table:
+        return parent.labels
+    positions = parent.table.positions(child.table.nodes)
+    return np.where(positions >= 0, parent.labels[np.maximum(positions, 0)], -1)
 
 
 class GroupHierarchy:
@@ -87,20 +97,21 @@ class GroupHierarchy:
         """Infer the parent relation by member containment between consecutive levels."""
         indices = self.level_indices()
         for lower, upper in zip(indices, indices[1:]):
-            child_partition = self._levels[lower]
-            parent_partition = self._levels[upper]
-            for child in child_partition.groups():
-                representative = next(iter(child.members), None)
-                if representative is None:
+            child, parent = self._levels[lower], self._levels[upper]
+            above = _labels_above(child, parent)
+            # One representative member per child group: its first table position.
+            first = np.full(child.num_groups(), -1, dtype=np.int64)
+            first[child.labels[::-1]] = np.arange(len(child.labels) - 1, -1, -1)
+            parent_ids = parent.group_ids()
+            for group_id, position in zip(child.group_ids(), first.tolist()):
+                if position < 0:
                     continue
-                try:
-                    parent = parent_partition.group_of(representative)
-                except KeyError as exc:
+                if above[position] < 0:
                     raise HierarchyError(
-                        f"element {representative!r} of group {child.group_id!r} is missing "
-                        f"from level {upper}"
-                    ) from exc
-                self._parents[child.group_id] = parent.group_id
+                        f"element {child.table.nodes[position]!r} of group {group_id!r} is "
+                        f"missing from level {upper}"
+                    )
+                self._parents[group_id] = parent_ids[above[position]]
 
     # ------------------------------------------------------------------
     # Introspection
@@ -158,14 +169,14 @@ class GroupHierarchy:
         """Per-level size statistics, fine to coarse."""
         stats = []
         for level, partition in self.iter_levels():
-            sizes = [len(group) for group in partition.groups()]
+            sizes = partition.group_sizes()
             stats.append(
                 LevelStatistics(
                     level=level,
                     num_groups=len(sizes),
-                    max_group_size=max(sizes) if sizes else 0,
-                    min_group_size=min(sizes) if sizes else 0,
-                    mean_group_size=(sum(sizes) / len(sizes)) if sizes else 0.0,
+                    max_group_size=int(sizes.max()) if sizes.size else 0,
+                    min_group_size=int(sizes.min()) if sizes.size else 0,
+                    mean_group_size=(int(sizes.sum()) / len(sizes)) if sizes.size else 0.0,
                 )
             )
         return stats
@@ -180,42 +191,44 @@ class GroupHierarchy:
     # Validation
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Check the hierarchy invariants; raise :class:`HierarchyError` on violation."""
+        """Check the hierarchy invariants; raise :class:`HierarchyError` on violation.
+
+        Every level must cover the top level's universe, and every child
+        group must name a parent one level up that contains it.  Together
+        these imply that a parent's children cover exactly its members.
+        """
         indices = self.level_indices()
-        universe = self.partition_at(indices[-1]).universe()
+        top = self._levels[indices[-1]]
         for level in indices:
-            level_universe = self._levels[level].universe()
-            if level_universe != universe:
+            partition = self._levels[level]
+            if partition.table is not top.table and (
+                len(partition.table) != len(top.table)
+                or (top.table.positions(partition.table.nodes) < 0).any()
+            ):
                 raise HierarchyError(
-                    f"level {level} covers {len(level_universe)} elements but the top level "
-                    f"covers {len(universe)}"
+                    f"level {level} covers {partition.num_elements()} elements but the top level "
+                    f"covers {top.num_elements()}"
                 )
         for lower, upper in zip(indices, indices[1:]):
-            child_partition = self._levels[lower]
-            parent_partition = self._levels[upper]
-            members_by_parent: Dict[str, set] = {g.group_id: set() for g in parent_partition.groups()}
-            for child in child_partition.groups():
-                parent_id = self._parents.get(child.group_id)
+            child, parent = self._levels[lower], self._levels[upper]
+            parent_codes = {group_id: code for code, group_id in enumerate(parent.group_ids())}
+            expected = np.empty(child.num_groups(), dtype=np.int64)
+            for code, group_id in enumerate(child.group_ids()):
+                parent_id = self._parents.get(group_id)
                 if parent_id is None:
-                    raise HierarchyError(f"group {child.group_id!r} at level {lower} has no parent")
-                if parent_id not in members_by_parent:
+                    raise HierarchyError(f"group {group_id!r} at level {lower} has no parent")
+                if parent_id not in parent_codes:
                     raise HierarchyError(
-                        f"group {child.group_id!r} at level {lower} references unknown parent "
+                        f"group {group_id!r} at level {lower} references unknown parent "
                         f"{parent_id!r} at level {upper}"
                     )
-                parent_group = parent_partition.group(parent_id)
-                if not child.members <= parent_group.members:
-                    raise HierarchyError(
-                        f"group {child.group_id!r} is not contained in its parent {parent_id!r}"
-                    )
-                members_by_parent[parent_id].update(child.members)
-            for parent_id, covered in members_by_parent.items():
-                expected = parent_partition.group(parent_id).members
-                if covered != set(expected):
-                    raise HierarchyError(
-                        f"children of {parent_id!r} cover {len(covered)} of its "
-                        f"{len(expected)} members"
-                    )
+                expected[code] = parent_codes[parent_id]
+            outside = np.flatnonzero(expected[child.labels] != _labels_above(child, parent))
+            if outside.size:
+                group_id = child.group_ids()[child.labels[outside[0]]]
+                raise HierarchyError(
+                    f"group {group_id!r} is not contained in its parent {self._parents[group_id]!r}"
+                )
 
     # ------------------------------------------------------------------
     # Serialization

@@ -10,7 +10,9 @@ provides the lookups the sensitivity analysis needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional
+from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.exceptions import InvalidPartitionError, ValidationError
 
@@ -81,8 +83,54 @@ class Group:
         )
 
 
+class NodeTable:
+    """An immutable, duplicate-free node sequence that partitions label.
+
+    Every level of a specialized hierarchy shares one table, so the node
+    index, the ``str`` order and the table digest (see
+    :func:`repro.core.common.fingerprint_partition`) are computed once per
+    hierarchy rather than once per level.
+    """
+
+    def __init__(self, nodes: Iterable[Element]):
+        self.nodes: Tuple[Element, ...] = tuple(nodes)
+        self._index: Optional[Dict[Element, int]] = None
+        self._str_order: Optional[np.ndarray] = None
+        #: Memo slot for the table digest, owned by the fingerprint code.
+        self.digest: Optional[bytes] = None
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    @property
+    def index(self) -> Dict[Element, int]:
+        """Mapping ``node -> position``."""
+        if self._index is None:
+            self._index = {node: i for i, node in enumerate(self.nodes)}
+        return self._index
+
+    def positions(self, nodes: Sequence[Element]) -> np.ndarray:
+        """Table positions of ``nodes`` (``-1`` for nodes not in the table)."""
+        index = self.index
+        return np.fromiter((index.get(node, -1) for node in nodes), dtype=np.int64, count=len(nodes))
+
+    @property
+    def str_order(self) -> np.ndarray:
+        """Table positions sorted by node ``str`` form (``repr`` breaks ties)."""
+        if self._str_order is None:
+            keys = [(str(node), repr(node)) for node in self.nodes]
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            self._str_order = np.asarray(order, dtype=np.int64)
+        return self._str_order
+
+
 class Partition:
     """A set of non-overlapping groups covering a universe.
+
+    Stored as a label vector: a :class:`NodeTable`, one ``int64`` group code
+    per table node (codes follow :meth:`groups` order) and per-group id,
+    side and level tables.  :class:`Group` objects are built on first use
+    of :meth:`groups`, :meth:`group` or :meth:`group_of` and then cached.
 
     The constructor validates the two partition invariants from the paper's
     setup: groups are pairwise disjoint, and their union equals the declared
@@ -91,24 +139,36 @@ class Partition:
     """
 
     def __init__(self, groups: Iterable[Group], universe: Optional[Iterable[Element]] = None):
-        self._groups: Dict[str, Group] = {}
-        self._element_to_group: Dict[Element, str] = {}
+        groups = list(groups)
         for group in groups:
             if not isinstance(group, Group):
                 raise ValidationError(f"expected Group, got {type(group).__name__}")
-            if group.group_id in self._groups:
-                raise InvalidPartitionError(f"duplicate group id {group.group_id!r}")
-            for element in group.members:
-                if element in self._element_to_group:
-                    other = self._element_to_group[element]
-                    raise InvalidPartitionError(
-                        f"element {element!r} belongs to both {other!r} and {group.group_id!r}"
-                    )
-                self._element_to_group[element] = group.group_id
-            self._groups[group.group_id] = group
+        nodes = [element for group in groups for element in group.members]
+        sizes = [len(group) for group in groups]
+        self._init(
+            NodeTable(nodes),
+            np.repeat(np.arange(len(groups), dtype=np.int64), sizes),
+            [group.group_id for group in groups],
+            [group.side for group in groups],
+            [group.level for group in groups],
+        )
+        if len(self._codes) < len(groups):
+            seen = set()
+            duplicate = next(g.group_id for g in groups if g.group_id in seen or seen.add(g.group_id))
+            raise InvalidPartitionError(f"duplicate group id {duplicate!r}")
+        if len(self.table.index) < len(nodes):
+            owner: Dict[Element, str] = {}
+            for group in groups:
+                for element in group.members:
+                    if element in owner:
+                        raise InvalidPartitionError(
+                            f"element {element!r} belongs to both {owner[element]!r} and {group.group_id!r}"
+                        )
+                    owner[element] = group.group_id
+        self._groups = groups
         if universe is not None:
             universe_set = set(universe)
-            covered = set(self._element_to_group)
+            covered = set(self.table.index)
             missing = universe_set - covered
             extra = covered - universe_set
             if missing:
@@ -121,6 +181,30 @@ class Partition:
                     f"partition contains {len(extra)} element(s) outside the universe, e.g. "
                     f"{sorted(extra, key=str)[:3]!r}"
                 )
+
+    def _init(self, table: NodeTable, labels: np.ndarray, ids: List[str], sides: List[str], levels: list) -> None:
+        self.table = table
+        self.labels = labels
+        self.labels.setflags(write=False)
+        self.sides = sides
+        self.levels = levels
+        self._ids = ids
+        self._codes: Dict[str, int] = {gid: code for code, gid in enumerate(ids)}
+        self._groups: Optional[List[Group]] = None
+        self._sizes: Optional[np.ndarray] = None
+
+    @classmethod
+    def from_labels(
+        cls, table: NodeTable, labels: np.ndarray, ids: List[str], sides: List[str], levels: list
+    ) -> "Partition":
+        """Wrap a label vector without validation (the specializer's constructor).
+
+        ``labels[i]`` is the code of ``table.nodes[i]``'s group; ids must be
+        unique and every code in ``range(len(ids))``.
+        """
+        partition = cls.__new__(cls)
+        partition._init(table, np.asarray(labels, dtype=np.int64), list(ids), list(sides), list(levels))
+        return partition
 
     # ------------------------------------------------------------------
     # Constructors
@@ -149,61 +233,73 @@ class Partition:
     # ------------------------------------------------------------------
     # Lookups
     # ------------------------------------------------------------------
+    def _group_list(self) -> List[Group]:
+        if self._groups is None:
+            order = np.argsort(self.labels, kind="stable")
+            bounds = np.cumsum(self.group_sizes())[:-1]
+            nodes = self.table.nodes
+            self._groups = [
+                Group(gid, frozenset(nodes[i] for i in chunk.tolist()), side=side, level=level)
+                for gid, side, level, chunk in zip(
+                    self._ids, self.sides, self.levels, np.split(order, bounds)
+                )
+            ]
+        return self._groups
+
     def groups(self) -> List[Group]:
         """All groups, in insertion order."""
-        return list(self._groups.values())
+        return list(self._group_list())
 
     def group_ids(self) -> List[str]:
         """All group ids, in insertion order."""
-        return list(self._groups)
+        return list(self._ids)
 
     def group(self, group_id: str) -> Group:
         """Return the group with the given id."""
-        if group_id not in self._groups:
-            raise KeyError(group_id)
-        return self._groups[group_id]
+        return self._group_list()[self._codes[group_id]]
 
     def group_of(self, element: Element) -> Group:
         """Return the group containing ``element``."""
-        group_id = self._element_to_group.get(element)
-        if group_id is None:
-            raise KeyError(element)
-        return self._groups[group_id]
+        return self._group_list()[self.labels[self.table.index[element]]]
 
     def contains_element(self, element: Element) -> bool:
         """``True`` when some group contains ``element``."""
-        return element in self._element_to_group
+        return element in self.table.index
 
     def universe(self) -> FrozenSet[Element]:
         """All covered elements."""
-        return frozenset(self._element_to_group)
+        return frozenset(self.table.nodes)
+
+    def group_sizes(self) -> np.ndarray:
+        """Group sizes in :meth:`groups` order."""
+        if self._sizes is None:
+            self._sizes = np.bincount(self.labels, minlength=len(self._ids))
+        return self._sizes
 
     def sizes(self) -> Dict[str, int]:
         """Mapping ``group_id -> group size``."""
-        return {gid: len(group) for gid, group in self._groups.items()}
+        return dict(zip(self._ids, self.group_sizes().tolist()))
 
     def max_group_size(self) -> int:
         """The size of the largest group (0 for an empty partition)."""
-        if not self._groups:
-            return 0
-        return max(len(group) for group in self._groups.values())
+        return int(self.group_sizes().max()) if self._ids else 0
 
     def num_groups(self) -> int:
         """Number of groups."""
-        return len(self._groups)
+        return len(self._ids)
 
     def num_elements(self) -> int:
         """Number of covered elements."""
-        return len(self._element_to_group)
+        return len(self.table)
 
     def __len__(self) -> int:
         return self.num_groups()
 
     def __iter__(self) -> Iterator[Group]:
-        return iter(self._groups.values())
+        return iter(self._group_list())
 
     def __contains__(self, group_id: str) -> bool:
-        return group_id in self._groups
+        return group_id in self._codes
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Partition(groups={self.num_groups()}, elements={self.num_elements()})"
@@ -213,7 +309,7 @@ class Partition:
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         """JSON-serialisable representation."""
-        return {"groups": [group.to_dict() for group in self._groups.values()]}
+        return {"groups": [group.to_dict() for group in self._group_list()]}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Partition":
@@ -227,7 +323,7 @@ class Partition:
         """Intersect every group with ``elements`` and drop empty groups."""
         keep = set(elements)
         groups = []
-        for group in self._groups.values():
+        for group in self._group_list():
             members = group.members & keep
             if members:
                 groups.append(Group(group.group_id, members, side=group.side, level=group.level))

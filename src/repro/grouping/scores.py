@@ -13,31 +13,27 @@ All scores follow the convention *higher is better*.
 from __future__ import annotations
 
 import abc
-from typing import Hashable, Sequence
 
 import numpy as np
 
-from repro.graphs.bipartite import BipartiteGraph
-from repro.grouping.splitters import CandidateSplit
 from repro.utils.validation import check_positive
-
-Node = Hashable
 
 
 class SplitScore(abc.ABC):
-    """Interface for split-quality functions used by the Exponential Mechanism."""
+    """Interface for split-quality functions used by the Exponential Mechanism.
+
+    A candidate split cuts an ordered segment of nodes at a position ``c``:
+    the first ``c`` nodes form one part, the rest the other.  Scores see the
+    segment only through its nodes' degrees, in order.
+    """
 
     #: Sensitivity of the score with respect to adding/removing one universe
     #: element.  Subclasses override when their score moves by more than 1.
     sensitivity: float = 1.0
 
     @abc.abstractmethod
-    def score(self, graph: BipartiteGraph, split: CandidateSplit) -> float:
-        """Return the quality of ``split`` on ``graph`` (higher is better)."""
-
-    def scores(self, graph: BipartiteGraph, splits: Sequence[CandidateSplit]) -> np.ndarray:
-        """Vectorised convenience wrapper around :meth:`score`."""
-        return np.array([self.score(graph, split) for split in splits], dtype=float)
+    def scores(self, degrees: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+        """The quality of cutting the segment at each of ``cuts`` (higher is better)."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(sensitivity={self.sensitivity})"
@@ -52,8 +48,8 @@ class BalanceScore(SplitScore):
 
     sensitivity = 1.0
 
-    def score(self, graph: BipartiteGraph, split: CandidateSplit) -> float:
-        return -abs(len(split.part_a) - len(split.part_b))
+    def scores(self, degrees: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+        return -np.abs(2 * np.asarray(cuts) - len(degrees)).astype(float)
 
 
 class BalancedAssociationScore(SplitScore):
@@ -64,7 +60,8 @@ class BalancedAssociationScore(SplitScore):
     ``degree_bound`` caps how much one node can move the score, making the
     sensitivity 1 after normalisation.  This is the default specialization
     score: balancing association mass keeps the per-group sensitivities of the
-    phase-2 count queries comparable across sibling groups.
+    phase-2 count queries comparable across sibling groups.  One prefix sum
+    over the segment's degrees scores every cut.
 
     Parameters
     ----------
@@ -78,40 +75,9 @@ class BalancedAssociationScore(SplitScore):
         self.degree_bound = check_positive(degree_bound, "degree_bound")
         self.sensitivity = 1.0
 
-    def score(self, graph: BipartiteGraph, split: CandidateSplit) -> float:
-        arrays = graph.arrays()
-        mass_a = arrays.degree_mass(split.part_a)
-        mass_b = arrays.degree_mass(split.part_b)
-        return -abs(mass_a - mass_b) / self.degree_bound
-
-    def scores(self, graph: BipartiteGraph, splits: Sequence[CandidateSplit]) -> np.ndarray:
-        """Batched scoring of one candidate set.
-
-        Candidates produced by a :class:`~repro.grouping.splitters.Splitter`
-        are prefix cuts of one shared node ordering, so a single aligned
-        degree scan plus prefix sums scores every candidate — O(n + k)
-        instead of O(n * k).  Other candidate sets (a custom splitter's) are
-        scored one split at a time; the masses are exact integers either
-        way, so the Exponential Mechanism sees identical scores.
-        """
-        if not splits:
-            return super().scores(graph, splits)
-        ordering = tuple(splits[0].part_a) + tuple(splits[0].part_b)
-        shared_ordering = all(
-            tuple(split.part_a) == ordering[: len(split.part_a)]
-            and tuple(split.part_b) == ordering[len(split.part_a):]
-            for split in splits
-        )
-        if not shared_ordering:
-            return super().scores(graph, splits)
-        prefix = np.zeros(len(ordering) + 1, dtype=np.int64)
-        np.cumsum(graph.arrays().degrees_aligned(ordering), out=prefix[1:])
-        total = int(prefix[-1])
-        values = [
-            -abs(2 * int(prefix[len(split.part_a)]) - total) / self.degree_bound
-            for split in splits
-        ]
-        return np.array(values, dtype=float)
+    def scores(self, degrees: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+        prefix = np.cumsum(degrees, dtype=np.int64)
+        return -np.abs(2 * prefix[np.asarray(cuts) - 1] - prefix[-1]) / self.degree_bound
 
 
 class EdgeUniformityScore(SplitScore):
@@ -126,12 +92,12 @@ class EdgeUniformityScore(SplitScore):
         self.degree_bound = check_positive(degree_bound, "degree_bound")
         self.sensitivity = 1.0
 
-    @staticmethod
-    def _degree_std(graph: BipartiteGraph, nodes) -> float:
-        degrees = graph.arrays().degrees_of(nodes)
-        return float(np.std(degrees)) if degrees.size else 0.0
-
-    def score(self, graph: BipartiteGraph, split: CandidateSplit) -> float:
-        std_a = self._degree_std(graph, split.part_a)
-        std_b = self._degree_std(graph, split.part_b)
-        return -0.5 * (std_a + std_b) / self.degree_bound
+    def scores(self, degrees: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+        degrees = np.asarray(degrees, dtype=np.float64)
+        return np.array(
+            [
+                -0.5 * (float(np.std(degrees[:cut])) + float(np.std(degrees[cut:]))) / self.degree_bound
+                for cut in np.asarray(cuts).tolist()
+            ],
+            dtype=float,
+        )

@@ -23,21 +23,24 @@ are provided for the ablation study in DESIGN.md (experiment E4).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.exceptions import SpecializationError, ValidationError
-from repro.graphs.bipartite import BipartiteGraph, Side
+from repro.graphs.bipartite import BipartiteGraph
 from repro.grouping.hierarchy import GroupHierarchy
-from repro.grouping.partition import Group, Partition
+from repro.grouping.partition import NodeTable, Partition
 from repro.grouping.scores import BalancedAssociationScore, SplitScore
-from repro.grouping.splitters import CandidateSplit, HashOrderSplitter, RandomOrderSplitter, Splitter, split_into_parts
+from repro.grouping.splitters import HashOrderSplitter, RandomOrderSplitter, Splitter, ranks_of, split_into_parts
 from repro.mechanisms.base import PrivacyCost
 from repro.mechanisms.exponential import ExponentialMechanism
-from repro.utils.rng import RandomState, as_rng, derive_rng
+from repro.utils.rng import RandomState, derive_rng
 from repro.utils.validation import check_positive, check_positive_int
 
-Node = Hashable
+#: Side names of the two segment buffers, by buffer index.
+SIDES = ("left", "right")
 
 
 @dataclass(frozen=True)
@@ -206,16 +209,14 @@ class Specializer:
     # ------------------------------------------------------------------
     # Split selection (overridden by the non-private baselines)
     # ------------------------------------------------------------------
-    def _choose(self, graph: BipartiteGraph, candidates: Sequence[CandidateSplit]) -> CandidateSplit:
-        """Pick one candidate split with the Exponential Mechanism."""
-        mechanism = ExponentialMechanism(
-            epsilon=self.config.epsilon_per_round(),
-            score_sensitivity=self.score.sensitivity,
-            rng=self._rng,
-        )
-        scores = self.score.scores(graph, list(candidates))
+    def _choose(self, degrees: np.ndarray, cuts: np.ndarray) -> int:
+        """Pick one of ``cuts`` into a segment (its degrees, in order) with the
+        Exponential Mechanism; returns the index into ``cuts``."""
         self._selections += 1
-        return mechanism.select(list(candidates), scores=scores)
+        return self._mechanism.select_index(self.score.scores(degrees, cuts))
+
+    def _choose_cut(self, segment: np.ndarray, cuts: np.ndarray) -> int:
+        return self._choose(self._degrees[segment], cuts)
 
     def _privacy_cost(self) -> PrivacyCost:
         """Total cost of the specialization phase."""
@@ -227,52 +228,57 @@ class Specializer:
     def build(self, graph: BipartiteGraph) -> SpecializationResult:
         """Run the specialization and return the resulting hierarchy.
 
-        Raises :class:`SpecializationError` for empty graphs.
+        Every group keeps its left and right members as contiguous segments
+        of two index buffers (one per side), so a split is a cut position
+        and a level is one label vector.  Raises
+        :class:`SpecializationError` for empty graphs.
         """
         if graph.num_nodes() == 0:
             raise SpecializationError("cannot specialize an empty graph")
         self._selections = 0
+        self._mechanism = ExponentialMechanism(
+            epsilon=self.config.epsilon_per_round(),
+            score_sensitivity=self.score.sensitivity,
+            rng=self._rng,
+        )
         config = self.config
         top = config.num_levels
+        arrays = graph.arrays()
+        table = NodeTable(list(arrays.left_ids) + list(arrays.right_ids))
+        num_left, num_nodes = arrays.num_left, arrays.num_nodes
+        str_ranks = ranks_of(table.str_order)
+        self._degrees = arrays.degrees
+        self._keys = self.splitter.sort_keys(table.nodes, arrays.degrees, str_ranks)
+        self._buffers = (np.arange(num_left), np.arange(num_left, num_nodes))
 
-        left_nodes = set(graph.left_nodes())
-        right_nodes = set(graph.right_nodes())
-        universe = left_nodes | right_nodes
-
-        levels: Dict[int, Partition] = {}
+        # A group is (id, side, ((left lo, hi), (right lo, hi))) over the buffers.
+        current = [("root", "mixed", ((0, num_left), (0, num_nodes - num_left)))]
+        levels: Dict[int, Partition] = {top: self._level_partition(table, current, top)}
         parents: Dict[str, str] = {}
-
-        root = Group(group_id="root", members=frozenset(universe), side="mixed", level=top)
-        levels[top] = Partition([root])
-
-        current_groups = [root]
         for level in range(top - 1, 0, -1):
-            next_groups: List[Group] = []
-            for parent in current_groups:
-                children = self._split_group(graph, parent, level, left_nodes, right_nodes)
+            self._sort_segments(current)
+            next_groups = []
+            for parent in current:
+                children = self._split_group(parent)
                 for child in children:
-                    parents[child.group_id] = parent.group_id
+                    parents[child[0]] = parent[0]
                 next_groups.extend(children)
-            levels[level] = Partition(next_groups)
-            current_groups = next_groups
+            levels[level] = self._level_partition(table, next_groups, level)
+            current = next_groups
 
         if config.include_individual_level:
-            singleton_groups: List[Group] = []
-            for parent in current_groups:
-                side = parent.side
-                for member in sorted(parent.members, key=str):
-                    member_side = side
-                    if member_side == "mixed":
-                        member_side = "left" if member in left_nodes else "right"
-                    child = Group(
-                        group_id=f"u:{member}",
-                        members=frozenset([member]),
-                        side=member_side,
-                        level=0,
-                    )
-                    parents[child.group_id] = parent.group_id
-                    singleton_groups.append(child)
-            levels[0] = Partition(singleton_groups)
+            above = levels[1]
+            order = np.lexsort((str_ranks, above.labels))
+            ids = [f"u:{table.nodes[i]}" for i in order.tolist()]
+            mixed = np.asarray([side == "mixed" for side in above.sides])[above.labels[order]]
+            own = np.where(order < num_left, "left", "right")
+            inherited = np.asarray(above.sides, dtype=object)[above.labels[order]]
+            parent_ids = above.group_ids()
+            for child_id, position in zip(ids, order.tolist()):
+                parents[child_id] = parent_ids[above.labels[position]]
+            levels[0] = Partition.from_labels(
+                table, ranks_of(order), ids, np.where(mixed, own, inherited).tolist(), [0] * num_nodes
+            )
 
         hierarchy = GroupHierarchy(levels, parents=parents, validate=True)
         return SpecializationResult(
@@ -283,81 +289,40 @@ class Specializer:
             method=self.method_name,
         )
 
-    def _split_group(
-        self,
-        graph: BipartiteGraph,
-        parent: Group,
-        child_level: int,
-        left_nodes: set,
-        right_nodes: set,
-    ) -> List[Group]:
-        """Split ``parent`` into its children at ``child_level``."""
+    def _level_partition(self, table: NodeTable, groups: list, level: int) -> Partition:
+        """One level's partition: each group's segments labelled with its code."""
+        labels = np.empty(len(table), dtype=np.int64)
+        for side, buffer in enumerate(self._buffers):
+            spans = sorted((segs[side][0], segs[side][1], code) for code, (_, _, segs) in enumerate(groups))
+            labels[buffer] = np.repeat([code for _, _, code in spans], [hi - lo for lo, hi, _ in spans])
+        return Partition.from_labels(
+            table, labels, [g[0] for g in groups], [g[1] for g in groups], [level] * len(groups)
+        )
+
+    def _sort_segments(self, groups: list) -> None:
+        """Sort every group's segment of each buffer by the splitter's keys."""
+        for side, buffer in enumerate(self._buffers):
+            spans = sorted(segs[side] for _, _, segs in groups)
+            segment_ids = np.repeat(np.arange(len(spans)), [hi - lo for lo, hi in spans])
+            buffer[:] = buffer[np.lexsort((self._keys[buffer], segment_ids))]
+
+    def _split_group(self, parent: tuple) -> List[tuple]:
+        """Split ``parent`` into its children at the next level down."""
         config = self.config
-        members = list(parent.members)
-        if len(members) <= config.min_group_size:
-            return [
-                Group(
-                    group_id=f"{parent.group_id}/0",
-                    members=parent.members,
-                    side=parent.side,
-                    level=child_level,
-                )
-            ]
-
-        left_members = sorted((m for m in members if m in left_nodes), key=str)
-        right_members = sorted((m for m in members if m in right_nodes), key=str)
-
-        def choose(candidates: Sequence[CandidateSplit]) -> CandidateSplit:
-            return self._choose(graph, candidates)
-
-        parts: List[Tuple[str, List[Node]]] = []
-        if left_members and right_members:
-            left_parts = self._split_side(graph, left_members, config.left_fanout, choose)
-            right_parts = self._split_side(graph, right_members, config.right_fanout, choose)
-            parts.extend(("left", part) for part in left_parts)
-            parts.extend(("right", part) for part in right_parts)
-        else:
-            side = "left" if left_members else "right"
-            only = left_members if left_members else right_members
-            side_parts = self._split_side(graph, only, config.single_side_fanout, choose)
-            parts.extend((side, part) for part in side_parts)
-
-        children: List[Group] = []
-        for index, (side, part) in enumerate(parts):
-            if not part:
-                continue
-            children.append(
-                Group(
-                    group_id=f"{parent.group_id}/{index}",
-                    members=frozenset(part),
-                    side=side,
-                    level=child_level,
-                )
+        group_id, side, segs = parent
+        if sum(hi - lo for lo, hi in segs) <= config.min_group_size:
+            return [(f"{group_id}/0", side, segs)]
+        present = [index for index, (lo, hi) in enumerate(segs) if hi > lo]
+        fanouts = (config.left_fanout, config.right_fanout) if len(present) == 2 else (config.single_side_fanout,) * 2
+        children = []
+        for index in present:
+            parts = split_into_parts(
+                self._buffers[index], *segs[index], fanouts[index], self.splitter, self._choose_cut, rng=self._rng
             )
-        if not children:  # pragma: no cover - defensive; members >= 2 guarantees parts
-            children.append(
-                Group(
-                    group_id=f"{parent.group_id}/0",
-                    members=parent.members,
-                    side=parent.side,
-                    level=child_level,
-                )
-            )
+            for lo, hi in parts:
+                child_segs = ((lo, hi), (0, 0)) if index == 0 else ((0, 0), (lo, hi))
+                children.append((f"{group_id}/{len(children)}", SIDES[index], child_segs))
         return children
-
-    def _split_side(
-        self,
-        graph: BipartiteGraph,
-        members: List[Node],
-        fanout: int,
-        choose,
-    ) -> List[List[Node]]:
-        """Split one side of a group into up to ``fanout`` parts."""
-        if not members:
-            return []
-        if len(members) < 2 or fanout < 2:
-            return [list(members)]
-        return split_into_parts(graph, members, fanout, self.splitter, choose, rng=self._rng)
 
 
 class DeterministicSpecializer(Specializer):
@@ -371,9 +336,9 @@ class DeterministicSpecializer(Specializer):
 
     method_name = "deterministic"
 
-    def _choose(self, graph: BipartiteGraph, candidates: Sequence[CandidateSplit]) -> CandidateSplit:
+    def _choose(self, degrees: np.ndarray, cuts: np.ndarray) -> int:
         self._selections += 1
-        return min(candidates, key=lambda c: abs(c.cut_fraction - 0.5))
+        return int(np.argmin(np.abs(cuts / len(degrees) - 0.5)))
 
     def _privacy_cost(self) -> PrivacyCost:
         return PrivacyCost(math.inf, 0.0)
@@ -399,10 +364,9 @@ class RandomSpecializer(Specializer):
         splitter = splitter if splitter is not None else RandomOrderSplitter(cut_fractions=config.cut_fractions)
         super().__init__(config=config, score=score, splitter=splitter, rng=rng)
 
-    def _choose(self, graph: BipartiteGraph, candidates: Sequence[CandidateSplit]) -> CandidateSplit:
+    def _choose(self, degrees: np.ndarray, cuts: np.ndarray) -> int:
         self._selections += 1
-        index = int(self._rng.integers(0, len(candidates)))
-        return list(candidates)[index]
+        return int(self._rng.integers(0, len(cuts)))
 
     def _privacy_cost(self) -> PrivacyCost:
         return PrivacyCost(0.0, 0.0)

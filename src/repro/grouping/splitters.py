@@ -1,20 +1,25 @@
 """Candidate-split generation for the specialization phase.
 
-A *splitter* turns a set of nodes into a small list of candidate binary
-splits; the Exponential Mechanism then chooses among them using a
-:class:`~repro.grouping.scores.SplitScore`.  Candidates are generated from a
-node ordering (by degree, by hash, or random) with cut points at a handful of
-fractions — the classic approach in differentially private hierarchical
-decompositions, which keeps the candidate set small and data-independent in
-size.
+A *splitter* orders the nodes of a group and offers a small set of cut
+positions into that ordering; the Exponential Mechanism then chooses one cut
+using a :class:`~repro.grouping.scores.SplitScore`.  Orderings come from a
+fixed per-node key (degree or salted hash) or a seeded random permutation,
+with cut points at a handful of fractions — the classic approach in
+differentially private hierarchical decompositions, which keeps the candidate
+set small and data-independent in size.
+
+The specializer works on integer segments: it computes each node's key once
+per build (:meth:`Splitter.sort_keys`), keeps every group's side members as a
+contiguous segment of one index buffer sorted by those keys, and calls
+:meth:`Splitter.reorder` before each binary cut of a segment
+(:func:`split_into_parts`).
 """
 
 from __future__ import annotations
 
 import abc
 import hashlib
-from dataclasses import dataclass
-from typing import Hashable, List, Sequence, Tuple
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -26,26 +31,11 @@ from repro.utils.validation import check_positive_int
 Node = Hashable
 
 
-@dataclass(frozen=True)
-class CandidateSplit:
-    """A candidate binary split of a node set into two disjoint parts."""
-
-    part_a: Tuple[Node, ...]
-    part_b: Tuple[Node, ...]
-    cut_fraction: float = 0.5
-
-    def __post_init__(self):
-        overlap = set(self.part_a) & set(self.part_b)
-        if overlap:
-            raise SpecializationError(f"split parts overlap on {len(overlap)} node(s)")
-
-    def size(self) -> int:
-        """Total number of nodes covered by the split."""
-        return len(self.part_a) + len(self.part_b)
-
-    def parts(self) -> Tuple[Tuple[Node, ...], Tuple[Node, ...]]:
-        """Both parts as a tuple pair."""
-        return self.part_a, self.part_b
+def ranks_of(order: np.ndarray) -> np.ndarray:
+    """The inverse permutation of ``order``: each position's rank."""
+    ranks = np.empty(len(order), dtype=np.int64)
+    ranks[order] = np.arange(len(order), dtype=np.int64)
+    return ranks
 
 
 class Splitter(abc.ABC):
@@ -56,43 +46,50 @@ class Splitter(abc.ABC):
         if not fractions or any(not 0.0 < f < 1.0 for f in fractions):
             raise SpecializationError("cut_fractions must be non-empty values in (0, 1)")
         self.cut_fractions = tuple(fractions)
+        self._cuts: Dict[int, np.ndarray] = {}
+
+    def cuts(self, size: int) -> np.ndarray:
+        """Distinct candidate cut positions into an ordering of ``size`` nodes.
+
+        Cutting at ``c`` splits the ordering into its first ``c`` nodes and
+        the rest.  At least one cut exists for two or more nodes; smaller
+        sets cannot be split and raise :class:`SpecializationError`.
+        """
+        cached = self._cuts.get(size)
+        if cached is None:
+            if size < 2:
+                raise SpecializationError(f"cannot split a set of {size} node(s)")
+            cuts: List[int] = []
+            for fraction in self.cut_fractions:
+                cut = min(max(int(round(fraction * size)), 1), size - 1)
+                if cut not in cuts:
+                    cuts.append(cut)
+            cached = self._cuts[size] = np.asarray(cuts, dtype=np.int64)
+        return cached
 
     @abc.abstractmethod
-    def order(self, graph: BipartiteGraph, members: Sequence[Node], rng: RandomState = None) -> List[Node]:
-        """Return the node ordering candidate cuts are taken from."""
+    def sort_keys(self, nodes: Sequence[Node], degrees: np.ndarray, str_ranks: np.ndarray) -> np.ndarray:
+        """Per-node ``int64`` ranks every group's members are sorted by.
 
-    def propose(
-        self,
-        graph: BipartiteGraph,
-        members: Sequence[Node],
-        rng: RandomState = None,
-    ) -> List[CandidateSplit]:
-        """Generate candidate binary splits of ``members``.
-
-        At least one candidate is always returned for sets of two or more
-        nodes; singletons and empty sets cannot be split and raise
-        :class:`SpecializationError`.
+        ``degrees`` and ``str_ranks`` (each node's position in ``str`` order)
+        are aligned with ``nodes``.
         """
+
+    def reorder(self, segment: np.ndarray, rng: RandomState = None) -> np.ndarray:
+        """The ordering one binary cut of ``segment`` is taken from.
+
+        ``segment`` arrives sorted by :meth:`sort_keys` or as a part of an
+        earlier cut; keyed orderings keep it as it is.
+        """
+        return segment
+
+    def order(self, graph: BipartiteGraph, members: Sequence[Node], rng: RandomState = None) -> List[Node]:
+        """``members`` in the order their first cut is taken from."""
         members = list(members)
-        if len(members) < 2:
-            raise SpecializationError(f"cannot split a set of {len(members)} node(s)")
-        ordering = self.order(graph, members, rng=rng)
-        candidates: List[CandidateSplit] = []
-        seen_cuts = set()
-        for fraction in self.cut_fractions:
-            cut = int(round(fraction * len(ordering)))
-            cut = min(max(cut, 1), len(ordering) - 1)
-            if cut in seen_cuts:
-                continue
-            seen_cuts.add(cut)
-            candidates.append(
-                CandidateSplit(
-                    part_a=tuple(ordering[:cut]),
-                    part_b=tuple(ordering[cut:]),
-                    cut_fraction=cut / len(ordering),
-                )
-            )
-        return candidates
+        degrees = np.asarray([graph.degree(n) if graph.has_node(n) else 0 for n in members], dtype=np.int64)
+        str_ranks = ranks_of(np.asarray(sorted(range(len(members)), key=lambda i: str(members[i])), dtype=np.int64))
+        segment = np.argsort(self.sort_keys(members, degrees, str_ranks), kind="stable")
+        return [members[i] for i in self.reorder(segment, rng).tolist()]
 
 
 class DegreeOrderSplitter(Splitter):
@@ -104,8 +101,8 @@ class DegreeOrderSplitter(Splitter):
     needs (the randomness must come from the mechanism, not the candidates).
     """
 
-    def order(self, graph: BipartiteGraph, members: Sequence[Node], rng: RandomState = None) -> List[Node]:
-        return sorted(members, key=lambda n: (-graph.degree(n) if graph.has_node(n) else 0, str(n)))
+    def sort_keys(self, nodes, degrees, str_ranks):
+        return ranks_of(np.lexsort((str_ranks, -np.asarray(degrees, dtype=np.int64))))
 
 
 class HashOrderSplitter(Splitter):
@@ -119,21 +116,17 @@ class HashOrderSplitter(Splitter):
     def __init__(self, cut_fractions: Sequence[float] = (0.3, 0.4, 0.5, 0.6, 0.7), salt: str = ""):
         super().__init__(cut_fractions)
         self.salt = str(salt)
-        # A node is re-ordered once per hierarchy transition, so the salted
-        # hash is recomputed O(levels) times without this memo.  The hash is
-        # a pure function of (salt, node), making the cache parity-safe.
-        self._hash_cache: dict = {}
 
-    def _hash(self, node: Node) -> int:
-        cached = self._hash_cache.get(node)
-        if cached is None:
-            digest = hashlib.sha256(f"{self.salt}::{node}".encode("utf-8")).digest()
-            cached = int.from_bytes(digest[:8], "big")
-            self._hash_cache[node] = cached
-        return cached
-
-    def order(self, graph: BipartiteGraph, members: Sequence[Node], rng: RandomState = None) -> List[Node]:
-        return sorted(members, key=lambda n: (self._hash(n), str(n)))
+    def sort_keys(self, nodes, degrees, str_ranks):
+        hashes = np.fromiter(
+            (
+                int.from_bytes(hashlib.sha256(f"{self.salt}::{node}".encode("utf-8")).digest()[:8], "big")
+                for node in nodes
+            ),
+            dtype=np.uint64,
+            count=len(nodes),
+        )
+        return ranks_of(np.lexsort((str_ranks, hashes)))
 
 
 class RandomOrderSplitter(Splitter):
@@ -141,45 +134,45 @@ class RandomOrderSplitter(Splitter):
 
     Used by the random-specialization ablation baseline; the ordering is not
     a function of the data, so it has no privacy cost, but candidate quality
-    is left to chance.
+    is left to chance.  Each group starts from its members in ``str`` order,
+    and every cut is taken from a fresh permutation of the part being cut.
     """
 
-    def order(self, graph: BipartiteGraph, members: Sequence[Node], rng: RandomState = None) -> List[Node]:
-        generator = as_rng(rng)
-        members = list(members)
-        permutation = generator.permutation(len(members))
-        return [members[i] for i in permutation]
+    def sort_keys(self, nodes, degrees, str_ranks):
+        return np.asarray(str_ranks, dtype=np.int64)
+
+    def reorder(self, segment: np.ndarray, rng: RandomState = None) -> np.ndarray:
+        return segment[as_rng(rng).permutation(len(segment))]
 
 
 def split_into_parts(
-    graph: BipartiteGraph,
-    members: Sequence[Node],
+    buffer: np.ndarray,
+    lo: int,
+    hi: int,
     num_parts: int,
     splitter: Splitter,
     choose,
     rng: RandomState = None,
-) -> List[List[Node]]:
-    """Split ``members`` into up to ``num_parts`` parts by recursive bisection.
+) -> List[Tuple[int, int]]:
+    """Cut ``buffer[lo:hi]`` into up to ``num_parts`` parts by recursive bisection.
 
-    ``choose`` is a callable ``(candidates) -> CandidateSplit`` (typically a
-    closure over an Exponential Mechanism) that picks one candidate split.
-    Sets too small to reach ``num_parts`` produce fewer parts; empty input
-    produces no parts.
+    Each round takes the first of the largest parts still splittable, lets
+    ``splitter`` reorder it in place and cuts it where ``choose(segment,
+    cuts)`` says (an index into ``cuts``; typically an Exponential Mechanism).
+    A segment of ``n`` nodes therefore takes ``min(num_parts, n) - 1``
+    choices.  Returns the parts as ``(start, stop)`` spans; an empty segment
+    has none.
     """
     num_parts = check_positive_int(num_parts, "num_parts")
-    members = list(members)
-    if not members:
-        return []
-    parts: List[List[Node]] = [members]
-    while len(parts) < num_parts:
-        # Split the currently largest part that is still splittable.
-        splittable = [p for p in parts if len(p) >= 2]
-        if not splittable:
+    parts = [(lo, hi)] if hi > lo else []
+    while 0 < len(parts) < num_parts:
+        target = max(parts, key=lambda part: part[1] - part[0])
+        start, stop = target
+        if stop - start < 2:
             break
-        target = max(splittable, key=len)
         parts.remove(target)
-        candidates = splitter.propose(graph, target, rng=rng)
-        chosen = choose(candidates)
-        parts.append(list(chosen.part_a))
-        parts.append(list(chosen.part_b))
+        buffer[start:stop] = splitter.reorder(buffer[start:stop], rng=rng)
+        cuts = splitter.cuts(stop - start)
+        cut = start + int(cuts[choose(buffer[start:stop], cuts)])
+        parts += [(start, cut), (cut, stop)]
     return parts

@@ -27,7 +27,7 @@ from repro.core.discloser import MultiLevelDiscloser
 from repro.datasets.dblp_like import generate_dblp_like
 from repro.graphs.bipartite import BipartiteGraph, Side
 from repro.grouping.partition import Group, Partition
-from repro.grouping.scores import BalancedAssociationScore, SplitScore
+from repro.grouping.scores import BalancedAssociationScore
 from repro.grouping.specialization import SpecializationConfig, Specializer
 from repro.mechanisms.gaussian import AnalyticGaussianMechanism, GaussianMechanism
 from repro.mechanisms.geometric import GeometricMechanism
@@ -235,10 +235,12 @@ def test_geometric_randomise_many_stays_integral():
 # Split scoring
 # ----------------------------------------------------------------------
 class _PerSplitScore(BalancedAssociationScore):
-    """The default score with the prefix-sum batch disabled."""
+    """The default score computed one cut at a time, without the prefix sum."""
 
-    def scores(self, graph, splits):
-        return SplitScore.scores(self, graph, splits)
+    def scores(self, degrees, cuts):
+        return np.array(
+            [-abs(int(degrees[:cut].sum()) - int(degrees[cut:].sum())) / self.degree_bound for cut in cuts.tolist()]
+        )
 
 
 def test_specializer_hierarchy_parity():
@@ -255,27 +257,6 @@ def test_specializer_hierarchy_parity():
         batched_groups = {g.group_id: g.members for g in batched.partition_at(level).groups()}
         per_split_groups = {g.group_id: g.members for g in per_split.partition_at(level).groups()}
         assert batched_groups == per_split_groups
-
-
-def test_split_scores_parity_for_non_prefix_candidates():
-    """The batched prefix-sum scorer must reject candidate sets that are not
-    prefix cuts of one shared ordering and fall back to per-split scoring."""
-    from repro.grouping.splitters import CandidateSplit
-
-    graph = BipartiteGraph()
-    graph.add_left_nodes(["a0", "a1"])
-    graph.add_right_nodes(["b0", "b1"])
-    graph.add_associations([("a0", "b0"), ("a0", "b1"), ("a1", "b1")])
-    # Same part_a, different (non-complementary) part_b: a custom splitter
-    # could legally produce this shape.
-    splits = [
-        CandidateSplit(part_a=("a0",), part_b=("b0",)),
-        CandidateSplit(part_a=("a0",), part_b=("b1",)),
-        CandidateSplit(part_a=("a1", "b0"), part_b=("b1",)),
-    ]
-    score = BalancedAssociationScore()
-    per_split = [score.score(graph, split) for split in splits]
-    assert score.scores(graph, splits).tolist() == per_split
 
 
 # ----------------------------------------------------------------------

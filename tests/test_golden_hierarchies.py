@@ -43,7 +43,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.common import fingerprint_partition as legacy_fingerprint_partition
+from repro.core.common import legacy_fingerprint_partition
 from repro.datasets.dblp_like import generate_dblp_like
 from repro.grouping.scores import BalanceScore, EdgeUniformityScore
 from repro.grouping.specialization import (

@@ -120,23 +120,6 @@ def test_partition_codes_and_kernels(tiny_graph, tiny_partition):
     assert incident.tolist() == [5, 5]
 
 
-def test_degree_mass_ignores_absent_nodes(tiny_graph):
-    arrays = tiny_graph.arrays()
-    assert arrays.degree_mass(["bob", "ghost"]) == tiny_graph.degree("bob")
-    assert arrays.degree_mass([]) == 0
-
-
-def test_degrees_aligned_pads_absent_and_handles_empty_graph(tiny_graph):
-    arrays = tiny_graph.arrays()
-    aligned = arrays.degrees_aligned(["ghost", "bob", "erin"])
-    assert aligned.tolist() == [0, tiny_graph.degree("bob"), 0]
-    # An empty graph must not crash on a non-empty node list (the -1
-    # sentinel used to index into a size-0 degree vector).
-    empty_arrays = BipartiteGraph(name="void").arrays()
-    assert empty_arrays.degrees_aligned(["ghost"]).tolist() == [0]
-    assert empty_arrays.degrees_aligned([]).size == 0
-
-
 def test_cross_group_matrix_matches_manual_count(tiny_graph):
     arrays = tiny_graph.arrays()
     left = Partition.from_mapping({"bc": ["bob", "carol"], "de": ["dave", "erin"]})

@@ -1,28 +1,34 @@
-"""Tests for split score functions."""
+"""Tests for split score functions.
 
+Scores rate cutting an ordered segment at a position; ``split_score`` builds
+that segment from two explicit parts (absent nodes have degree 0).
+"""
+
+import numpy as np
 import pytest
 
 from repro.grouping.scores import BalancedAssociationScore, BalanceScore, EdgeUniformityScore
-from repro.grouping.splitters import CandidateSplit
 
 
-def make_split(part_a, part_b):
-    return CandidateSplit(part_a=tuple(part_a), part_b=tuple(part_b))
+def split_score(score, graph, part_a, part_b) -> float:
+    ordering = list(part_a) + list(part_b)
+    degrees = np.array([graph.degree(n) if graph.has_node(n) else 0 for n in ordering])
+    return float(score.scores(degrees, np.array([len(part_a)]))[0])
 
 
 class TestBalanceScore:
     def test_balanced_split_scores_zero(self, tiny_graph):
         score = BalanceScore()
-        assert score.score(tiny_graph, make_split(["bob", "carol"], ["dave", "erin"])) == 0.0
+        assert split_score(score, tiny_graph, ["bob", "carol"], ["dave", "erin"]) == 0.0
 
     def test_imbalanced_split_scores_negative(self, tiny_graph):
         score = BalanceScore()
-        assert score.score(tiny_graph, make_split(["bob"], ["carol", "dave", "erin"])) == -2.0
+        assert split_score(score, tiny_graph, ["bob"], ["carol", "dave", "erin"]) == -2.0
 
     def test_more_balanced_is_better(self, tiny_graph):
         score = BalanceScore()
-        balanced = score.score(tiny_graph, make_split(["bob", "carol"], ["dave", "erin"]))
-        skewed = score.score(tiny_graph, make_split(["bob"], ["carol", "dave", "erin"]))
+        balanced = split_score(score, tiny_graph, ["bob", "carol"], ["dave", "erin"])
+        skewed = split_score(score, tiny_graph, ["bob"], ["carol", "dave", "erin"])
         assert balanced > skewed
 
     def test_sensitivity_is_one(self):
@@ -30,27 +36,26 @@ class TestBalanceScore:
 
     def test_scores_vector(self, tiny_graph):
         score = BalanceScore()
-        splits = [make_split(["bob"], ["carol"]), make_split(["bob", "carol"], ["dave"])]
-        assert score.scores(tiny_graph, splits).shape == (2,)
+        assert score.scores(np.array([2, 1, 2]), np.array([1, 2])).shape == (2,)
 
 
 class TestBalancedAssociationScore:
     def test_prefers_equal_association_mass(self, tiny_graph):
         score = BalancedAssociationScore(degree_bound=10)
         # bob has 2 purchases, dave 2, carol 1, erin 0.
-        balanced = score.score(tiny_graph, make_split(["bob", "erin"], ["dave", "carol"]))
-        skewed = score.score(tiny_graph, make_split(["bob", "dave"], ["carol", "erin"]))
+        balanced = split_score(score, tiny_graph, ["bob", "erin"], ["dave", "carol"])
+        skewed = split_score(score, tiny_graph, ["bob", "dave"], ["carol", "erin"])
         assert balanced > skewed
 
     def test_normalised_by_degree_bound(self, tiny_graph):
         tight = BalancedAssociationScore(degree_bound=1.0)
         loose = BalancedAssociationScore(degree_bound=100.0)
-        split = make_split(["bob", "dave"], ["carol", "erin"])
-        assert abs(tight.score(tiny_graph, split)) > abs(loose.score(tiny_graph, split))
+        split = (["bob", "dave"], ["carol", "erin"])
+        assert abs(split_score(tight, tiny_graph, *split)) > abs(split_score(loose, tiny_graph, *split))
 
     def test_unknown_nodes_contribute_zero(self, tiny_graph):
         score = BalancedAssociationScore()
-        value = score.score(tiny_graph, make_split(["ghost1"], ["ghost2"]))
+        value = split_score(score, tiny_graph, ["ghost1"], ["ghost2"])
         assert value == 0.0
 
     def test_invalid_degree_bound(self):
@@ -61,15 +66,34 @@ class TestBalancedAssociationScore:
 class TestEdgeUniformityScore:
     def test_uniform_degrees_score_best(self, tiny_graph):
         score = EdgeUniformityScore(degree_bound=10)
-        uniform = score.score(tiny_graph, make_split(["bob", "dave"], ["carol"]))
-        mixed = score.score(tiny_graph, make_split(["bob", "erin"], ["carol", "dave"]))
+        uniform = split_score(score, tiny_graph, ["bob", "dave"], ["carol"])
+        mixed = split_score(score, tiny_graph, ["bob", "erin"], ["carol", "dave"])
         assert uniform >= mixed
 
     def test_empty_parts_score_zero(self, tiny_graph):
         score = EdgeUniformityScore()
-        assert score.score(tiny_graph, make_split(["ghost"], ["phantom"])) == 0.0
+        assert split_score(score, tiny_graph, ["ghost"], ["phantom"]) == 0.0
 
     def test_scores_are_non_positive(self, tiny_graph):
         score = EdgeUniformityScore()
-        split = make_split(["bob", "carol"], ["dave", "erin"])
-        assert score.score(tiny_graph, split) <= 0.0
+        split = (["bob", "carol"], ["dave", "erin"])
+        assert split_score(score, tiny_graph, *split) <= 0.0
+
+
+@pytest.mark.parametrize(
+    "score", [BalanceScore(), BalancedAssociationScore(degree_bound=7.0), EdgeUniformityScore(degree_bound=3.0)]
+)
+def test_batched_scores_match_one_cut_at_a_time(score):
+    degrees = np.array([5, 0, 3, 3, 9, 1, 2])
+    cuts = np.array([2, 3, 4, 1, 6])
+    expected = []
+    for cut in cuts.tolist():
+        part_a, part_b = degrees[:cut], degrees[cut:]
+        if isinstance(score, BalanceScore):
+            expected.append(-abs(len(part_a) - len(part_b)))
+        elif isinstance(score, BalancedAssociationScore):
+            expected.append(-abs(int(part_a.sum()) - int(part_b.sum())) / score.degree_bound)
+        else:
+            stds = float(np.std(part_a.astype(float))) + float(np.std(part_b.astype(float)))
+            expected.append(-0.5 * stds / score.degree_bound)
+    assert score.scores(degrees, cuts).tolist() == expected

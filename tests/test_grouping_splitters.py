@@ -1,26 +1,15 @@
 """Tests for candidate-split generation."""
 
+import numpy as np
 import pytest
 
 from repro.exceptions import SpecializationError
 from repro.grouping.splitters import (
-    CandidateSplit,
     DegreeOrderSplitter,
     HashOrderSplitter,
     RandomOrderSplitter,
     split_into_parts,
 )
-
-
-class TestCandidateSplit:
-    def test_parts_and_size(self):
-        split = CandidateSplit(("a", "b"), ("c",))
-        assert split.size() == 3
-        assert split.parts() == (("a", "b"), ("c",))
-
-    def test_overlap_rejected(self):
-        with pytest.raises(SpecializationError):
-            CandidateSplit(("a",), ("a", "b"))
 
 
 class TestSplitters:
@@ -32,24 +21,23 @@ class TestSplitters:
 
     def test_propose_covers_all_members(self, dblp_graph, members):
         for splitter in (HashOrderSplitter(), DegreeOrderSplitter(), RandomOrderSplitter()):
-            for split in splitter.propose(dblp_graph, members, rng=0):
-                assert sorted(split.part_a + split.part_b, key=str) == sorted(members, key=str)
+            ordering = splitter.order(dblp_graph, members, rng=0)
+            assert sorted(ordering, key=str) == sorted(members, key=str)
+            assert all(1 <= cut < len(members) for cut in splitter.cuts(len(members)).tolist())
 
-    def test_propose_generates_multiple_candidates(self, dblp_graph, members):
-        candidates = HashOrderSplitter().propose(dblp_graph, members)
-        assert len(candidates) >= 2
-        assert all(len(c.part_a) >= 1 and len(c.part_b) >= 1 for c in candidates)
+    def test_propose_generates_multiple_candidates(self, members):
+        cuts = HashOrderSplitter().cuts(len(members)).tolist()
+        assert len(cuts) >= 2
+        assert len(set(cuts)) == len(cuts)
 
-    def test_propose_two_members(self, dblp_graph, members):
-        candidates = HashOrderSplitter().propose(dblp_graph, members[:2])
-        assert len(candidates) == 1
-        assert candidates[0].size() == 2
+    def test_propose_two_members(self):
+        assert HashOrderSplitter().cuts(2).tolist() == [1]
 
-    def test_propose_too_small_raises(self, dblp_graph, members):
+    def test_propose_too_small_raises(self):
         with pytest.raises(SpecializationError):
-            HashOrderSplitter().propose(dblp_graph, members[:1])
+            HashOrderSplitter().cuts(1)
         with pytest.raises(SpecializationError):
-            HashOrderSplitter().propose(dblp_graph, [])
+            HashOrderSplitter().cuts(0)
 
     def test_invalid_cut_fractions(self):
         with pytest.raises(SpecializationError):
@@ -81,32 +69,41 @@ class TestSplitters:
 
 
 class TestSplitIntoParts:
-    def choose_first(self, candidates):
-        return candidates[0]
+    def choose_first(self, segment, cuts):
+        return 0
 
-    def test_produces_requested_parts(self, dblp_graph):
-        import itertools
-
-        members = list(itertools.islice(dblp_graph.left_nodes(), 16))
-        parts = split_into_parts(dblp_graph, members, 4, HashOrderSplitter(), self.choose_first, rng=0)
+    def test_produces_requested_parts(self):
+        buffer = np.arange(16)
+        parts = split_into_parts(buffer, 0, 16, 4, HashOrderSplitter(), self.choose_first, rng=0)
         assert len(parts) == 4
-        assert sorted(sum(parts, []), key=str) == sorted(members, key=str)
+        spans = sorted(parts)
+        assert spans[0][0] == 0 and spans[-1][1] == 16
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
 
-    def test_small_input_returns_fewer_parts(self, dblp_graph):
-        parts = split_into_parts(
-            dblp_graph, list(dblp_graph.left_nodes())[:1], 4, HashOrderSplitter(), self.choose_first
-        )
-        assert len(parts) == 1
+    def test_small_input_returns_fewer_parts(self):
+        parts = split_into_parts(np.arange(1), 0, 1, 4, HashOrderSplitter(), self.choose_first)
+        assert parts == [(0, 1)]
 
-    def test_empty_input(self, dblp_graph):
-        assert split_into_parts(dblp_graph, [], 4, HashOrderSplitter(), self.choose_first) == []
+    def test_empty_input(self):
+        assert split_into_parts(np.arange(3), 2, 2, 4, HashOrderSplitter(), self.choose_first) == []
 
-    def test_parts_are_disjoint(self, dblp_graph):
-        import itertools
+    def test_parts_are_disjoint(self):
+        buffer = np.arange(30, 53)
+        parts = split_into_parts(buffer, 0, 23, 5, RandomOrderSplitter(), self.choose_first, rng=1)
+        assert len(parts) == 5
+        spans = sorted(parts)
+        assert spans[0][0] == 0 and spans[-1][1] == 23
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        assert sorted(buffer.tolist()) == list(range(30, 53))
 
-        members = list(itertools.islice(dblp_graph.left_nodes(), 23))
-        parts = split_into_parts(dblp_graph, members, 5, HashOrderSplitter(), self.choose_first, rng=1)
-        seen = set()
-        for part in parts:
-            assert not (seen & set(part))
-            seen.update(part)
+    def test_each_round_cuts_the_first_largest_part(self):
+        sizes = []
+
+        def choose_middle(segment, cuts):
+            sizes.append(len(segment))
+            return len(cuts) // 2
+
+        parts = split_into_parts(np.arange(8), 0, 8, 3, HashOrderSplitter(), choose_middle)
+        # 8 -> (0,4)+(4,8); of the two equal parts the first, (0,4), is cut next.
+        assert sizes == [8, 4]
+        assert parts == [(4, 8), (0, 2), (2, 4)]
