@@ -98,12 +98,15 @@ def fingerprint_partition(partition: "Partition") -> str:
 
     A SHA-256 over a version tag, the digest of the ``str``-sorted node
     table (computed once per table, so once per hierarchy), the group table
-    ``(id, side, level)`` in group-id order, and every node's group rank in
-    that order, as ``int64`` bytes in node-table ``str`` order.  Two
-    partitions with the same content digest identically whatever order their
-    groups and members were built in.  The digest is memoised on the
-    partition instance — hierarchies are built once and reused across
-    releases, so repeated disclosures hash each level once.
+    in group-id order — id lengths and text, sides, levels (once when every
+    group shares one) — and every
+    node's group rank in that order as ``int64`` bytes, nodes in table
+    ``str`` order.  Each part is self-delimiting, so the digest is a function
+    of the content alone: two partitions with the same content digest
+    identically whatever order their groups and members were built in.  The
+    digest is memoised on the partition instance — hierarchies are built
+    once and reused across releases, so repeated disclosures hash each level
+    once.
     """
     cached = getattr(partition, "_content_digest", None)
     if cached is not None:
@@ -113,13 +116,27 @@ def fingerprint_partition(partition: "Partition") -> str:
         nodes = [table.nodes[i] for i in table.str_order.tolist()]
         table.digest = hashlib.sha256(_compact_json(nodes)).digest()
     ids = partition.group_ids()
-    by_id = sorted(range(len(ids)), key=ids.__getitem__)
-    ranks = np.empty(len(ids), dtype=np.int64)
-    ranks[by_id] = np.arange(len(ids), dtype=np.int64)
+    sorted_ids = sorted(ids)
+    in_order = sorted_ids == ids  # the specializer emits most levels in id order
+    by_id = range(len(ids)) if in_order else list(map(partition.codes.__getitem__, sorted_ids))
+    labels = partition.labels[table.str_order]
+    if not in_order:
+        ranks = np.empty(len(ids), dtype=np.int64)
+        ranks[by_id] = np.arange(len(ids), dtype=np.int64)
+        labels = ranks[labels]
     digest = hashlib.sha256(f"repro-partition-v{FINGERPRINT_VERSION}".encode("ascii"))
     digest.update(table.digest)
-    digest.update(_compact_json([[ids[c], partition.sides[c], partition.levels[c]] for c in by_id]))
-    digest.update(ranks[partition.labels[table.str_order]].astype("<i8").tobytes())
+    digest.update(np.array([len(ids), len(table)], dtype="<i8").tobytes())
+    digest.update(np.fromiter(map(len, sorted_ids), dtype="<i8", count=len(ids)).tobytes())
+    digest.update("".join(sorted_ids).encode("utf-8", "surrogatepass"))
+    # Sides are one of "left", "right", "mixed": no word prefixes another.
+    digest.update("".join(map(partition.sides.__getitem__, by_id)).encode("ascii"))
+    levels = partition.levels
+    if levels and levels.count(levels[0]) == len(levels):
+        digest.update(_compact_json(["all", levels[0]]))  # a level per group is never "all"
+    else:
+        digest.update(_compact_json(list(map(levels.__getitem__, by_id))))
+    digest.update(labels.astype("<i8").tobytes())
     partition._content_digest = digest.hexdigest()  # noqa: SLF001 - memo on our own type
     return partition._content_digest
 

@@ -82,11 +82,9 @@ class GroupHierarchy:
             raise HierarchyError("a hierarchy needs at least one level")
         self._levels: Dict[int, Partition] = dict(sorted(levels.items()))
         self._parents: Dict[str, str] = dict(parents) if parents is not None else {}
-        self._children: Dict[str, List[str]] = {}
+        self._children: Optional[Dict[str, List[str]]] = None
         if not self._parents:
             self._infer_parents()
-        for child, parent in self._parents.items():
-            self._children.setdefault(parent, []).append(child)
         if validate:
             self.validate()
 
@@ -158,6 +156,10 @@ class GroupHierarchy:
 
     def children_of(self, group_id: str) -> List[str]:
         """The child group ids (empty for bottom-level groups)."""
+        if self._children is None:
+            self._children = {}
+            for child, parent in self._parents.items():
+                self._children.setdefault(parent, []).append(child)
         return list(self._children.get(group_id, []))
 
     def iter_levels(self) -> Iterator[Tuple[int, Partition]]:
@@ -211,18 +213,17 @@ class GroupHierarchy:
                 )
         for lower, upper in zip(indices, indices[1:]):
             child, parent = self._levels[lower], self._levels[upper]
-            parent_codes = {group_id: code for code, group_id in enumerate(parent.group_ids())}
-            expected = np.empty(child.num_groups(), dtype=np.int64)
-            for code, group_id in enumerate(child.group_ids()):
+            expected = [parent.codes.get(self._parents.get(group_id)) for group_id in child.group_ids()]
+            if None in expected:
+                group_id = child.group_ids()[expected.index(None)]
                 parent_id = self._parents.get(group_id)
                 if parent_id is None:
                     raise HierarchyError(f"group {group_id!r} at level {lower} has no parent")
-                if parent_id not in parent_codes:
-                    raise HierarchyError(
-                        f"group {group_id!r} at level {lower} references unknown parent "
-                        f"{parent_id!r} at level {upper}"
-                    )
-                expected[code] = parent_codes[parent_id]
+                raise HierarchyError(
+                    f"group {group_id!r} at level {lower} references unknown parent "
+                    f"{parent_id!r} at level {upper}"
+                )
+            expected = np.asarray(expected, dtype=np.int64)
             outside = np.flatnonzero(expected[child.labels] != _labels_above(child, parent))
             if outside.size:
                 group_id = child.group_ids()[child.labels[outside[0]]]

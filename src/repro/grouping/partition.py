@@ -152,7 +152,7 @@ class Partition:
             [group.side for group in groups],
             [group.level for group in groups],
         )
-        if len(self._codes) < len(groups):
+        if len(self.codes) < len(groups):
             seen = set()
             duplicate = next(g.group_id for g in groups if g.group_id in seen or seen.add(g.group_id))
             raise InvalidPartitionError(f"duplicate group id {duplicate!r}")
@@ -189,7 +189,8 @@ class Partition:
         self.sides = sides
         self.levels = levels
         self._ids = ids
-        self._codes: Dict[str, int] = {gid: code for code, gid in enumerate(ids)}
+        #: Mapping ``group id -> code`` (the group's position in :meth:`groups`).
+        self.codes: Dict[str, int] = {gid: code for code, gid in enumerate(ids)}
         self._groups: Optional[List[Group]] = None
         self._sizes: Optional[np.ndarray] = None
 
@@ -256,7 +257,7 @@ class Partition:
 
     def group(self, group_id: str) -> Group:
         """Return the group with the given id."""
-        return self._group_list()[self._codes[group_id]]
+        return self._group_list()[self.codes[group_id]]
 
     def group_of(self, element: Element) -> Group:
         """Return the group containing ``element``."""
@@ -299,7 +300,7 @@ class Partition:
         return iter(self._group_list())
 
     def __contains__(self, group_id: str) -> bool:
-        return group_id in self._codes
+        return group_id in self.codes
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Partition(groups={self.num_groups()}, elements={self.num_elements()})"

@@ -13,6 +13,8 @@ All scores follow the convention *higher is better*.
 from __future__ import annotations
 
 import abc
+from itertools import accumulate
+from typing import List, Sequence
 
 import numpy as np
 
@@ -24,7 +26,9 @@ class SplitScore(abc.ABC):
 
     A candidate split cuts an ordered segment of nodes at a position ``c``:
     the first ``c`` nodes form one part, the rest the other.  Scores see the
-    segment only through its nodes' degrees, in order.
+    segment only through its nodes' degrees, in order.  Segments are small
+    and scored hundreds of times per hierarchy, so scores work on plain
+    Python sequences.
     """
 
     #: Sensitivity of the score with respect to adding/removing one universe
@@ -32,7 +36,7 @@ class SplitScore(abc.ABC):
     sensitivity: float = 1.0
 
     @abc.abstractmethod
-    def scores(self, degrees: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    def scores(self, degrees: Sequence[int], cuts: Sequence[int]) -> List[float]:
         """The quality of cutting the segment at each of ``cuts`` (higher is better)."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -48,8 +52,8 @@ class BalanceScore(SplitScore):
 
     sensitivity = 1.0
 
-    def scores(self, degrees: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-        return -np.abs(2 * np.asarray(cuts) - len(degrees)).astype(float)
+    def scores(self, degrees: Sequence[int], cuts: Sequence[int]) -> List[float]:
+        return [float(-abs(2 * cut - len(degrees))) for cut in cuts]
 
 
 class BalancedAssociationScore(SplitScore):
@@ -75,9 +79,9 @@ class BalancedAssociationScore(SplitScore):
         self.degree_bound = check_positive(degree_bound, "degree_bound")
         self.sensitivity = 1.0
 
-    def scores(self, degrees: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-        prefix = np.cumsum(degrees, dtype=np.int64)
-        return -np.abs(2 * prefix[np.asarray(cuts) - 1] - prefix[-1]) / self.degree_bound
+    def scores(self, degrees: Sequence[int], cuts: Sequence[int]) -> List[float]:
+        prefix = list(accumulate(degrees))
+        return [-abs(2 * prefix[cut - 1] - prefix[-1]) / self.degree_bound for cut in cuts]
 
 
 class EdgeUniformityScore(SplitScore):
@@ -92,12 +96,9 @@ class EdgeUniformityScore(SplitScore):
         self.degree_bound = check_positive(degree_bound, "degree_bound")
         self.sensitivity = 1.0
 
-    def scores(self, degrees: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    def scores(self, degrees: Sequence[int], cuts: Sequence[int]) -> List[float]:
         degrees = np.asarray(degrees, dtype=np.float64)
-        return np.array(
-            [
-                -0.5 * (float(np.std(degrees[:cut])) + float(np.std(degrees[cut:]))) / self.degree_bound
-                for cut in np.asarray(cuts).tolist()
-            ],
-            dtype=float,
-        )
+        return [
+            -0.5 * (float(np.std(degrees[:cut])) + float(np.std(degrees[cut:]))) / self.degree_bound
+            for cut in cuts
+        ]

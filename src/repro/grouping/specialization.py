@@ -209,14 +209,14 @@ class Specializer:
     # ------------------------------------------------------------------
     # Split selection (overridden by the non-private baselines)
     # ------------------------------------------------------------------
-    def _choose(self, degrees: np.ndarray, cuts: np.ndarray) -> int:
+    def _choose(self, degrees: List[int], cuts: Tuple[int, ...]) -> int:
         """Pick one of ``cuts`` into a segment (its degrees, in order) with the
         Exponential Mechanism; returns the index into ``cuts``."""
         self._selections += 1
         return self._mechanism.select_index(self.score.scores(degrees, cuts))
 
-    def _choose_cut(self, segment: np.ndarray, cuts: np.ndarray) -> int:
-        return self._choose(self._degrees[segment], cuts)
+    def _choose_cut(self, segment: np.ndarray, cuts: Tuple[int, ...]) -> int:
+        return self._choose(self._degrees[segment].tolist(), cuts)
 
     def _privacy_cost(self) -> PrivacyCost:
         """Total cost of the specialization phase."""
@@ -251,34 +251,42 @@ class Specializer:
         self._keys = self.splitter.sort_keys(table.nodes, arrays.degrees, str_ranks)
         self._buffers = (np.arange(num_left), np.arange(num_left, num_nodes))
 
-        # A group is (id, side, ((left lo, hi), (right lo, hi))) over the buffers.
-        current = [("root", "mixed", ((0, num_left), (0, num_nodes - num_left)))]
-        levels: Dict[int, Partition] = {top: self._level_partition(table, current, top)}
+        # A level is parallel lists of group ids, sides and segments
+        # (left lo, left hi, right lo, right hi) into the two buffers.
+        ids, sides, segments = ["root"], ["mixed"], [(0, num_left, 0, num_nodes - num_left)]
+        levels: Dict[int, Partition] = {top: self._level_partition(table, ids, sides, segments, top)}
         parents: Dict[str, str] = {}
         for level in range(top - 1, 0, -1):
-            self._sort_segments(current)
-            next_groups = []
-            for parent in current:
-                children = self._split_group(parent)
-                for child in children:
-                    parents[child[0]] = parent[0]
-                next_groups.extend(children)
-            levels[level] = self._level_partition(table, next_groups, level)
-            current = next_groups
+            for buffer, starts in zip(self._buffers, self._starts):
+                buffer[:] = buffer[np.lexsort((self._keys[buffer], starts))]
+            child_ids, child_sides, child_segments = [], [], []
+            for parent_id, side, segs in zip(ids, sides, segments):
+                if segs[1] - segs[0] + segs[3] - segs[2] <= config.min_group_size:
+                    children = [(side, segs)]  # carried down unchanged
+                else:
+                    children = self._split_group(segs)
+                for index, (child_side, child_segs) in enumerate(children):
+                    child_id = f"{parent_id}/{index}"
+                    parents[child_id] = parent_id
+                    child_ids.append(child_id)
+                    child_sides.append(child_side)
+                    child_segments.append(child_segs)
+            ids, sides, segments = child_ids, child_sides, child_segments
+            levels[level] = self._level_partition(table, ids, sides, segments, level)
 
         if config.include_individual_level:
+            # One singleton per node, grouped by level-1 parent, in str order.
             above = levels[1]
             order = np.lexsort((str_ranks, above.labels))
-            ids = [f"u:{table.nodes[i]}" for i in order.tolist()]
-            mixed = np.asarray([side == "mixed" for side in above.sides])[above.labels[order]]
-            own = np.where(order < num_left, "left", "right")
-            inherited = np.asarray(above.sides, dtype=object)[above.labels[order]]
+            positions, codes = order.tolist(), above.labels[order].tolist()
+            ids = [f"u:{table.nodes[i]}" for i in positions]
             parent_ids = above.group_ids()
-            for child_id, position in zip(ids, order.tolist()):
-                parents[child_id] = parent_ids[above.labels[position]]
-            levels[0] = Partition.from_labels(
-                table, ranks_of(order), ids, np.where(mixed, own, inherited).tolist(), [0] * num_nodes
-            )
+            parents.update(zip(ids, [parent_ids[code] for code in codes]))
+            sides = [
+                SIDES[position >= num_left] if above.sides[code] == "mixed" else above.sides[code]
+                for position, code in zip(positions, codes)
+            ]
+            levels[0] = Partition.from_labels(table, ranks_of(order), ids, sides, [0] * num_nodes)
 
         hierarchy = GroupHierarchy(levels, parents=parents, validate=True)
         return SpecializationResult(
@@ -289,39 +297,36 @@ class Specializer:
             method=self.method_name,
         )
 
-    def _level_partition(self, table: NodeTable, groups: list, level: int) -> Partition:
-        """One level's partition: each group's segments labelled with its code."""
+    def _level_partition(self, table: NodeTable, ids: list, sides: list, segments: list, level: int) -> Partition:
+        """One level's partition: every segment labelled with its group's code.
+
+        Also records, per buffer position, where its segment starts: the
+        next level sorts each segment by the splitter's keys in place.
+        """
         labels = np.empty(len(table), dtype=np.int64)
-        for side, buffer in enumerate(self._buffers):
-            spans = sorted((segs[side][0], segs[side][1], code) for code, (_, _, segs) in enumerate(groups))
-            labels[buffer] = np.repeat([code for _, _, code in spans], [hi - lo for lo, hi, _ in spans])
-        return Partition.from_labels(
-            table, labels, [g[0] for g in groups], [g[1] for g in groups], [level] * len(groups)
-        )
+        spans = np.array(segments, dtype=np.int64).reshape(-1, 4)
+        self._starts = []
+        for buffer, lo, hi in zip(self._buffers, spans[:, 0::2].T, spans[:, 1::2].T):
+            order = np.argsort(lo, kind="stable")
+            lengths = (hi - lo)[order]
+            labels[buffer] = np.repeat(order, lengths)
+            self._starts.append(np.repeat(lo[order], lengths))
+        return Partition.from_labels(table, labels, ids, sides, [level] * len(ids))
 
-    def _sort_segments(self, groups: list) -> None:
-        """Sort every group's segment of each buffer by the splitter's keys."""
-        for side, buffer in enumerate(self._buffers):
-            spans = sorted(segs[side] for _, _, segs in groups)
-            segment_ids = np.repeat(np.arange(len(spans)), [hi - lo for lo, hi in spans])
-            buffer[:] = buffer[np.lexsort((self._keys[buffer], segment_ids))]
-
-    def _split_group(self, parent: tuple) -> List[tuple]:
-        """Split ``parent`` into its children at the next level down."""
+    def _split_group(self, segs: tuple) -> List[Tuple[str, tuple]]:
+        """The ``(side, segments)`` of a group's children at the next level down."""
         config = self.config
-        group_id, side, segs = parent
-        if sum(hi - lo for lo, hi in segs) <= config.min_group_size:
-            return [(f"{group_id}/0", side, segs)]
-        present = [index for index, (lo, hi) in enumerate(segs) if hi > lo]
-        fanouts = (config.left_fanout, config.right_fanout) if len(present) == 2 else (config.single_side_fanout,) * 2
+        left_lo, left_hi, right_lo, right_hi = segs
+        if left_hi > left_lo and right_hi > right_lo:
+            fanouts = (config.left_fanout, config.right_fanout)
+        else:
+            fanouts = (config.single_side_fanout,) * 2
         children = []
-        for index in present:
+        for index, (lo, hi) in enumerate(((left_lo, left_hi), (right_lo, right_hi))):
             parts = split_into_parts(
-                self._buffers[index], *segs[index], fanouts[index], self.splitter, self._choose_cut, rng=self._rng
+                self._buffers[index], lo, hi, fanouts[index], self.splitter, self._choose_cut, rng=self._rng
             )
-            for lo, hi in parts:
-                child_segs = ((lo, hi), (0, 0)) if index == 0 else ((0, 0), (lo, hi))
-                children.append((f"{group_id}/{len(children)}", SIDES[index], child_segs))
+            children.extend((SIDES[index], part + (0, 0) if index == 0 else (0, 0) + part) for part in parts)
         return children
 
 
@@ -336,9 +341,9 @@ class DeterministicSpecializer(Specializer):
 
     method_name = "deterministic"
 
-    def _choose(self, degrees: np.ndarray, cuts: np.ndarray) -> int:
+    def _choose(self, degrees: List[int], cuts: Tuple[int, ...]) -> int:
         self._selections += 1
-        return int(np.argmin(np.abs(cuts / len(degrees) - 0.5)))
+        return min(range(len(cuts)), key=lambda index: abs(cuts[index] / len(degrees) - 0.5))
 
     def _privacy_cost(self) -> PrivacyCost:
         return PrivacyCost(math.inf, 0.0)
@@ -364,7 +369,7 @@ class RandomSpecializer(Specializer):
         splitter = splitter if splitter is not None else RandomOrderSplitter(cut_fractions=config.cut_fractions)
         super().__init__(config=config, score=score, splitter=splitter, rng=rng)
 
-    def _choose(self, degrees: np.ndarray, cuts: np.ndarray) -> int:
+    def _choose(self, degrees: List[int], cuts: Tuple[int, ...]) -> int:
         self._selections += 1
         return int(self._rng.integers(0, len(cuts)))
 

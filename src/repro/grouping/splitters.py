@@ -26,7 +26,6 @@ import numpy as np
 from repro.exceptions import SpecializationError
 from repro.graphs.bipartite import BipartiteGraph
 from repro.utils.rng import RandomState, as_rng
-from repro.utils.validation import check_positive_int
 
 Node = Hashable
 
@@ -46,9 +45,9 @@ class Splitter(abc.ABC):
         if not fractions or any(not 0.0 < f < 1.0 for f in fractions):
             raise SpecializationError("cut_fractions must be non-empty values in (0, 1)")
         self.cut_fractions = tuple(fractions)
-        self._cuts: Dict[int, np.ndarray] = {}
+        self._cuts: Dict[int, Tuple[int, ...]] = {}
 
-    def cuts(self, size: int) -> np.ndarray:
+    def cuts(self, size: int) -> Tuple[int, ...]:
         """Distinct candidate cut positions into an ordering of ``size`` nodes.
 
         Cutting at ``c`` splits the ordering into its first ``c`` nodes and
@@ -64,7 +63,7 @@ class Splitter(abc.ABC):
                 cut = min(max(int(round(fraction * size)), 1), size - 1)
                 if cut not in cuts:
                     cuts.append(cut)
-            cached = self._cuts[size] = np.asarray(cuts, dtype=np.int64)
+            cached = self._cuts[size] = tuple(cuts)
         return cached
 
     @abc.abstractmethod
@@ -163,7 +162,6 @@ def split_into_parts(
     choices.  Returns the parts as ``(start, stop)`` spans; an empty segment
     has none.
     """
-    num_parts = check_positive_int(num_parts, "num_parts")
     parts = [(lo, hi)] if hi > lo else []
     while 0 < len(parts) < num_parts:
         target = max(parts, key=lambda part: part[1] - part[0])
@@ -171,8 +169,11 @@ def split_into_parts(
         if stop - start < 2:
             break
         parts.remove(target)
-        buffer[start:stop] = splitter.reorder(buffer[start:stop], rng=rng)
+        segment = buffer[start:stop]
+        reordered = splitter.reorder(segment, rng=rng)
+        if reordered is not segment:
+            segment[:] = reordered
         cuts = splitter.cuts(stop - start)
-        cut = start + int(cuts[choose(buffer[start:stop], cuts)])
+        cut = start + cuts[choose(segment, cuts)]
         parts += [(start, cut), (cut, stop)]
     return parts

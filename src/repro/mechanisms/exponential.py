@@ -8,6 +8,8 @@ differentially private.
 
 from __future__ import annotations
 
+import math
+
 from typing import Callable, Hashable, List, Optional, Sequence, Union
 
 import numpy as np
@@ -49,14 +51,17 @@ class ExponentialMechanism(Mechanism):
 
     def selection_probabilities(self, scores: Sequence[float]) -> np.ndarray:
         """Return the probability assigned to each candidate given ``scores``."""
-        scores = np.asarray(scores, dtype=float)
-        if scores.size == 0:
+        scores = [float(score) for score in scores]
+        if not scores:
             raise ValidationError("at least one candidate is required")
-        if not np.all(np.isfinite(scores)):
+        if not all(map(math.isfinite, scores)):
             raise ValidationError("scores must be finite")
-        logits = self.epsilon * scores / (2.0 * self.score_sensitivity)
-        logits -= logits.max()
-        weights = np.exp(logits)
+        # Scalar float arithmetic rounds exactly like the elementwise array
+        # operations; only the exponential and the sum need NumPy.
+        scale = 2.0 * self.score_sensitivity
+        logits = [self.epsilon * score / scale for score in scores]
+        top = max(logits)
+        weights = np.exp(np.array([logit - top for logit in logits]))
         return weights / weights.sum()
 
     def select_index(self, scores: Sequence[float]) -> int:

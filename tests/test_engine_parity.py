@@ -238,9 +238,7 @@ class _PerSplitScore(BalancedAssociationScore):
     """The default score computed one cut at a time, without the prefix sum."""
 
     def scores(self, degrees, cuts):
-        return np.array(
-            [-abs(int(degrees[:cut].sum()) - int(degrees[cut:].sum())) / self.degree_bound for cut in cuts.tolist()]
-        )
+        return [-abs(sum(degrees[:cut]) - sum(degrees[cut:])) / self.degree_bound for cut in cuts]
 
 
 def test_specializer_hierarchy_parity():
