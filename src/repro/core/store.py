@@ -40,6 +40,7 @@ import io
 import json
 import re
 import threading
+import zipfile
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from pathlib import Path
@@ -410,7 +411,10 @@ class ReleaseStore:
         try:
             with _NPZ_PARSE_LOCK, np.load(io.BytesIO(raw)) as npz:
                 return {name: npz[name] for name in npz.files}
-        except Exception as exc:  # np.load raises zipfile/OS/value errors
+        except (zipfile.BadZipFile, ValueError, OSError, EOFError, KeyError) as exc:
+            # What a corrupt payload raises.  Anything else (a transient
+            # failure inside the parser) propagates: it says nothing about
+            # the stored bytes, so it must not get the key quarantined.
             raise ReleaseIntegrityError(f"answer arrays for {key!r} are corrupt: {exc}") from exc
 
     def load_document(self, key: str) -> dict:

@@ -52,6 +52,12 @@ class DegreeHistogramQuery(Query):
         labels = [f"degree={d}" for d in range(self.max_degree)] + [f"degree>={self.max_degree}"]
         return QueryAnswer(name=self.name, values=counts, labels=labels)
 
+    def _most_neighbours_here(self, graph: BipartiteGraph) -> int:
+        """The largest number of this side's nodes one opposite node touches."""
+        arrays = graph.arrays()
+        degrees = arrays.right_degrees if self.side is Side.LEFT else arrays.left_degrees
+        return int(degrees.max(initial=0))
+
     def l1_sensitivity(
         self, graph: BipartiteGraph, adjacency: str = "individual", partition: Optional[Partition] = None
     ) -> float:
@@ -60,9 +66,11 @@ class DegreeHistogramQuery(Query):
             # Adding/removing one association moves one node between two bins.
             return 2.0
         if adjacency == "node":
-            # Adding/removing one node changes one bin by 1 and (through its
-            # associations) moves up to max_degree neighbours between bins.
-            return 1.0 + 2.0 * self.max_degree
+            # Removing a node on this side takes 1 from its bin.  Removing an
+            # opposite node with k neighbours here moves each of them down one
+            # bin (-1 and +1): 2k.  ``max_degree`` clamps this side's degrees,
+            # not k, so k is measured on the graph.
+            return max(1.0, 2.0 * self._most_neighbours_here(graph))
         return group_degree_histogram_sensitivity(graph, partition, self.side)
 
     def l2_sensitivity(
@@ -71,8 +79,9 @@ class DegreeHistogramQuery(Query):
         self._require_partition(adjacency, partition)
         if adjacency == "group":
             return group_degree_histogram_sensitivity(graph, partition, self.side, norm="l2")
-        # Individual adjacency moves one node by one bin (L2 = sqrt(2)).  Node
-        # adjacency keeps the same sqrt(L1) form; no release path uses it,
-        # and like its L1 bound it can under-count.
-        l1 = self.l1_sensitivity(graph, adjacency=adjacency, partition=partition)
-        return float(np.sqrt(l1))
+        if adjacency == "node":
+            # The k moving neighbours can all leave one bin for the next:
+            # (+k, -k), so L2 is k * sqrt(2), not sqrt(L1).
+            return max(1.0, float(np.sqrt(2.0)) * self._most_neighbours_here(graph))
+        # One association moves one node by one bin.
+        return float(np.sqrt(2.0))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
 from repro.mechanisms.exponential import ExponentialMechanism
@@ -92,3 +94,37 @@ class TestStatisticalPreference:
         cost = ExponentialMechanism(epsilon=0.25).privacy_cost()
         assert cost.epsilon == 0.25
         assert cost.delta == 0.0
+
+
+class TestSelectIndexMatchesGeneratorChoice:
+    """``select_index`` samples by inverse CDF from one ``random()`` draw;
+    ``Generator.choice(n, p=p)`` does the same, so both pick the same index
+    and leave the generator in the same state."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(-50.0, 50.0, allow_nan=False), min_size=1, max_size=8),
+        st.floats(0.01, 5.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_same_index_and_generator_state(self, scores, epsilon, seed):
+        mechanism = ExponentialMechanism(epsilon=epsilon, rng=np.random.default_rng(seed))
+        reference = np.random.default_rng(seed)
+        probabilities = mechanism.selection_probabilities(scores)
+        for _ in range(3):
+            expected = int(reference.choice(len(probabilities), p=probabilities))
+            assert mechanism.select_index(scores) == expected
+        assert mechanism.rng.bit_generator.state == reference.bit_generator.state
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=8),
+        st.floats(0.01, 5.0),
+        st.floats(0.1, 60.0),
+    )
+    def test_probabilities_equal_the_array_formula_bit_for_bit(self, scores, epsilon, sensitivity):
+        mechanism = ExponentialMechanism(epsilon=epsilon, score_sensitivity=sensitivity)
+        logits = epsilon * np.asarray(scores, dtype=float) / (2.0 * sensitivity)
+        logits -= logits.max()
+        weights = np.exp(logits)
+        assert np.array_equal(mechanism.selection_probabilities(scores), weights / weights.sum())

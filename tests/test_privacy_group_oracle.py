@@ -1,4 +1,4 @@
-"""Brute-force group-sensitivity oracle.
+"""Brute-force group- and node-sensitivity oracle.
 
 Group adjacency (paper Definition 3) pairs a dataset with the one obtained
 by removing a whole group: its nodes and every association incident to
@@ -8,7 +8,8 @@ the readable per-query ``Query.evaluate`` and takes the largest L1 and L2
 change.  The analytic sensitivities the release is calibrated to — every
 query type's ``l1_/l2_sensitivity``, a whole ``QueryWorkload`` and
 ``GroupCalibrateStage.sensitivity_for`` — must never fall below that
-maximum.
+maximum.  Node adjacency (one entity and its associations) is checked the
+same way, removing one node at a time.
 """
 
 from __future__ import annotations
@@ -181,3 +182,48 @@ def test_degree_histogram_covers_brute_force_on_specialized_levels(specialized_d
         query.l2_sensitivity(graph, adjacency="group", partition=partition),
         brute,
     )
+
+
+# ----------------------------------------------------------------------
+# Node adjacency: remove one node and its associations
+# ----------------------------------------------------------------------
+def brute_force_node_sensitivity(
+    evaluate: Callable[[BipartiteGraph], np.ndarray], graph: BipartiteGraph
+) -> Tuple[float, float]:
+    """Largest L1 and L2 change of ``evaluate`` over removing one node."""
+    singletons = Partition.from_mapping({f"n{i}": [node] for i, node in enumerate(graph.nodes())})
+    return brute_force_sensitivity(evaluate, graph, singletons)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario=scenarios())
+def test_node_sensitivities_cover_brute_force(scenario):
+    graph, protection, *query_args = scenario
+    for query in _queries(protection, *query_args):
+        brute = brute_force_node_sensitivity(lambda g: query.evaluate(g).values, graph)
+        assert_bounds(
+            query.l1_sensitivity(graph, adjacency="node"),
+            query.l2_sensitivity(graph, adjacency="node"),
+            brute,
+        )
+
+
+@pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+def test_degree_histogram_node_bound_covers_a_hub_of_degree_one_neighbours(side):
+    """One node with ten degree-1 neighbours: removing it moves all ten from
+    bin 1 to bin 0, an L1 change of 20 and an L2 change of 10*sqrt(2),
+    whatever ``max_degree`` is (the old bound was ``1 + 2*max_degree``)."""
+    graph = BipartiteGraph(name="hub")
+    spokes = [f"s{i}" for i in range(10)]
+    if side is Side.LEFT:
+        graph.add_left_nodes(spokes)
+        graph.add_right_nodes(["hub"])
+        graph.add_associations((spoke, "hub") for spoke in spokes)
+    else:
+        graph.add_right_nodes(spokes)
+        graph.add_left_nodes(["hub"])
+        graph.add_associations(("hub", spoke) for spoke in spokes)
+    query = DegreeHistogramQuery(side=side, max_degree=2)
+    brute = brute_force_node_sensitivity(lambda g: query.evaluate(g).values, graph)
+    assert brute == pytest.approx((20.0, 10.0 * np.sqrt(2.0)))
+    assert_bounds(query.l1_sensitivity(graph, adjacency="node"), query.l2_sensitivity(graph, adjacency="node"), brute)

@@ -31,7 +31,8 @@ class TestDegreeHistogramQuery:
 
     def test_node_sensitivity(self, tiny_graph):
         query = DegreeHistogramQuery(max_degree=5)
-        assert query.l1_sensitivity(tiny_graph, "node") == 1.0 + 2.0 * 5
+        # insulin and aspirin each have two left neighbours: 2 * 2.
+        assert query.l1_sensitivity(tiny_graph, "node") == 4.0
 
     def test_group_sensitivity_bounded_by_group_mass(self, tiny_graph):
         partition = Partition(

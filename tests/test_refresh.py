@@ -7,11 +7,18 @@ disclosure's noise streams — produces a release bit-identical to disclosing
 the mutated graph from scratch under the same seed.
 """
 
+import json
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.accounting.budget import PrivacyBudget
+from repro.core.common import FINGERPRINT_VERSION, fingerprint_partition, normalise_workload
 from repro.core.config import DisclosureConfig
 from repro.core.discloser import MultiLevelDiscloser
+from repro.core.pipeline import CompileStage, GroupCalibrateStage, PipelineContext, level_fingerprints_for
 from repro.core.publisher import GraphPublisher
 from repro.core.refresh import RefreshResult, refresh_release
 from repro.core.release import MultiLevelRelease
@@ -19,7 +26,8 @@ from repro.core.store import ReleaseStore
 from repro.exceptions import DisclosureError, ValidationError
 from repro.graphs.bipartite import BipartiteGraph
 from repro.grouping.hierarchy import GroupHierarchy
-from repro.grouping.partition import Group, Partition
+from repro.datasets.dblp_like import generate_dblp_like
+from repro.grouping.partition import Group, NodeTable, Partition
 from repro.grouping.specialization import SpecializationConfig
 from repro.queries.counts import GroupedAssociationCountQuery
 
@@ -345,3 +353,169 @@ class TestPublisherRefresh:
         publisher.release()
         with pytest.raises(ValidationError):
             publisher.refresh(store=ReleaseStore(tmp_path / "store.db"))
+
+
+# ----------------------------------------------------------------------
+# Fingerprint versions
+# ----------------------------------------------------------------------
+UNVERSIONED_RELEASE = Path(__file__).resolve().parent / "golden" / "release_unversioned.json"
+
+
+class TestUnversionedRelease:
+    """A release stored before partition digests were versioned.
+
+    ``tests/golden/release_unversioned.json`` was saved by the previous
+    (JSON-digest) implementation from::
+
+        config = DisclosureConfig(epsilon_g=0.5, specialization=SpecializationConfig(num_levels=4))
+        graph = generate_dblp_like(num_authors=120, seed=9)
+        discloser = MultiLevelDiscloser(config=config, rng=5)
+        hierarchy = discloser.build_hierarchy(graph)
+        release = discloser.disclose(graph, hierarchy=hierarchy)
+
+    Its ``level_fingerprints`` carry legacy digests and it has no
+    ``fingerprint_version``.
+    """
+
+    @pytest.fixture
+    def setup(self):
+        config = DisclosureConfig(epsilon_g=0.5, specialization=SpecializationConfig(num_levels=4))
+        graph = generate_dblp_like(num_authors=120, seed=9)
+        discloser = MultiLevelDiscloser(config=config, rng=5)
+        hierarchy = discloser.build_hierarchy(graph)
+        release = MultiLevelRelease.from_dict(json.loads(UNVERSIONED_RELEASE.read_text()))
+        return config, graph, discloser, hierarchy, release
+
+    @staticmethod
+    def legacy_fingerprints(config, graph, hierarchy):
+        context = PipelineContext(
+            graph=graph,
+            workload=normalise_workload(None),
+            hierarchy=hierarchy,
+            requested_levels=config.resolved_release_levels(),
+            config=config,
+            release_config=config.to_dict(),
+        )
+        CompileStage().run(context)
+        GroupCalibrateStage().run(context)
+        return level_fingerprints_for(context, legacy=True)
+
+    def test_stored_release_is_unversioned_and_matches_legacy_digests(self, setup):
+        config, graph, _, hierarchy, release = setup
+        assert "fingerprint_version" not in release.provenance
+        assert self.legacy_fingerprints(config, graph, hierarchy) == release.provenance["level_fingerprints"]
+
+    def test_unchanged_graph_reuses_every_level_without_charge(self, setup):
+        _, graph, discloser, hierarchy, release = setup
+        before = discloser.ledger.spent()
+
+        result = discloser.refresh(release, graph, hierarchy=hierarchy)
+
+        assert result.affected_levels == []
+        assert result.reused_levels == release.levels()
+        assert result.cost.epsilon == 0.0 and result.cost.delta == 0.0
+        assert discloser.ledger.spent() == before
+        provenance = result.release.provenance
+        assert provenance["fingerprint_version"] == FINGERPRINT_VERSION
+        fresh = MultiLevelDiscloser(config=discloser.config, rng=5).disclose(graph, hierarchy=hierarchy)
+        assert provenance["level_fingerprints"] == fresh.provenance["level_fingerprints"]
+        assert release_payload(result.release) == release_payload(fresh)
+
+    def test_edge_insert_reperturbs_exactly_the_levels_whose_legacy_digests_moved(self, setup):
+        config, graph, discloser, hierarchy, release = setup
+        left = sorted(graph.left_nodes(), key=str)[0]
+        right = next(r for r in sorted(graph.right_nodes(), key=str) if not graph.has_association(left, r))
+        graph.add_association(left, right)
+        stored = release.provenance["level_fingerprints"]
+        legacy = self.legacy_fingerprints(config, graph, hierarchy)
+        moved = [level for level in release.levels() if legacy[str(level)] != stored[str(level)]]
+        assert moved
+
+        result = discloser.refresh(release, graph, hierarchy=hierarchy)
+
+        assert result.affected_levels == moved
+        assert result.release.provenance["fingerprint_version"] == FINGERPRINT_VERSION
+        fresh = MultiLevelDiscloser(config=config, rng=5).disclose(graph, hierarchy=hierarchy)
+        assert release_payload(result.release) == release_payload(fresh)
+
+    def test_refreshed_release_is_compared_by_v2_digests_next_time(self, setup):
+        _, graph, discloser, hierarchy, release = setup
+        first = discloser.refresh(release, graph, hierarchy=hierarchy).release
+        second = discloser.refresh(first, graph, hierarchy=hierarchy)
+        assert second.affected_levels == []
+
+
+def _partition_strategy():
+    """Random partitions as ``(groups, levels)``: group specs and a level per group."""
+    nodes = st.lists(
+        st.one_of(st.integers(-50, 50), st.text(alphabet="ab1:", min_size=1, max_size=3)),
+        min_size=2,
+        max_size=12,
+        unique_by=lambda node: (type(node).__name__, node),
+    )
+
+    @st.composite
+    def build(draw):
+        universe = draw(nodes)
+        num_groups = draw(st.integers(1, len(universe)))
+        owner = draw(st.lists(st.integers(0, num_groups - 1), min_size=len(universe), max_size=len(universe)))
+        sides = draw(st.lists(st.sampled_from(["left", "right", "mixed"]), min_size=num_groups, max_size=num_groups))
+        levels = draw(st.lists(st.one_of(st.none(), st.integers(0, 3)), min_size=num_groups, max_size=num_groups))
+        return [
+            (f"g{index}", [node for node, code in zip(universe, owner) if code == index], sides[index], levels[index])
+            for index in range(num_groups)
+        ]
+
+    return build()
+
+
+def _partition(spec, group_order=None, member_order=None):
+    order = group_order if group_order is not None else range(len(spec))
+    groups = []
+    for index in order:
+        group_id, members, side, level = spec[index]
+        members = list(members)
+        if member_order is not None:
+            member_order.shuffle(members)
+        groups.append(Group(group_id, members, side=side, level=level))
+    return Partition(groups)
+
+
+class TestPartitionDigestV2:
+    @settings(max_examples=80, deadline=None)
+    @given(_partition_strategy(), st.randoms(use_true_random=False))
+    def test_content_equal_partitions_digest_equally(self, spec, random):
+        group_order = list(range(len(spec)))
+        random.shuffle(group_order)
+        shuffled = _partition(spec, group_order=group_order, member_order=random)
+        original = _partition(spec)
+        assert fingerprint_partition(shuffled) == fingerprint_partition(original)
+        # Same content, built from a label vector over a permuted node table.
+        nodes = list(original.table.nodes)
+        random.shuffle(nodes)
+        table = NodeTable(nodes)
+        labels = [original.codes[original.group_of(node).group_id] for node in nodes]
+        relabelled = Partition.from_labels(table, labels, original.group_ids(), original.sides, original.levels)
+        assert fingerprint_partition(relabelled) == fingerprint_partition(original)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_partition_strategy(), st.data())
+    def test_any_single_change_moves_the_digest(self, spec, data):
+        digest = fingerprint_partition(_partition(spec))
+        index = data.draw(st.integers(0, len(spec) - 1))
+        group_id, members, side, level = spec[index]
+        changes = [
+            (f"{group_id}x", members, side, level),
+            (group_id, members, {"left": "right", "right": "mixed", "mixed": "left"}[side], level),
+            (group_id, members, side, 7 if level != 7 else None),
+        ]
+        for changed in changes:
+            assert fingerprint_partition(_partition(spec[:index] + [changed] + spec[index + 1 :])) != digest
+        donors = [i for i, group in enumerate(spec) if group[1] and i != index]
+        if donors:
+            donor = data.draw(st.sampled_from(donors))
+            moved = spec[donor][1][0]
+            altered = list(spec)
+            altered[donor] = (spec[donor][0], spec[donor][1][1:], spec[donor][2], spec[donor][3])
+            altered[index] = (group_id, members + [moved], side, level)
+            assert fingerprint_partition(_partition(altered)) != digest

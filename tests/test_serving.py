@@ -562,6 +562,35 @@ class TestQuarantine:
             assert payload["role"] == "public"
             assert fetch_json(server.url, "/healthz")["status"] == "ok"
 
+    def test_transient_load_error_is_not_quarantined(self, release, policy, tmp_path, monkeypatch):
+        """A parser failure that says nothing about the stored bytes (here a
+        ``RuntimeError`` from ``np.load``, like CPython 3.11's thread-unsafe
+        ``ast.literal_eval`` raising ``SystemError``) fails that one request
+        but leaves the key servable."""
+        import repro.core.store as store_module
+
+        store = ReleaseStore(tmp_path / "store.db")
+        key = store.save(release)
+        real_load = store_module.np.load
+        failures = []
+
+        def flaky_load(*args, **kwargs):
+            if not failures:
+                failures.append(True)
+                raise RuntimeError("transient parser failure")
+            return real_load(*args, **kwargs)
+
+        monkeypatch.setattr(store_module.np, "load", flaky_load)
+        with ReleaseServer(store, policy, port=0) as server:
+            status, _ = http_get(f"{server.url}/releases/{key}/views/public")
+            assert status in (500, 503)
+            assert failures
+            health = fetch_json(server.url, "/healthz")
+            assert key not in health["fault_tolerance"]["quarantined"]
+            status, body = http_get(f"{server.url}/releases/{key}/views/public")
+            assert status == 200
+            assert json.loads(body)["role"] == "public"
+
 
 class TestClientRetry:
     def test_retries_503_until_success(self, tmp_path):
