@@ -30,7 +30,7 @@ callers can never observe stale arrays (see ``tests/test_graphs_arrays.py``).
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional
 
 import numpy as np
 

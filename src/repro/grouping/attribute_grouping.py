@@ -22,7 +22,7 @@ noise.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence
+from typing import Dict, Hashable, Optional, Sequence
 
 from repro.exceptions import GroupingError
 from repro.graphs.bipartite import BipartiteGraph, Side
@@ -76,26 +76,12 @@ def partition_by_attribute(
     if not by_value:
         raise GroupingError(f"graph has no {side.value}-side nodes to partition")
     groups = [
-        Group(
-            group_id=f"{attribute}:{value}",
-            members=frozenset(members),
-            side=side.value,
-            level=level,
-        )
+        Group(f"{attribute}:{value}", frozenset(members), side=side.value, level=level)
         for value, members in sorted(by_value.items())
     ]
-    if include_other_side:
-        other_nodes = graph.right_nodes() if side is Side.LEFT else graph.left_nodes()
-        other_members = frozenset(other_nodes)
-        if other_members:
-            groups.append(
-                Group(
-                    group_id=other_side_group_id,
-                    members=other_members,
-                    side=side.other().value,
-                    level=level,
-                )
-            )
+    other_members = frozenset(graph.right_nodes() if side is Side.LEFT else graph.left_nodes())
+    if include_other_side and other_members:
+        groups.append(Group(other_side_group_id, other_members, side=side.other().value, level=level))
     return Partition(groups)
 
 
@@ -175,18 +161,8 @@ def hierarchy_from_attribute_levels(
 
     # Individual level.
     if include_individual_level:
-        finest = levels[1]
-        singleton_groups: List[Group] = []
-        for group in finest.groups():
-            for member in sorted(group.members, key=str):
-                child = Group(
-                    group_id=f"u:{member}",
-                    members=frozenset([member]),
-                    side=group.side,
-                    level=0,
-                )
-                parents[child.group_id] = group.group_id
-                singleton_groups.append(child)
-        levels[0] = Partition(singleton_groups)
+        singletons = [(group, member) for group in levels[1] for member in sorted(group.members, key=str)]
+        levels[0] = Partition(Group(f"u:{member}", [member], side=group.side, level=0) for group, member in singletons)
+        parents.update((f"u:{member}", group.group_id) for group, member in singletons)
 
     return GroupHierarchy(levels, parents=parents, validate=True)

@@ -97,19 +97,19 @@ class GroupHierarchy:
         for lower, upper in zip(indices, indices[1:]):
             child, parent = self._levels[lower], self._levels[upper]
             above = _labels_above(child, parent)
-            # One representative member per child group: its first table position.
-            first = np.full(child.num_groups(), -1, dtype=np.int64)
-            first[child.labels[::-1]] = np.arange(len(child.labels) - 1, -1, -1)
+            missing = np.flatnonzero(above < 0)
+            if missing.size:
+                raise HierarchyError(
+                    f"element {child.table.nodes[missing[0]]!r} of group "
+                    f"{child.group_ids()[child.labels[missing[0]]]!r} is missing from level {upper}"
+                )
+            # Any member names its group's parent; empty groups keep none.
+            codes = np.full(child.num_groups(), -1, dtype=np.int64)
+            codes[child.labels] = above
             parent_ids = parent.group_ids()
-            for group_id, position in zip(child.group_ids(), first.tolist()):
-                if position < 0:
-                    continue
-                if above[position] < 0:
-                    raise HierarchyError(
-                        f"element {child.table.nodes[position]!r} of group {group_id!r} is "
-                        f"missing from level {upper}"
-                    )
-                self._parents[group_id] = parent_ids[above[position]]
+            for group_id, code in zip(child.group_ids(), codes.tolist()):
+                if code >= 0:
+                    self._parents[group_id] = parent_ids[code]
 
     # ------------------------------------------------------------------
     # Introspection
@@ -216,12 +216,9 @@ class GroupHierarchy:
             expected = [parent.codes.get(self._parents.get(group_id)) for group_id in child.group_ids()]
             if None in expected:
                 group_id = child.group_ids()[expected.index(None)]
-                parent_id = self._parents.get(group_id)
-                if parent_id is None:
-                    raise HierarchyError(f"group {group_id!r} at level {lower} has no parent")
                 raise HierarchyError(
-                    f"group {group_id!r} at level {lower} references unknown parent "
-                    f"{parent_id!r} at level {upper}"
+                    f"group {group_id!r} at level {lower} has no parent at level {upper} "
+                    f"(recorded parent: {self._parents.get(group_id)!r})"
                 )
             expected = np.asarray(expected, dtype=np.int64)
             outside = np.flatnonzero(expected[child.labels] != _labels_above(child, parent))

@@ -152,13 +152,11 @@ class Partition:
             [group.side for group in groups],
             [group.level for group in groups],
         )
-        if len(self.codes) < len(groups):
-            seen = set()
-            duplicate = next(g.group_id for g in groups if g.group_id in seen or seen.add(g.group_id))
-            raise InvalidPartitionError(f"duplicate group id {duplicate!r}")
-        if len(self.table.index) < len(nodes):
+        if len(self.codes) < len(groups) or len(self.table.index) < len(nodes):
             owner: Dict[Element, str] = {}
-            for group in groups:
+            for code, group in enumerate(groups):
+                if self.codes[group.group_id] != code:
+                    raise InvalidPartitionError(f"duplicate group id {group.group_id!r}")
                 for element in group.members:
                     if element in owner:
                         raise InvalidPartitionError(
@@ -167,20 +165,13 @@ class Partition:
                     owner[element] = group.group_id
         self._groups = groups
         if universe is not None:
-            universe_set = set(universe)
-            covered = set(self.table.index)
-            missing = universe_set - covered
-            extra = covered - universe_set
-            if missing:
-                raise InvalidPartitionError(
-                    f"partition does not cover {len(missing)} universe element(s), e.g. "
-                    f"{sorted(missing, key=str)[:3]!r}"
-                )
-            if extra:
-                raise InvalidPartitionError(
-                    f"partition contains {len(extra)} element(s) outside the universe, e.g. "
-                    f"{sorted(extra, key=str)[:3]!r}"
-                )
+            universe, covered = set(universe), set(self.table.index)
+            for elements, problem in ((universe - covered, "universe element(s) not covered"),
+                                      (covered - universe, "element(s) outside the universe")):
+                if elements:
+                    raise InvalidPartitionError(
+                        f"partition has {len(elements)} {problem}, e.g. {sorted(elements, key=str)[:3]!r}"
+                    )
 
     def _init(self, table: NodeTable, labels: np.ndarray, ids: List[str], sides: List[str], levels: list) -> None:
         self.table = table
@@ -219,12 +210,10 @@ class Partition:
     @classmethod
     def singletons(cls, universe: Iterable[Element], level: Optional[int] = 0, prefix: str = "u") -> "Partition":
         """One group per element — the individual level of the hierarchy."""
-        groups = []
-        for index, element in enumerate(sorted(set(universe), key=str)):
-            groups.append(
-                Group(group_id=f"{prefix}:{element}", members=frozenset([element]), level=level)
-            )
-        return cls(groups)
+        return cls(
+            Group(group_id=f"{prefix}:{element}", members=frozenset([element]), level=level)
+            for element in sorted(set(universe), key=str)
+        )
 
     @classmethod
     def trivial(cls, universe: Iterable[Element], level: Optional[int] = None, group_id: str = "root") -> "Partition":

@@ -209,14 +209,11 @@ class Specializer:
     # ------------------------------------------------------------------
     # Split selection (overridden by the non-private baselines)
     # ------------------------------------------------------------------
-    def _choose(self, degrees: List[int], cuts: Tuple[int, ...]) -> int:
-        """Pick one of ``cuts`` into a segment (its degrees, in order) with the
-        Exponential Mechanism; returns the index into ``cuts``."""
+    def _choose(self, segment: np.ndarray, cuts: Tuple[int, ...]) -> int:
+        """Pick one of ``cuts`` into ``segment`` (node indices, in order) with
+        the Exponential Mechanism; returns the index into ``cuts``."""
         self._selections += 1
-        return self._mechanism.select_index(self.score.scores(degrees, cuts))
-
-    def _choose_cut(self, segment: np.ndarray, cuts: Tuple[int, ...]) -> int:
-        return self._choose(self._degrees[segment].tolist(), cuts)
+        return self._mechanism.select_index(self.score.scores(self._degrees[segment].tolist(), cuts))
 
     def _privacy_cost(self) -> PrivacyCost:
         """Total cost of the specialization phase."""
@@ -324,7 +321,7 @@ class Specializer:
         children = []
         for index, (lo, hi) in enumerate(((left_lo, left_hi), (right_lo, right_hi))):
             parts = split_into_parts(
-                self._buffers[index], lo, hi, fanouts[index], self.splitter, self._choose_cut, rng=self._rng
+                self._buffers[index], lo, hi, fanouts[index], self.splitter, self._choose, rng=self._rng
             )
             children.extend((SIDES[index], part + (0, 0) if index == 0 else (0, 0) + part) for part in parts)
         return children
@@ -341,9 +338,9 @@ class DeterministicSpecializer(Specializer):
 
     method_name = "deterministic"
 
-    def _choose(self, degrees: List[int], cuts: Tuple[int, ...]) -> int:
+    def _choose(self, segment: np.ndarray, cuts: Tuple[int, ...]) -> int:
         self._selections += 1
-        return min(range(len(cuts)), key=lambda index: abs(cuts[index] / len(degrees) - 0.5))
+        return min(range(len(cuts)), key=lambda index: abs(cuts[index] / len(segment) - 0.5))
 
     def _privacy_cost(self) -> PrivacyCost:
         return PrivacyCost(math.inf, 0.0)
@@ -369,7 +366,7 @@ class RandomSpecializer(Specializer):
         splitter = splitter if splitter is not None else RandomOrderSplitter(cut_fractions=config.cut_fractions)
         super().__init__(config=config, score=score, splitter=splitter, rng=rng)
 
-    def _choose(self, degrees: List[int], cuts: Tuple[int, ...]) -> int:
+    def _choose(self, segment: np.ndarray, cuts: Tuple[int, ...]) -> int:
         self._selections += 1
         return int(self._rng.integers(0, len(cuts)))
 
