@@ -9,8 +9,10 @@ differentially private.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from itertools import accumulate
 
-from typing import Callable, Hashable, List, Optional, Sequence, Union
+from typing import Callable, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -49,31 +51,40 @@ class ExponentialMechanism(Mechanism):
         self.epsilon = check_positive(epsilon, "epsilon")
         self.score_sensitivity = check_positive(score_sensitivity, "score_sensitivity")
 
-    def selection_probabilities(self, scores: Sequence[float]) -> np.ndarray:
-        """Return the probability assigned to each candidate given ``scores``."""
+    def _weights(self, scores: Sequence[float]) -> Tuple[List[float], float]:
+        """Unnormalised selection weights and their sum.
+
+        Scalar float arithmetic rounds exactly like the elementwise array
+        operations, so only the exponential and the sum run in NumPy.
+        """
         scores = [float(score) for score in scores]
         if not scores:
             raise ValidationError("at least one candidate is required")
         if not all(map(math.isfinite, scores)):
             raise ValidationError("scores must be finite")
-        # Scalar float arithmetic rounds exactly like the elementwise array
-        # operations; only the exponential and the sum need NumPy.
         scale = 2.0 * self.score_sensitivity
         logits = [self.epsilon * score / scale for score in scores]
         top = max(logits)
         weights = np.exp(np.array([logit - top for logit in logits]))
-        return weights / weights.sum()
+        return weights.tolist(), float(weights.sum())
+
+    def selection_probabilities(self, scores: Sequence[float]) -> np.ndarray:
+        """Return the probability assigned to each candidate given ``scores``."""
+        weights, total = self._weights(scores)
+        return np.array(weights) / total
 
     def select_index(self, scores: Sequence[float]) -> int:
         """Select a candidate index given its score array.
 
-        Inverse-CDF sampling from one ``random()`` draw: the same index, and
-        the same generator state afterwards, as
-        ``rng.choice(len(p), p=p)``, without its per-call validation cost.
+        Inverse-CDF sampling from one ``random()`` draw, step for step what
+        ``rng.choice(len(p), p=p)`` does (cumulative sum, divided by its last
+        entry, searched from the right): the same index, and the same
+        generator state afterwards, without its per-call validation cost.
         """
-        cdf = self.selection_probabilities(scores).cumsum()
-        cdf /= cdf[-1]
-        return int(cdf.searchsorted(self.rng.random(), side="right"))
+        weights, total = self._weights(scores)
+        cdf = list(accumulate(weight / total for weight in weights))
+        last = cdf[-1]
+        return bisect_right([value / last for value in cdf], self.rng.random())
 
     def select(
         self,
