@@ -212,7 +212,7 @@ def test_node_sensitivities_cover_brute_force(scenario):
 def test_degree_histogram_node_bound_covers_a_hub_of_degree_one_neighbours(side):
     """One node with ten degree-1 neighbours: removing it moves all ten from
     bin 1 to bin 0, an L1 change of 20 and an L2 change of 10*sqrt(2),
-    whatever ``max_degree`` is (the old bound was ``1 + 2*max_degree``)."""
+    whatever ``max_degree`` is."""
     graph = BipartiteGraph(name="hub")
     spokes = [f"s{i}" for i in range(10)]
     if side is Side.LEFT:
