@@ -99,9 +99,8 @@ def fingerprint_partition(partition: "Partition") -> str:
     A SHA-256 over a version tag, the digest of the ``str``-sorted node
     table (computed once per table, so once per hierarchy), the group table
     in group-id order — id lengths and text, sides, levels (once when every
-    group shares one) — and every
-    node's group rank in that order as ``int64`` bytes, nodes in table
-    ``str`` order.  Each part is self-delimiting, so the digest is a function
+    group shares one) — and every node's group rank in that order as
+    ``int64`` bytes, nodes in table ``str`` order.  Each part is self-delimiting, so the digest is a function
     of the content alone: two partitions with the same content digest
     identically whatever order their groups and members were built in.  The
     digest is memoised on the partition instance — hierarchies are built
@@ -113,7 +112,7 @@ def fingerprint_partition(partition: "Partition") -> str:
         return cached
     table = partition.table
     if table.digest is None:
-        nodes = [table.nodes[i] for i in table.str_order.tolist()]
+        nodes = list(map(table.nodes.__getitem__, table.str_order.tolist()))
         table.digest = hashlib.sha256(_compact_json(nodes)).digest()
     ids = partition.group_ids()
     sorted_ids = sorted(ids)
@@ -130,7 +129,8 @@ def fingerprint_partition(partition: "Partition") -> str:
     digest.update(np.fromiter(map(len, sorted_ids), dtype="<i8", count=len(ids)).tobytes())
     digest.update("".join(sorted_ids).encode("utf-8", "surrogatepass"))
     # Sides are one of "left", "right", "mixed": no word prefixes another.
-    digest.update("".join(map(partition.sides.__getitem__, by_id)).encode("ascii"))
+    sides = partition.sides if in_order else map(partition.sides.__getitem__, by_id)
+    digest.update("".join(sides).encode("ascii"))
     levels = partition.levels
     if levels and levels.count(levels[0]) == len(levels):
         digest.update(_compact_json(["all", levels[0]]))  # a level per group is never "all"
