@@ -100,12 +100,12 @@ def fingerprint_partition(partition: "Partition") -> str:
     table (computed once per table, so once per hierarchy), the group table
     in group-id order — id lengths and text, sides, levels (once when every
     group shares one) — and every node's group rank in that order as
-    ``int64`` bytes, nodes in table ``str`` order.  Each part is self-delimiting, so the digest is a function
-    of the content alone: two partitions with the same content digest
-    identically whatever order their groups and members were built in.  The
-    digest is memoised on the partition instance — hierarchies are built
-    once and reused across releases, so repeated disclosures hash each level
-    once.
+    ``int64`` bytes, nodes in table ``str`` order.  Each part is
+    self-delimiting, so the digest is a function of the content alone: two
+    partitions with the same content digest identically whatever order
+    their groups and members were built in.  The digest is memoised on the
+    partition instance — hierarchies are built once and reused across
+    releases, so repeated disclosures hash each level once.
     """
     cached = getattr(partition, "_content_digest", None)
     if cached is not None:

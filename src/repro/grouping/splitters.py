@@ -86,7 +86,7 @@ class Splitter(abc.ABC):
         """``members`` in the order their first cut is taken from."""
         members = list(members)
         degrees = np.asarray([graph.degree(n) if graph.has_node(n) else 0 for n in members], dtype=np.int64)
-        str_ranks = ranks_of(np.asarray(sorted(range(len(members)), key=lambda i: str(members[i])), dtype=np.int64))
+        str_ranks = ranks_of(np.argsort([str(node) for node in members], kind="stable"))
         segment = np.argsort(self.sort_keys(members, degrees, str_ranks), kind="stable")
         return [members[i] for i in self.reorder(segment, rng).tolist()]
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from itertools import accumulate
-
 from typing import Callable, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
