@@ -67,9 +67,16 @@ class GroupHierarchy:
         (coarsest) level; index 0, when present, is the individual level.
     parents:
         Mapping ``child group id -> parent group id`` for consecutive levels.
-        When omitted it is inferred by member containment.
+        When omitted (and no ``parent_codes`` are given) it is inferred by
+        member containment.
     validate:
         Run the structural invariant checks (default ``True``).
+    parent_codes:
+        Mapping ``level -> int64 array`` holding each group's position in
+        the next level up's :meth:`~repro.grouping.partition.Partition.groups`
+        (every level but the top): the same relation as ``parents`` in the
+        form a builder already holds.  The id mapping is derived from it on
+        first use.
     """
 
     def __init__(
@@ -77,22 +84,29 @@ class GroupHierarchy:
         levels: Mapping[int, Partition],
         parents: Optional[Mapping[str, str]] = None,
         validate: bool = True,
+        parent_codes: Optional[Mapping[int, np.ndarray]] = None,
     ):
         if not levels:
             raise HierarchyError("a hierarchy needs at least one level")
         self._levels: Dict[int, Partition] = dict(sorted(levels.items()))
-        self._parents: Dict[str, str] = dict(parents) if parents is not None else {}
+        self._parent_ids: Optional[Dict[str, str]] = None
+        self._codes: Optional[Dict[int, np.ndarray]] = None
         self._children: Optional[Dict[str, List[str]]] = None
-        if not self._parents:
-            self._infer_parents()
+        if parent_codes is not None:
+            self._codes = {level: np.asarray(codes, dtype=np.int64) for level, codes in parent_codes.items()}
+        elif parents:
+            self._parent_ids = dict(parents)
+        else:
+            self._codes = self._infer_parent_codes()
         if validate:
             self.validate()
 
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-    def _infer_parents(self) -> None:
+    def _infer_parent_codes(self) -> Dict[int, np.ndarray]:
         """Infer the parent relation by member containment between consecutive levels."""
+        inferred = {}
         indices = self.level_indices()
         for lower, upper in zip(indices, indices[1:]):
             child, parent = self._levels[lower], self._levels[upper]
@@ -106,10 +120,33 @@ class GroupHierarchy:
             # Any member names its group's parent; empty groups keep none.
             codes = np.full(child.num_groups(), -1, dtype=np.int64)
             codes[child.labels] = above
-            parent_ids = parent.group_ids()
-            for group_id, code in zip(child.group_ids(), codes.tolist()):
-                if code >= 0:
-                    self._parents[group_id] = parent_ids[code]
+            inferred[lower] = codes
+        return inferred
+
+    @property
+    def _parents(self) -> Dict[str, str]:
+        """Mapping ``child group id -> parent group id``, built from codes on first use."""
+        if self._parent_ids is None:
+            self._parent_ids = {}
+            indices = self.level_indices()
+            for lower, upper in zip(indices, indices[1:]):
+                parent_ids = self._levels[upper].group_ids()
+                codes = self._codes.get(lower, np.zeros(0, dtype=np.int64)).tolist()
+                for group_id, code in zip(self._levels[lower].group_ids(), codes):
+                    if 0 <= code < len(parent_ids):
+                        self._parent_ids[group_id] = parent_ids[code]
+        return self._parent_ids
+
+    def _recorded_codes(self, lower: int, upper: int) -> np.ndarray:
+        """Each group at ``lower``'s recorded parent code at ``upper`` (-1 for none)."""
+        child, parent = self._levels[lower], self._levels[upper]
+        if self._codes is None:
+            expected = [parent.codes.get(self._parents.get(group_id), -1) for group_id in child.group_ids()]
+            return np.asarray(expected, dtype=np.int64)
+        codes = self._codes.get(lower)
+        if codes is None or len(codes) != child.num_groups():
+            raise HierarchyError(f"level {lower} does not record one parent code per group")
+        return np.where((codes >= 0) & (codes < parent.num_groups()), codes, -1)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -213,14 +250,14 @@ class GroupHierarchy:
                 )
         for lower, upper in zip(indices, indices[1:]):
             child, parent = self._levels[lower], self._levels[upper]
-            expected = [parent.codes.get(self._parents.get(group_id)) for group_id in child.group_ids()]
-            if None in expected:
-                group_id = child.group_ids()[expected.index(None)]
+            expected = self._recorded_codes(lower, upper)
+            missing = np.flatnonzero(expected < 0)
+            if missing.size:
+                group_id = child.group_ids()[missing[0]]
                 raise HierarchyError(
                     f"group {group_id!r} at level {lower} has no parent at level {upper} "
                     f"(recorded parent: {self._parents.get(group_id)!r})"
                 )
-            expected = np.asarray(expected, dtype=np.int64)
             outside = np.flatnonzero(expected[child.labels] != _labels_above(child, parent))
             if outside.size:
                 group_id = child.group_ids()[child.labels[outside[0]]]

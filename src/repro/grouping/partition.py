@@ -180,10 +180,16 @@ class Partition:
         self.sides = sides
         self.levels = levels
         self._ids = ids
-        #: Mapping ``group id -> code`` (the group's position in :meth:`groups`).
-        self.codes: Dict[str, int] = {gid: code for code, gid in enumerate(ids)}
+        self._codes: Optional[Dict[str, int]] = None
         self._groups: Optional[List[Group]] = None
         self._sizes: Optional[np.ndarray] = None
+
+    @property
+    def codes(self) -> Dict[str, int]:
+        """Mapping ``group id -> code`` (the group's position in :meth:`groups`)."""
+        if self._codes is None:
+            self._codes = {gid: code for code, gid in enumerate(self._ids)}
+        return self._codes
 
     @classmethod
     def from_labels(

@@ -26,9 +26,9 @@ class SplitScore(abc.ABC):
 
     A candidate split cuts an ordered segment of nodes at a position ``c``:
     the first ``c`` nodes form one part, the rest the other.  Scores see the
-    segment only through its nodes' degrees, in order.  Segments are small
-    and scored hundreds of times per hierarchy, so scores work on plain
-    Python sequences.
+    segment only through its nodes' degrees, in order.  :meth:`scores` rates
+    one segment's cuts on plain Python sequences; :meth:`score_rows` rates
+    one cut set per segment for a whole specialization step at once.
     """
 
     #: Sensitivity of the score with respect to adding/removing one universe
@@ -38,6 +38,24 @@ class SplitScore(abc.ABC):
     @abc.abstractmethod
     def scores(self, degrees: Sequence[int], cuts: Sequence[int]) -> List[float]:
         """The quality of cutting the segment at each of ``cuts`` (higher is better)."""
+
+    def score_rows(
+        self, prefix: np.ndarray, lo: np.ndarray, hi: np.ndarray, cuts: np.ndarray, valid: np.ndarray
+    ) -> np.ndarray:
+        """Score many segments' cuts at once: an ``(m, K)`` matrix.
+
+        ``prefix`` is the degree prefix sum of an ordered node buffer
+        (``prefix[i]`` sums the first ``i`` degrees).  Row ``i`` scores
+        cutting ``buffer[lo[i]:hi[i]]`` at each valid entry of ``cuts[i]``
+        (``valid`` marks a prefix of each row); padded entries are ``-inf``.
+        This base version calls :meth:`scores` row by row, so a score's
+        arithmetic is the same whichever entry point is used.
+        """
+        degrees = np.diff(prefix)
+        out = np.full(cuts.shape, -np.inf)
+        for row, (start, stop, count) in enumerate(zip(lo.tolist(), hi.tolist(), valid.sum(axis=1).tolist())):
+            out[row, :count] = self.scores(degrees[start:stop].tolist(), cuts[row, :count].tolist())
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(sensitivity={self.sensitivity})"
@@ -54,6 +72,9 @@ class BalanceScore(SplitScore):
 
     def scores(self, degrees: Sequence[int], cuts: Sequence[int]) -> List[float]:
         return [float(-abs(2 * cut - len(degrees))) for cut in cuts]
+
+    def score_rows(self, prefix, lo, hi, cuts, valid):
+        return np.where(valid, -np.abs(2 * cuts - (hi - lo)[:, None]).astype(np.float64), -np.inf)
 
 
 class BalancedAssociationScore(SplitScore):
@@ -82,6 +103,11 @@ class BalancedAssociationScore(SplitScore):
     def scores(self, degrees: Sequence[int], cuts: Sequence[int]) -> List[float]:
         prefix = list(accumulate(degrees))
         return [-abs(2 * prefix[cut - 1] - prefix[-1]) / self.degree_bound for cut in cuts]
+
+    def score_rows(self, prefix, lo, hi, cuts, valid):
+        before = prefix[lo][:, None]
+        mass = 2 * (prefix[lo[:, None] + cuts] - before) - (prefix[hi][:, None] - before)
+        return np.where(valid, -np.abs(mass) / self.degree_bound, -np.inf)
 
 
 class EdgeUniformityScore(SplitScore):

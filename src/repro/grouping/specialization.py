@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -33,14 +33,15 @@ from repro.graphs.bipartite import BipartiteGraph
 from repro.grouping.hierarchy import GroupHierarchy
 from repro.grouping.partition import NodeTable, Partition
 from repro.grouping.scores import BalancedAssociationScore, SplitScore
-from repro.grouping.splitters import HashOrderSplitter, RandomOrderSplitter, Splitter, ranks_of, split_into_parts
+from repro.grouping.splitters import HashOrderSplitter, RandomOrderSplitter, Splitter, ranks_of, split_sides
 from repro.mechanisms.base import PrivacyCost
 from repro.mechanisms.exponential import ExponentialMechanism
 from repro.utils.rng import RandomState, derive_rng
 from repro.utils.validation import check_positive, check_positive_int
 
-#: Side names of the two segment buffers, by buffer index.
-SIDES = ("left", "right")
+#: Side codes of a group, and their names.
+LEFT, RIGHT, MIXED = 0, 1, 2
+SIDE_NAMES = np.array(["left", "right", "mixed"])
 
 
 @dataclass(frozen=True)
@@ -209,11 +210,22 @@ class Specializer:
     # ------------------------------------------------------------------
     # Split selection (overridden by the non-private baselines)
     # ------------------------------------------------------------------
-    def _choose(self, segment: np.ndarray, cuts: Tuple[int, ...]) -> int:
-        """Pick one of ``cuts`` into ``segment`` (node indices, in order) with
-        the Exponential Mechanism; returns the index into ``cuts``."""
-        self._selections += 1
-        return self._mechanism.select_index(self.score.scores(self._degrees[segment].tolist(), cuts))
+    #: What a choice draws: one ``random()`` each (``"uniform"``, so a level's
+    #: draws can be made before it starts), nothing (``"none"``), or draws of
+    #: its own between the cuts (``"inline"``).
+    draws = "uniform"
+
+    def _select(self, rows, made, lo, hi, cuts, valid) -> np.ndarray:
+        """Pick one cut per row with the Exponential Mechanism; see
+        :func:`~repro.grouping.splitters.split_sides` for the arguments."""
+        if self._prefix is None or self.splitter.reorders:
+            self._prefix = np.concatenate(([0], np.cumsum(self._degrees[self._buffer])))
+        scores = self.score.score_rows(self._prefix, lo, hi, cuts, valid)
+        if self._uniforms is None:
+            uniforms = self._rng.random(len(rows))
+        else:
+            uniforms = self._uniforms[self._offsets[rows] + made]
+        return self._mechanism.select_indices(scores, valid, uniforms)
 
     def _privacy_cost(self) -> PrivacyCost:
         """Total cost of the specialization phase."""
@@ -226,9 +238,11 @@ class Specializer:
         """Run the specialization and return the resulting hierarchy.
 
         Every group keeps its left and right members as contiguous segments
-        of two index buffers (one per side), so a split is a cut position
-        and a level is one label vector.  Raises
-        :class:`SpecializationError` for empty graphs.
+        of one index buffer (left nodes first), so a split is a cut position
+        and a level is one label vector.  A level is built in one pass over
+        arrays: :func:`~repro.grouping.splitters.split_sides` cuts every
+        side of every group together.  Raises :class:`SpecializationError`
+        for empty graphs.
         """
         if graph.num_nodes() == 0:
             raise SpecializationError("cannot specialize an empty graph")
@@ -244,48 +258,71 @@ class Specializer:
         table = NodeTable(list(arrays.left_ids) + list(arrays.right_ids))
         num_left, num_nodes = arrays.num_left, arrays.num_nodes
         str_ranks = ranks_of(table.str_order)
+        keys = self.splitter.sort_keys(table.nodes, arrays.degrees, str_ranks)
         self._degrees = arrays.degrees
-        self._keys = self.splitter.sort_keys(table.nodes, arrays.degrees, str_ranks)
-        self._buffers = (np.arange(num_left), np.arange(num_left, num_nodes))
+        self._buffer = np.arange(num_nodes)
 
-        # A level is parallel lists of group ids, sides and segments
-        # (left lo, left hi, right lo, right hi) into the two buffers.
-        ids, sides, segments = ["root"], ["mixed"], [(0, num_left, 0, num_nodes - num_left)]
+        # A level is its group ids plus arrays: segments (left lo, hi, right
+        # lo, hi) into the buffer, side codes and parent codes.
+        ids = ["root"]
+        segments = np.array([[0, num_left, num_left, num_nodes]], dtype=np.int64)
+        sides = np.array([MIXED])
         levels: Dict[int, Partition] = {top: self._level_partition(table, ids, sides, segments, top)}
-        parents: Dict[str, str] = {}
+        parent_codes: Dict[int, np.ndarray] = {}
+        fanouts = np.array([[config.left_fanout, config.right_fanout]], dtype=np.int64)
+        most_children = max(config.left_fanout + config.right_fanout, config.single_side_fanout)
+        suffixes = [f"/{index}" for index in range(most_children)]
         for level in range(top - 1, 0, -1):
-            for buffer, starts in zip(self._buffers, self._starts):
-                buffer[:] = buffer[np.lexsort((self._keys[buffer], starts))]
-            child_ids, child_sides, child_segments = [], [], []
-            for parent_id, side, segs in zip(ids, sides, segments):
-                if segs[1] - segs[0] + segs[3] - segs[2] <= config.min_group_size:
-                    children = [(side, segs)]  # carried down unchanged
-                else:
-                    children = self._split_group(segs)
-                for index, (child_side, child_segs) in enumerate(children):
-                    child_id = f"{parent_id}/{index}"
-                    parents[child_id] = parent_id
-                    child_ids.append(child_id)
-                    child_sides.append(child_side)
-                    child_segments.append(child_segs)
-            ids, sides, segments = child_ids, child_sides, child_segments
+            if level == top - 1 or self.splitter.reorders:
+                # Sort every segment by key; cuts of a sorted segment stay sorted.
+                starts = np.repeat(self._segment_starts, self._segment_lengths)
+                self._buffer = self._buffer[np.lexsort((keys[self._buffer], starts))]
+            lengths = segments[:, 1::2] - segments[:, 0::2]
+            split = lengths.sum(axis=1) > config.min_group_size
+            mixed = (lengths > 0).all(axis=1)
+            fanout = np.where(mixed[:, None], fanouts, config.single_side_fanout)[split].ravel()
+            lo, hi = segments[split][:, 0::2].ravel(), segments[split][:, 1::2].ravel()
+            part_lo, part_hi, counts = self._split_sides(lo, hi, fanout)
+            self._selections += int(np.maximum(counts - 1, 0).sum())
+
+            # Children, parent by parent: a carried-down group's one copy, or
+            # its left parts then its right parts.
+            num_children = np.ones(len(ids), dtype=np.int64)
+            num_children[split] = counts.reshape(-1, 2).sum(axis=1)
+            parents = np.repeat(np.arange(len(ids)), num_children)
+            from_split = split[parents]
+            child_segments = np.zeros((len(parents), 4), dtype=np.int64)
+            child_sides = np.empty(len(parents), dtype=np.int64)
+            child_segments[~from_split] = segments[~split]
+            child_sides[~from_split] = sides[~split]
+            part_sides = np.repeat(np.tile([LEFT, RIGHT], len(counts) // 2), counts)
+            rows = np.flatnonzero(from_split)
+            child_segments[rows, 2 * part_sides] = part_lo
+            child_segments[rows, 2 * part_sides + 1] = part_hi
+            child_sides[rows] = part_sides
+            ids = [
+                parent_id + suffix
+                for parent_id, count in zip(ids, num_children.tolist())
+                for suffix in suffixes[:count]
+            ]
+            segments, sides = child_segments, child_sides
+            parent_codes[level] = parents
             levels[level] = self._level_partition(table, ids, sides, segments, level)
 
         if config.include_individual_level:
             # One singleton per node, grouped by level-1 parent, in str order.
             above = levels[1]
             order = np.lexsort((str_ranks, above.labels))
-            positions, codes = order.tolist(), above.labels[order].tolist()
-            ids = [f"u:{table.nodes[i]}" for i in positions]
-            parent_ids = above.group_ids()
-            parents.update(zip(ids, [parent_ids[code] for code in codes]))
-            sides = [
-                SIDES[position >= num_left] if above.sides[code] == "mixed" else above.sides[code]
-                for position, code in zip(positions, codes)
-            ]
-            levels[0] = Partition.from_labels(table, ranks_of(order), ids, sides, [0] * num_nodes)
+            parent_codes[0] = above.labels[order]
+            nodes = table.nodes
+            ids = [f"u:{nodes[i]}" for i in order.tolist()]
+            node_sides = sides[parent_codes[0]]
+            node_sides = np.where(node_sides == MIXED, (order >= num_left).astype(np.int64), node_sides)
+            levels[0] = Partition.from_labels(
+                table, ranks_of(order), ids, SIDE_NAMES[node_sides].tolist(), [0] * num_nodes
+            )
 
-        hierarchy = GroupHierarchy(levels, parents=parents, validate=True)
+        hierarchy = GroupHierarchy(levels, parent_codes=parent_codes, validate=True)
         return SpecializationResult(
             hierarchy=hierarchy,
             privacy_cost=self._privacy_cost(),
@@ -294,37 +331,42 @@ class Specializer:
             method=self.method_name,
         )
 
-    def _level_partition(self, table: NodeTable, ids: list, sides: list, segments: list, level: int) -> Partition:
+    def _split_sides(self, lo: np.ndarray, hi: np.ndarray, fanout: np.ndarray):
+        """Cut one level's sides in one batch, or one side at a time when
+        draws interleave with the cuts (a reordering splitter's
+        permutations, inline choices), which keeps every draw in group
+        order."""
+        self._prefix = self._uniforms = None
+        if self.splitter.reorders or self.draws == "inline":
+            if len(lo):
+                batches = [
+                    self._split_sides_once(lo[s : s + 1], hi[s : s + 1], fanout[s : s + 1]) for s in range(len(lo))
+                ]
+                return tuple(np.concatenate(arrays) for arrays in zip(*batches))
+        elif self.draws == "uniform":
+            choices = np.maximum(np.minimum(fanout, hi - lo) - 1, 0)
+            self._offsets = np.cumsum(choices) - choices
+            self._uniforms = self._rng.random(int(choices.sum()))
+        return self._split_sides_once(lo, hi, fanout)
+
+    def _split_sides_once(self, lo, hi, fanout):
+        return split_sides(self._buffer, lo, hi, fanout, self.splitter, self._select, rng=self._rng)
+
+    def _level_partition(
+        self, table: NodeTable, ids: list, sides: np.ndarray, segments: np.ndarray, level: int
+    ) -> Partition:
         """One level's partition: every segment labelled with its group's code.
 
-        Also records, per buffer position, where its segment starts: the
-        next level sorts each segment by the splitter's keys in place.
+        Also records the segments' starts and lengths in buffer order: the
+        next level may sort each segment by the splitter's keys.
         """
+        starts = segments[:, 0::2].ravel()
+        order = np.argsort(starts, kind="stable")
+        lengths = (segments[:, 1::2] - segments[:, 0::2]).ravel()[order]
         labels = np.empty(len(table), dtype=np.int64)
-        spans = np.array(segments, dtype=np.int64).reshape(-1, 4)
-        self._starts = []
-        for buffer, lo, hi in zip(self._buffers, spans[:, 0::2].T, spans[:, 1::2].T):
-            order = np.argsort(lo, kind="stable")
-            lengths = (hi - lo)[order]
-            labels[buffer] = np.repeat(order, lengths)
-            self._starts.append(np.repeat(lo[order], lengths))
-        return Partition.from_labels(table, labels, ids, sides, [level] * len(ids))
-
-    def _split_group(self, segs: tuple) -> List[Tuple[str, tuple]]:
-        """The ``(side, segments)`` of a group's children at the next level down."""
-        config = self.config
-        left_lo, left_hi, right_lo, right_hi = segs
-        if left_hi > left_lo and right_hi > right_lo:
-            fanouts = (config.left_fanout, config.right_fanout)
-        else:
-            fanouts = (config.single_side_fanout,) * 2
-        children = []
-        for index, (lo, hi) in enumerate(((left_lo, left_hi), (right_lo, right_hi))):
-            parts = split_into_parts(
-                self._buffers[index], lo, hi, fanouts[index], self.splitter, self._choose, rng=self._rng
-            )
-            children.extend((SIDES[index], part + (0, 0) if index == 0 else (0, 0) + part) for part in parts)
-        return children
+        labels[self._buffer] = np.repeat(order // 2, lengths)
+        self._segment_starts, self._segment_lengths = starts[order], lengths
+        return Partition.from_labels(table, labels, ids, SIDE_NAMES[sides].tolist(), [level] * len(ids))
 
 
 class DeterministicSpecializer(Specializer):
@@ -337,10 +379,10 @@ class DeterministicSpecializer(Specializer):
     """
 
     method_name = "deterministic"
+    draws = "none"
 
-    def _choose(self, segment: np.ndarray, cuts: Tuple[int, ...]) -> int:
-        self._selections += 1
-        return min(range(len(cuts)), key=lambda index: abs(cuts[index] / len(segment) - 0.5))
+    def _select(self, rows, made, lo, hi, cuts, valid) -> np.ndarray:
+        return np.argmin(np.where(valid, np.abs(cuts / (hi - lo)[:, None] - 0.5), np.inf), axis=1)
 
     def _privacy_cost(self) -> PrivacyCost:
         return PrivacyCost(math.inf, 0.0)
@@ -354,6 +396,7 @@ class RandomSpecializer(Specializer):
     """
 
     method_name = "random"
+    draws = "inline"
 
     def __init__(
         self,
@@ -366,9 +409,9 @@ class RandomSpecializer(Specializer):
         splitter = splitter if splitter is not None else RandomOrderSplitter(cut_fractions=config.cut_fractions)
         super().__init__(config=config, score=score, splitter=splitter, rng=rng)
 
-    def _choose(self, segment: np.ndarray, cuts: Tuple[int, ...]) -> int:
-        self._selections += 1
-        return int(self._rng.integers(0, len(cuts)))
+    def _select(self, rows, made, lo, hi, cuts, valid) -> np.ndarray:
+        counts = valid.sum(axis=1).tolist()
+        return np.array([self._rng.integers(0, count) for count in counts], dtype=np.int64)
 
     def _privacy_cost(self) -> PrivacyCost:
         return PrivacyCost(0.0, 0.0)

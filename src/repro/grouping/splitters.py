@@ -10,16 +10,16 @@ set small and data-independent in size.
 
 The specializer works on integer segments: it computes each node's key once
 per build (:meth:`Splitter.sort_keys`), keeps every group's side members as a
-contiguous segment of one index buffer sorted by those keys, and calls
-:meth:`Splitter.reorder` before each binary cut of a segment
-(:func:`split_into_parts`).
+contiguous segment of one index buffer sorted by those keys, and cuts the
+segments of a whole level together (:func:`split_sides`), taking candidate
+cuts from a per-size table (:meth:`Splitter.cut_table`).
 """
 
 from __future__ import annotations
 
 import abc
 import hashlib
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import Callable, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,12 +40,42 @@ def ranks_of(order: np.ndarray) -> np.ndarray:
 class Splitter(abc.ABC):
     """Interface for candidate-split generators."""
 
+    #: ``True`` when :meth:`reorder` draws a fresh ordering before every cut.
+    reorders = False
+
     def __init__(self, cut_fractions: Sequence[float] = (0.3, 0.4, 0.5, 0.6, 0.7)):
         fractions = [float(f) for f in cut_fractions]
         if not fractions or any(not 0.0 < f < 1.0 for f in fractions):
             raise SpecializationError("cut_fractions must be non-empty values in (0, 1)")
         self.cut_fractions = tuple(fractions)
-        self._cuts: Dict[int, Tuple[int, ...]] = {}
+        self._table: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def _build_table(self, max_size: int) -> Tuple[np.ndarray, np.ndarray]:
+        sizes = np.arange(max_size + 1, dtype=np.int64)[:, None]
+        raw = np.rint(np.array(self.cut_fractions) * sizes).astype(np.int64)
+        raw = np.minimum(np.maximum(raw, 1), np.maximum(sizes - 1, 1))
+        fresh = np.ones(raw.shape, dtype=bool)
+        for column in range(1, raw.shape[1]):
+            fresh[:, column] = (raw[:, :column] != raw[:, column : column + 1]).all(axis=1)
+        fresh[:2] = False
+        # Move each size's distinct cuts to the front, in fraction order.
+        order = np.argsort(~fresh, axis=1, kind="stable")
+        cuts = np.take_along_axis(raw, order, axis=1)
+        valid = np.take_along_axis(fresh, order, axis=1)
+        return cuts, valid
+
+    def cut_table(self, max_size: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The candidate cuts of every size up to ``max_size``, as two arrays.
+
+        Row ``n`` of ``cuts`` holds the distinct positions
+        ``min(max(round(f * n), 1), n - 1)`` over the cut fractions ``f``,
+        in fraction order, followed by padding; ``valid`` marks the distinct
+        ones.  Sizes below two have no cut.  The table grows on demand and
+        is kept, so a build computes it once.
+        """
+        if self._table is None or len(self._table[0]) <= max_size:
+            self._table = self._build_table(max(max_size, 2 * len(self._table[0]) if self._table else 2))
+        return self._table
 
     def cuts(self, size: int) -> Tuple[int, ...]:
         """Distinct candidate cut positions into an ordering of ``size`` nodes.
@@ -54,17 +84,10 @@ class Splitter(abc.ABC):
         the rest.  At least one cut exists for two or more nodes; smaller
         sets cannot be split and raise :class:`SpecializationError`.
         """
-        cached = self._cuts.get(size)
-        if cached is None:
-            if size < 2:
-                raise SpecializationError(f"cannot split a set of {size} node(s)")
-            cuts: List[int] = []
-            for fraction in self.cut_fractions:
-                cut = min(max(int(round(fraction * size)), 1), size - 1)
-                if cut not in cuts:
-                    cuts.append(cut)
-            cached = self._cuts[size] = tuple(cuts)
-        return cached
+        if size < 2:
+            raise SpecializationError(f"cannot split a set of {size} node(s)")
+        cuts, valid = self.cut_table(size)
+        return tuple(cuts[size][valid[size]].tolist())
 
     @abc.abstractmethod
     def sort_keys(self, nodes: Sequence[Node], degrees: np.ndarray, str_ranks: np.ndarray) -> np.ndarray:
@@ -78,7 +101,8 @@ class Splitter(abc.ABC):
         """The ordering one binary cut of ``segment`` is taken from.
 
         ``segment`` arrives sorted by :meth:`sort_keys` or as a part of an
-        earlier cut; keyed orderings keep it as it is.
+        earlier cut; keyed orderings keep it as it is (and leave
+        :attr:`reorders` false).
         """
         return segment
 
@@ -117,14 +141,11 @@ class HashOrderSplitter(Splitter):
         self.salt = str(salt)
 
     def sort_keys(self, nodes, degrees, str_ranks):
-        hashes = np.fromiter(
-            (
-                int.from_bytes(hashlib.sha256(f"{self.salt}::{node}".encode("utf-8")).digest()[:8], "big")
-                for node in nodes
-            ),
-            dtype=np.uint64,
-            count=len(nodes),
+        # The first eight digest bytes of each node, read as big-endian integers.
+        digests = b"".join(
+            [hashlib.sha256(f"{self.salt}::{node}".encode("utf-8")).digest()[:8] for node in nodes]
         )
+        hashes = np.frombuffer(digests, dtype=">u8").astype(np.uint64)
         return ranks_of(np.lexsort((str_ranks, hashes)))
 
 
@@ -137,6 +158,8 @@ class RandomOrderSplitter(Splitter):
     and every cut is taken from a fresh permutation of the part being cut.
     """
 
+    reorders = True
+
     def sort_keys(self, nodes, degrees, str_ranks):
         return np.asarray(str_ranks, dtype=np.int64)
 
@@ -144,36 +167,61 @@ class RandomOrderSplitter(Splitter):
         return segment[as_rng(rng).permutation(len(segment))]
 
 
-def split_into_parts(
+def split_sides(
     buffer: np.ndarray,
-    lo: int,
-    hi: int,
-    num_parts: int,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    fanout: np.ndarray,
     splitter: Splitter,
-    choose,
+    choose: Callable[..., np.ndarray],
     rng: RandomState = None,
-) -> List[Tuple[int, int]]:
-    """Cut ``buffer[lo:hi]`` into up to ``num_parts`` parts by recursive bisection.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cut every side ``buffer[lo[s]:hi[s]]`` into up to ``fanout[s]`` parts.
 
-    Each round takes the first of the largest parts still splittable, lets
-    ``splitter`` reorder it in place and cuts it where ``choose(segment,
-    cuts)`` says (an index into ``cuts``; typically an Exponential Mechanism).
-    A segment of ``n`` nodes therefore takes ``min(num_parts, n) - 1``
-    choices.  Returns the parts as ``(start, stop)`` spans; an empty segment
-    has none.
+    Recursive bisection, all sides at once: each step cuts, in every side
+    with fewer than its fanout parts, the first of its largest parts if it
+    holds two or more nodes, so a side of ``n`` nodes takes
+    ``min(fanout, n) - 1`` choices.  A reordering splitter permutes each
+    target in place first.  ``choose(rows, made, lo, hi, cuts, valid)`` gets
+    the stepping sides, how many choices each has made, their targets'
+    spans and the cut-table rows of the targets' sizes, and returns an
+    index into each row's cuts (typically Exponential-Mechanism draws).
+
+    A cut part's halves follow the parts that already exist, so parts keep
+    the order they were made in.  Returns ``(starts, stops, counts)``: side
+    ``s``'s parts, in order, are the next ``counts[s]`` spans of
+    ``starts``/``stops``; an empty side has none.
     """
-    parts = [(lo, hi)] if hi > lo else []
-    while 0 < len(parts) < num_parts:
-        target = max(parts, key=lambda part: part[1] - part[0])
-        start, stop = target
-        if stop - start < 2:
+    lo, hi, fanout = (np.asarray(a, dtype=np.int64) for a in (lo, hi, fanout))
+    width = int(fanout.max()) if len(lo) else 1
+    part_lo = np.zeros((len(lo), width), dtype=np.int64)
+    part_hi = np.zeros((len(lo), width), dtype=np.int64)
+    part_lo[:, 0], part_hi[:, 0] = lo, hi
+    # Birth order of each part; unused slots sort last.
+    born = np.full((len(lo), width), 2 * width, dtype=np.int64)
+    born[:, 0] = 0
+    counts = (hi > lo).astype(np.int64)
+    table, valid = splitter.cut_table(int((hi - lo).max()) if len(lo) else 0)
+    every = np.arange(len(lo))
+    for step in range(width - 1):
+        sizes = part_hi - part_lo
+        # The largest part, the earliest made among equals.
+        target = np.argmax(sizes * (2 * width + 1) - born, axis=1)
+        rows = np.flatnonzero((counts < fanout) & (sizes[every, target] >= 2))
+        if not rows.size:
             break
-        parts.remove(target)
-        segment = buffer[start:stop]
-        reordered = splitter.reorder(segment, rng=rng)
-        if reordered is not segment:
-            segment[:] = reordered
-        cuts = splitter.cuts(stop - start)
-        cut = start + cuts[choose(segment, cuts)]
-        parts += [(start, cut), (cut, stop)]
-    return parts
+        target, made = target[rows], counts[rows]
+        start, stop = part_lo[rows, target], part_hi[rows, target]
+        if splitter.reorders:
+            for a, b in zip(start.tolist(), stop.tolist()):
+                buffer[a:b] = splitter.reorder(buffer[a:b], rng=rng)
+        size = stop - start
+        index = choose(rows, made - 1, start, stop, table[size], valid[size])
+        cut = start + table[size, index]
+        part_hi[rows, target] = cut
+        part_lo[rows, made], part_hi[rows, made] = cut, stop
+        born[rows, target], born[rows, made] = 2 * step + 1, 2 * step + 2
+        counts[rows] = made + 1
+    order = np.argsort(born, axis=1, kind="stable")
+    used = np.arange(width) < counts[:, None]
+    return part_lo[every[:, None], order][used], part_hi[every[:, None], order][used], counts

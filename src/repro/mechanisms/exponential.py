@@ -85,6 +85,41 @@ class ExponentialMechanism(Mechanism):
         last = cdf[-1]
         return bisect_right([value / last for value in cdf], self.rng.random())
 
+    def select_indices(self, scores: np.ndarray, valid: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """One :meth:`select_index` per row of a padded score matrix.
+
+        Row ``i`` chooses among its first ``valid[i].sum()`` entries
+        (``valid`` marks a prefix of each row; the rest is padding) by the
+        inverse-CDF search of ``uniforms[i]``.  Every arithmetic step is
+        :meth:`select_index`'s, elementwise, with padded entries at ``-inf``
+        so their weight is exactly zero; only the row totals need care,
+        because NumPy's sum unrolls rows of eight or more entries in a
+        different order, so those rows are summed at their own length.
+        Nothing is drawn: with ``uniforms`` from ``rng.random(len(scores))``
+        the result, and the generator state after it, equals one
+        :meth:`select_index` call per row.
+        """
+        scores = np.asarray(scores, dtype=np.float64)
+        valid = np.asarray(valid, dtype=bool)
+        counts = valid.sum(axis=1)
+        if not counts.all():
+            raise ValidationError("at least one candidate is required")
+        if not np.isfinite(scores[valid]).all():
+            raise ValidationError("scores must be finite")
+        logits = np.where(valid, self.epsilon * scores / (2.0 * self.score_sensitivity), -np.inf)
+        weights = np.exp(logits - logits.max(axis=1, keepdims=True))
+        if weights.shape[1] < 8:
+            totals = weights.sum(axis=1)
+        else:
+            totals = np.empty(len(weights))
+            for count in np.unique(counts).tolist():
+                rows = counts == count
+                totals[rows] = weights[rows, :count].sum(axis=1)
+        cdf = np.cumsum(weights / totals[:, None], axis=1)
+        # Padded entries repeat the last valid value, which no uniform in
+        # [0, 1) reaches once normalised.
+        return (cdf / cdf[:, -1:] <= np.asarray(uniforms)[:, None]).sum(axis=1)
+
     def select(
         self,
         candidates: Sequence[Candidate],

@@ -2,14 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import SpecializationError
+from repro.grouping.scores import BalancedAssociationScore
 from repro.grouping.splitters import (
     DegreeOrderSplitter,
     HashOrderSplitter,
     RandomOrderSplitter,
-    split_into_parts,
+    split_sides,
 )
+from repro.mechanisms.exponential import ExponentialMechanism
+
+
+def side_parts(buffer, lo, hi, num_parts, splitter, choose, rng=None):
+    """One side's parts, as ``(start, stop)`` spans, from :func:`split_sides`."""
+    starts, stops, counts = split_sides(buffer, [lo], [hi], [num_parts], splitter, choose, rng=rng)
+    assert counts.tolist() == [len(starts)]
+    return list(zip(starts.tolist(), stops.tolist()))
 
 
 class TestSplitters:
@@ -32,6 +43,20 @@ class TestSplitters:
 
     def test_propose_two_members(self):
         assert HashOrderSplitter().cuts(2) == (1,)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=10))
+    def test_cut_table_rows_follow_the_round_clamp_dedup_rule(self, fractions):
+        splitter = HashOrderSplitter(cut_fractions=fractions)
+        for size in range(2, 300):
+            expected = []
+            for fraction in splitter.cut_fractions:
+                cut = min(max(int(round(fraction * size)), 1), size - 1)
+                if cut not in expected:
+                    expected.append(cut)
+            assert splitter.cuts(size) == tuple(expected)
+        cuts, valid = splitter.cut_table(5)
+        assert not valid[:2].any()
 
     def test_propose_too_small_raises(self):
         with pytest.raises(SpecializationError):
@@ -69,27 +94,29 @@ class TestSplitters:
 
 
 class TestSplitIntoParts:
-    def choose_first(self, segment, cuts):
-        return 0
+    """One side cut by the level schedule, with a stand-in chooser."""
+
+    def choose_first(self, rows, made, lo, hi, cuts, valid):
+        return np.zeros(len(rows), dtype=np.int64)
 
     def test_produces_requested_parts(self):
         buffer = np.arange(16)
-        parts = split_into_parts(buffer, 0, 16, 4, HashOrderSplitter(), self.choose_first, rng=0)
+        parts = side_parts(buffer, 0, 16, 4, HashOrderSplitter(), self.choose_first, rng=0)
         assert len(parts) == 4
         spans = sorted(parts)
         assert spans[0][0] == 0 and spans[-1][1] == 16
         assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
 
     def test_small_input_returns_fewer_parts(self):
-        parts = split_into_parts(np.arange(1), 0, 1, 4, HashOrderSplitter(), self.choose_first)
+        parts = side_parts(np.arange(1), 0, 1, 4, HashOrderSplitter(), self.choose_first)
         assert parts == [(0, 1)]
 
     def test_empty_input(self):
-        assert split_into_parts(np.arange(3), 2, 2, 4, HashOrderSplitter(), self.choose_first) == []
+        assert side_parts(np.arange(3), 2, 2, 4, HashOrderSplitter(), self.choose_first) == []
 
     def test_parts_are_disjoint(self):
         buffer = np.arange(30, 53)
-        parts = split_into_parts(buffer, 0, 23, 5, RandomOrderSplitter(), self.choose_first, rng=1)
+        parts = side_parts(buffer, 0, 23, 5, RandomOrderSplitter(), self.choose_first, rng=1)
         assert len(parts) == 5
         spans = sorted(parts)
         assert spans[0][0] == 0 and spans[-1][1] == 23
@@ -99,11 +126,50 @@ class TestSplitIntoParts:
     def test_each_round_cuts_the_first_largest_part(self):
         sizes = []
 
-        def choose_middle(segment, cuts):
-            sizes.append(len(segment))
-            return len(cuts) // 2
+        def choose_middle(rows, made, lo, hi, cuts, valid):
+            sizes.extend((hi - lo).tolist())
+            return valid.sum(axis=1) // 2
 
-        parts = split_into_parts(np.arange(8), 0, 8, 3, HashOrderSplitter(), choose_middle)
+        parts = side_parts(np.arange(8), 0, 8, 3, HashOrderSplitter(), choose_middle)
         # 8 -> (0,4)+(4,8); of the two equal parts the first, (0,4), is cut next.
         assert sizes == [8, 4]
         assert parts == [(4, 8), (0, 2), (2, 4)]
+
+
+class TestRoundSchedule:
+    """Properties of :func:`split_sides` with Exponential-Mechanism choices."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(1, 64), st.integers(1, 8)), min_size=1, max_size=6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_parts_partition_each_side_and_each_choice_takes_one_uniform(self, sides, seed):
+        sizes = np.array([size for size, _ in sides])
+        fanout = np.array([fanout for _, fanout in sides])
+        hi = np.cumsum(sizes)
+        lo = hi - sizes
+        rng = np.random.default_rng(seed)
+        degrees = rng.integers(0, 9, int(hi[-1]))
+        prefix = np.concatenate(([0], np.cumsum(degrees)))
+        mechanism = ExponentialMechanism(0.5, rng=rng)
+        drawn = []
+
+        def choose(rows, made, start, stop, cuts, valid):
+            drawn.append(len(rows))
+            scores = BalancedAssociationScore().score_rows(prefix, start, stop, cuts, valid)
+            return mechanism.select_indices(scores, valid, rng.random(len(rows)))
+
+        buffer = np.arange(int(hi[-1]))
+        starts, stops, counts = split_sides(buffer, lo, hi, fanout, HashOrderSplitter(), choose)
+        assert counts.tolist() == np.minimum(fanout, sizes).tolist()
+        assert sum(drawn) == int((counts - 1).sum())
+        bounds = np.cumsum(counts)[:-1]
+        for side_lo, side_hi, side_starts, side_stops in zip(
+            lo, hi, np.split(starts, bounds), np.split(stops, bounds)
+        ):
+            spans = sorted(zip(side_starts.tolist(), side_stops.tolist()))
+            assert spans[0][0] == side_lo and spans[-1][1] == side_hi
+            assert all(a < b for a, b in spans)
+            assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        assert buffer.tolist() == list(range(int(hi[-1])))

@@ -128,3 +128,47 @@ class TestSelectIndexMatchesGeneratorChoice:
         logits -= logits.max()
         weights = np.exp(logits)
         assert np.array_equal(mechanism.selection_probabilities(scores), weights / weights.sum())
+
+
+class TestSelectIndicesMatchesSelectIndex:
+    """``select_indices`` is ``select_index`` row by row: with one uniform
+    per row from ``rng.random(m)``, the same indices and the same generator
+    state as one scalar draw per row on a twin generator."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.floats(0.01, 5.0),
+        st.floats(0.1, 60.0),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    def test_rows_match_select_index_on_a_twin_generator(self, width, epsilon, sensitivity, seed, data):
+        counts = data.draw(st.lists(st.integers(1, width), min_size=1, max_size=8))
+        scores = np.array(
+            data.draw(
+                st.lists(
+                    st.lists(st.floats(-50.0, 50.0, allow_nan=False), min_size=width, max_size=width),
+                    min_size=len(counts),
+                    max_size=len(counts),
+                )
+            )
+        )
+        valid = np.arange(width)[None, :] < np.array(counts)[:, None]
+        scores[~valid] = -np.inf
+        batched = ExponentialMechanism(epsilon, sensitivity, rng=np.random.default_rng(seed))
+        single = ExponentialMechanism(epsilon, sensitivity, rng=np.random.default_rng(seed))
+        chosen = batched.select_indices(scores, valid, batched.rng.random(len(counts)))
+        expected = [single.select_index(row[:count].tolist()) for row, count in zip(scores, counts)]
+        assert chosen.tolist() == expected
+        assert batched.rng.bit_generator.state == single.rng.bit_generator.state
+
+    def test_rows_without_candidates_rejected(self):
+        with pytest.raises(ValidationError):
+            ExponentialMechanism(1.0).select_indices(np.zeros((1, 2)), np.zeros((1, 2), dtype=bool), [0.5])
+
+    def test_non_finite_valid_scores_rejected(self):
+        with pytest.raises(ValidationError):
+            ExponentialMechanism(1.0).select_indices(
+                np.array([[np.inf, 0.0]]), np.ones((1, 2), dtype=bool), [0.5]
+            )
