@@ -36,7 +36,7 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.graphs.bipartite import BipartiteGraph
-    from repro.grouping.partition import Partition
+    from repro.grouping.partition import NodeTable, Partition
 
 Node = Hashable
 
@@ -275,7 +275,7 @@ class GraphArrays:
 
         edge_left = np.repeat(np.arange(len(old.left_ids), dtype=np.int64), counts)
         right_degrees = _recount_right_degrees(edge_right, len(old.right_ids))
-        return cls(
+        arrays = cls(
             revision=graph.revision,
             left_ids=old.left_ids,
             right_ids=old.right_ids,
@@ -289,6 +289,10 @@ class GraphArrays:
             right_index=right_index,
             global_index=old.global_index,
         )
+        # Same node order: every table position and partition code still holds.
+        arrays._table_positions.update(old._table_positions)
+        arrays._partition_codes.update(old._partition_codes)
+        return arrays
 
     @classmethod
     def _delta_general(cls, old, graph, adjacency, dirty_left, right_removed):
@@ -403,6 +407,19 @@ class GraphArrays:
     # ------------------------------------------------------------------
     # Partition codes
     # ------------------------------------------------------------------
+    def node_table(self) -> "NodeTable":
+        """A :class:`~repro.grouping.partition.NodeTable` of this view's nodes
+        in its own order (left block, then right block).
+
+        Its positions are known without a lookup, so :meth:`partition_codes`
+        gathers the labels of partitions over it directly.
+        """
+        from repro.grouping.partition import NodeTable
+
+        table = NodeTable(self.left_ids + self.right_ids)
+        self._table_positions[table] = np.arange(self.num_nodes, dtype=np.int64)
+        return table
+
     def partition_codes(self, partition: "Partition", scope: str = "global") -> np.ndarray:
         """Per-node group codes for ``partition`` over one index space.
 
@@ -412,7 +429,9 @@ class GraphArrays:
         the partition does not cover.  The codes are the partition's labels
         gathered through this view's positions in the partition's node table;
         positions are memoised per table (so the levels of one hierarchy
-        share them) and codes per partition, both under weak keys.
+        share them) and codes per partition, both under weak keys.  A view
+        from an edge-only :meth:`delta_compile` inherits both memos, since
+        its node order is its base view's.
         """
         codes = self._partition_codes.get(partition)
         if codes is None:

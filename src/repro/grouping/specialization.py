@@ -255,7 +255,7 @@ class Specializer:
         config = self.config
         top = config.num_levels
         arrays = graph.arrays()
-        table = NodeTable(list(arrays.left_ids) + list(arrays.right_ids))
+        table = arrays.node_table()
         num_left, num_nodes = arrays.num_left, arrays.num_nodes
         str_ranks = ranks_of(table.str_order)
         keys = self.splitter.sort_keys(table.nodes, arrays.degrees, str_ranks)

@@ -319,3 +319,40 @@ class TestUnifiedMutationErrors:
         graph.add_left_node("a")
         (record,) = graph.mutations_since(0)
         assert record == Mutation(1, "add_node", "a", Side.LEFT, ())
+
+
+class TestPartitionCodesAcrossDeltas:
+    """``partition_codes`` over a specialized hierarchy's node table equals
+    the by-node lookup path after every kind of mutation; an edge-only delta
+    keeps its base view's position map instead of rebuilding it."""
+
+    @staticmethod
+    def lookup_codes(arrays: GraphArrays, partition) -> np.ndarray:
+        positions = partition.table.positions(arrays.left_ids + arrays.right_ids)
+        return np.where(positions >= 0, partition.labels[np.maximum(positions, 0)], -1)
+
+    @pytest.mark.parametrize("mutation", ["edges", "add-node", "remove-node"])
+    def test_codes_equal_the_lookup_path(self, mutation):
+        from repro.datasets.dblp_like import generate_dblp_like
+        from repro.grouping.specialization import SpecializationConfig, Specializer
+
+        graph = generate_dblp_like(num_authors=40, seed=2)
+        base = graph.arrays()
+        hierarchy = Specializer(SpecializationConfig(num_levels=4), rng=1).build(graph).hierarchy
+        table = hierarchy.partition_at(1).table
+        assert np.array_equal(base._table_positions[table], np.arange(base.num_nodes))
+        left, right = sorted(graph.left_nodes(), key=str), sorted(graph.right_nodes(), key=str)
+        if mutation == "edges":
+            pair = next((a, b) for a in left for b in right if not graph.has_association(a, b))
+            graph.add_association(*pair)
+            graph.remove_association(left[0], next(iter(graph.neighbors(left[0]))))
+        elif mutation == "add-node":
+            graph.add_association("new-author", right[0], auto_add=True)
+        else:
+            graph.remove_node(right[1])
+        arrays = graph.arrays()
+        assert arrays is not base and arrays.compiled_incrementally
+        assert (arrays._table_positions.get(table) is base._table_positions[table]) == (mutation == "edges")
+        for level in hierarchy.level_indices():
+            partition = hierarchy.partition_at(level)
+            assert np.array_equal(arrays.partition_codes(partition), self.lookup_codes(arrays, partition))
