@@ -98,11 +98,14 @@ class SpecializationConfig:
         return self.num_levels - 1
 
     def rounds_per_transition(self) -> int:
-        """Sequential Exponential-Mechanism rounds needed per transition.
+        """Sequential Exponential-Mechanism rounds per level transition.
 
-        Splits of disjoint node sets compose in parallel, so the sequential
-        depth of one transition is the number of recursive-bisection rounds
-        needed to reach the largest fanout.
+        The specializer cuts each side in at most this many rounds, and a
+        round puts each node in at most one selection (it cuts only parts
+        that existed when it began, and those are disjoint).  Selections
+        over disjoint node sets compose in parallel, so a node's budget per
+        transition is this many selections: ``ceil(log2(max fanout))``
+        rounds of bisection reach the largest fanout.
         """
         max_fanout = max(self.left_fanout, self.right_fanout, self.single_side_fanout)
         return max(1, math.ceil(math.log2(max_fanout)))
@@ -210,22 +213,14 @@ class Specializer:
     # ------------------------------------------------------------------
     # Split selection (overridden by the non-private baselines)
     # ------------------------------------------------------------------
-    #: What a choice draws: one ``random()`` each (``"uniform"``, so a level's
-    #: draws can be made before it starts), nothing (``"none"``), or draws of
-    #: its own between the cuts (``"inline"``).
-    draws = "uniform"
-
-    def _select(self, rows, made, lo, hi, cuts, valid) -> np.ndarray:
-        """Pick one cut per row with the Exponential Mechanism; see
+    def _select(self, lo: np.ndarray, hi: np.ndarray, cuts: np.ndarray, valid: np.ndarray) -> np.ndarray:
+        """Pick one cut per row with the Exponential Mechanism, one
+        ``random()`` draw each; see
         :func:`~repro.grouping.splitters.split_sides` for the arguments."""
         if self._prefix is None or self.splitter.reorders:
             self._prefix = np.concatenate(([0], np.cumsum(self._degrees[self._buffer])))
         scores = self.score.score_rows(self._prefix, lo, hi, cuts, valid)
-        if self._uniforms is None:
-            uniforms = self._rng.random(len(rows))
-        else:
-            uniforms = self._uniforms[self._offsets[rows] + made]
-        return self._mechanism.select_indices(scores, valid, uniforms)
+        return self._mechanism.select_indices(scores, valid, self._rng.random(len(lo)))
 
     def _privacy_cost(self) -> PrivacyCost:
         """Total cost of the specialization phase."""
@@ -261,6 +256,7 @@ class Specializer:
         keys = self.splitter.sort_keys(table.nodes, arrays.degrees, str_ranks)
         self._degrees = arrays.degrees
         self._buffer = np.arange(num_nodes)
+        self._prefix = None
 
         # A level is its group ids plus arrays: segments (left lo, hi, right
         # lo, hi) into the buffer, side codes and parent codes.
@@ -270,6 +266,7 @@ class Specializer:
         levels: Dict[int, Partition] = {top: self._level_partition(table, ids, sides, segments, top)}
         parent_codes: Dict[int, np.ndarray] = {}
         fanouts = np.array([[config.left_fanout, config.right_fanout]], dtype=np.int64)
+        rounds = config.rounds_per_transition()
         most_children = max(config.left_fanout + config.right_fanout, config.single_side_fanout)
         suffixes = [f"/{index}" for index in range(most_children)]
         for level in range(top - 1, 0, -1):
@@ -277,12 +274,15 @@ class Specializer:
                 # Sort every segment by key; cuts of a sorted segment stay sorted.
                 starts = np.repeat(self._segment_starts, self._segment_lengths)
                 self._buffer = self._buffer[np.lexsort((keys[self._buffer], starts))]
+                self._prefix = None
             lengths = segments[:, 1::2] - segments[:, 0::2]
             split = lengths.sum(axis=1) > config.min_group_size
             mixed = (lengths > 0).all(axis=1)
             fanout = np.where(mixed[:, None], fanouts, config.single_side_fanout)[split].ravel()
             lo, hi = segments[split][:, 0::2].ravel(), segments[split][:, 1::2].ravel()
-            part_lo, part_hi, counts = self._split_sides(lo, hi, fanout)
+            part_lo, part_hi, counts = split_sides(
+                self._buffer, lo, hi, fanout, rounds, self.splitter, self._select, rng=self._rng
+            )
             self._selections += int(np.maximum(counts - 1, 0).sum())
 
             # Children, parent by parent: a carried-down group's one copy, or
@@ -331,27 +331,6 @@ class Specializer:
             method=self.method_name,
         )
 
-    def _split_sides(self, lo: np.ndarray, hi: np.ndarray, fanout: np.ndarray):
-        """Cut one level's sides in one batch, or one side at a time when
-        draws interleave with the cuts (a reordering splitter's
-        permutations, inline choices), which keeps every draw in group
-        order."""
-        self._prefix = self._uniforms = None
-        if self.splitter.reorders or self.draws == "inline":
-            if len(lo):
-                batches = [
-                    self._split_sides_once(lo[s : s + 1], hi[s : s + 1], fanout[s : s + 1]) for s in range(len(lo))
-                ]
-                return tuple(np.concatenate(arrays) for arrays in zip(*batches))
-        elif self.draws == "uniform":
-            choices = np.maximum(np.minimum(fanout, hi - lo) - 1, 0)
-            self._offsets = np.cumsum(choices) - choices
-            self._uniforms = self._rng.random(int(choices.sum()))
-        return self._split_sides_once(lo, hi, fanout)
-
-    def _split_sides_once(self, lo, hi, fanout):
-        return split_sides(self._buffer, lo, hi, fanout, self.splitter, self._select, rng=self._rng)
-
     def _level_partition(
         self, table: NodeTable, ids: list, sides: np.ndarray, segments: np.ndarray, level: int
     ) -> Partition:
@@ -379,9 +358,8 @@ class DeterministicSpecializer(Specializer):
     """
 
     method_name = "deterministic"
-    draws = "none"
 
-    def _select(self, rows, made, lo, hi, cuts, valid) -> np.ndarray:
+    def _select(self, lo, hi, cuts, valid) -> np.ndarray:
         return np.argmin(np.where(valid, np.abs(cuts / (hi - lo)[:, None] - 0.5), np.inf), axis=1)
 
     def _privacy_cost(self) -> PrivacyCost:
@@ -396,7 +374,6 @@ class RandomSpecializer(Specializer):
     """
 
     method_name = "random"
-    draws = "inline"
 
     def __init__(
         self,
@@ -409,9 +386,8 @@ class RandomSpecializer(Specializer):
         splitter = splitter if splitter is not None else RandomOrderSplitter(cut_fractions=config.cut_fractions)
         super().__init__(config=config, score=score, splitter=splitter, rng=rng)
 
-    def _select(self, rows, made, lo, hi, cuts, valid) -> np.ndarray:
-        counts = valid.sum(axis=1).tolist()
-        return np.array([self._rng.integers(0, count) for count in counts], dtype=np.int64)
+    def _select(self, lo, hi, cuts, valid) -> np.ndarray:
+        return self._rng.integers(0, valid.sum(axis=1))
 
     def _privacy_cost(self) -> PrivacyCost:
         return PrivacyCost(0.0, 0.0)

@@ -172,20 +172,23 @@ def split_sides(
     lo: np.ndarray,
     hi: np.ndarray,
     fanout: np.ndarray,
+    rounds: int,
     splitter: Splitter,
     choose: Callable[..., np.ndarray],
     rng: RandomState = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cut every side ``buffer[lo[s]:hi[s]]`` into up to ``fanout[s]`` parts.
 
-    Recursive bisection, all sides at once: each step cuts, in every side
-    with fewer than its fanout parts, the first of its largest parts if it
-    holds two or more nodes, so a side of ``n`` nodes takes
-    ``min(fanout, n) - 1`` choices.  A reordering splitter permutes each
-    target in place first.  ``choose(rows, made, lo, hi, cuts, valid)`` gets
-    the stepping sides, how many choices each has made, their targets'
-    spans and the cut-table rows of the targets' sizes, and returns an
-    index into each row's cuts (typically Exponential-Mechanism draws).
+    Recursive bisection in at most ``rounds`` rounds.  Each round cuts, in
+    every side, each part of two or more nodes that existed when the round
+    began, largest first (the earliest made among equals), while the side
+    has fewer than its fanout parts.  So a node is in at most one choice per
+    round, and a side of ``n`` nodes takes at most ``min(fanout, n) - 1``
+    choices.  The cuts run in steps, one per side at a time across all
+    sides; a reordering splitter permutes each target in place first.
+    ``choose(lo, hi, cuts, valid)`` gets the targets' spans and the
+    cut-table rows of their sizes and returns an index into each row's cuts
+    (typically Exponential-Mechanism draws).
 
     A cut part's halves follow the parts that already exist, so parts keep
     the order they were made in.  Returns ``(starts, stops, counts)``: side
@@ -203,25 +206,28 @@ def split_sides(
     counts = (hi > lo).astype(np.int64)
     table, valid = splitter.cut_table(int((hi - lo).max()) if len(lo) else 0)
     every = np.arange(len(lo))
-    for step in range(width - 1):
-        sizes = part_hi - part_lo
-        # The largest part, the earliest made among equals.
-        target = np.argmax(sizes * (2 * width + 1) - born, axis=1)
-        rows = np.flatnonzero((counts < fanout) & (sizes[every, target] >= 2))
-        if not rows.size:
-            break
-        target, made = target[rows], counts[rows]
-        start, stop = part_lo[rows, target], part_hi[rows, target]
-        if splitter.reorders:
-            for a, b in zip(start.tolist(), stop.tolist()):
-                buffer[a:b] = splitter.reorder(buffer[a:b], rng=rng)
-        size = stop - start
-        index = choose(rows, made - 1, start, stop, table[size], valid[size])
-        cut = start + table[size, index]
-        part_hi[rows, target] = cut
-        part_lo[rows, made], part_hi[rows, made] = cut, stop
-        born[rows, target], born[rows, made] = 2 * step + 1, 2 * step + 2
-        counts[rows] = made + 1
+    step = 0
+    for _ in range(rounds):
+        fresh = 2 * step + 1  # parts born from here on wait for the next round
+        while True:
+            sizes = part_hi - part_lo
+            cuttable = (born < fresh) & (sizes >= 2)
+            target = np.argmax(np.where(cuttable, sizes * (2 * width + 1) - born, -1), axis=1)
+            rows = np.flatnonzero((counts < fanout) & cuttable[every, target])
+            if not rows.size:
+                break
+            target, made = target[rows], counts[rows]
+            start, stop = part_lo[rows, target], part_hi[rows, target]
+            if splitter.reorders:
+                for a, b in zip(start.tolist(), stop.tolist()):
+                    buffer[a:b] = splitter.reorder(buffer[a:b], rng=rng)
+            size = stop - start
+            cut = start + table[size, choose(start, stop, table[size], valid[size])]
+            part_hi[rows, target] = cut
+            part_lo[rows, made], part_hi[rows, made] = cut, stop
+            born[rows, target], born[rows, made] = 2 * step + 1, 2 * step + 2
+            counts[rows] = made + 1
+            step += 1
     order = np.argsort(born, axis=1, kind="stable")
     used = np.arange(width) < counts[:, None]
     return part_lo[every[:, None], order][used], part_hi[every[:, None], order][used], counts

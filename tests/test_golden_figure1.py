@@ -2,10 +2,17 @@
 
 ``tests/golden/figure1_small.json`` was generated from the seed repository's
 original pure-Python execution path (a dblp-like graph with 250 authors, a
-6-level hierarchy, seed 20170605) and checked in.  The harness must keep
-reproducing those per-level error metrics within a tight tolerance, so a
-refactor of the graph core, the query layer or the mechanisms cannot
-silently shift the paper's headline figure.
+6-level hierarchy, seed 20170605) and checked in; its ``analytic`` and
+``sampled`` entries were regenerated once since, when the specializer's
+rounds were capped so that its privacy accounting holds, which changed the
+hierarchy.  The harness must keep reproducing those per-level error metrics
+within a tight tolerance, so a refactor of the graph core, the query layer
+or the mechanisms cannot silently shift the paper's headline figure.
+
+Regenerate (only when a change is *meant* to move the figure, and say which
+values moved and why) with::
+
+    PYTHONPATH=src python tests/test_golden_figure1.py
 """
 
 from __future__ import annotations
@@ -75,3 +82,11 @@ def test_sampled_figure1_matches_golden(golden):
     result = run_figure1(graph=_golden_graph(golden), config=config)
     _assert_result_matches(result, golden["sampled"])
 
+
+
+if __name__ == "__main__":
+    document = json.loads(GOLDEN_PATH.read_text())
+    config, graph = _golden_config(document), _golden_graph(document)
+    document["analytic"] = run_figure1_analytic(graph=graph, config=config).to_dict()
+    document["sampled"] = run_figure1(graph=graph, config=config).to_dict()
+    GOLDEN_PATH.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")

@@ -1,5 +1,7 @@
 """Tests for candidate-split generation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,9 +18,15 @@ from repro.grouping.splitters import (
 from repro.mechanisms.exponential import ExponentialMechanism
 
 
-def side_parts(buffer, lo, hi, num_parts, splitter, choose, rng=None):
-    """One side's parts, as ``(start, stop)`` spans, from :func:`split_sides`."""
-    starts, stops, counts = split_sides(buffer, [lo], [hi], [num_parts], splitter, choose, rng=rng)
+def side_parts(buffer, lo, hi, num_parts, splitter, choose, rng=None, rounds=None):
+    """One side's parts, as ``(start, stop)`` spans, from :func:`split_sides`.
+
+    ``rounds`` defaults to the specializer's: enough bisection rounds to
+    reach ``num_parts``.
+    """
+    if rounds is None:
+        rounds = max(1, math.ceil(math.log2(num_parts)))
+    starts, stops, counts = split_sides(buffer, [lo], [hi], [num_parts], rounds, splitter, choose, rng=rng)
     assert counts.tolist() == [len(starts)]
     return list(zip(starts.tolist(), stops.tolist()))
 
@@ -96,8 +104,8 @@ class TestSplitters:
 class TestSplitIntoParts:
     """One side cut by the level schedule, with a stand-in chooser."""
 
-    def choose_first(self, rows, made, lo, hi, cuts, valid):
-        return np.zeros(len(rows), dtype=np.int64)
+    def choose_first(self, lo, hi, cuts, valid):
+        return np.zeros(len(lo), dtype=np.int64)
 
     def test_produces_requested_parts(self):
         buffer = np.arange(16)
@@ -126,14 +134,24 @@ class TestSplitIntoParts:
     def test_each_round_cuts_the_first_largest_part(self):
         sizes = []
 
-        def choose_middle(rows, made, lo, hi, cuts, valid):
+        def choose_first(lo, hi, cuts, valid):
             sizes.extend((hi - lo).tolist())
-            return valid.sum(axis=1) // 2
+            return np.zeros(len(lo), dtype=np.int64)
 
-        parts = side_parts(np.arange(8), 0, 8, 3, HashOrderSplitter(), choose_middle)
-        # 8 -> (0,4)+(4,8); of the two equal parts the first, (0,4), is cut next.
-        assert sizes == [8, 4]
-        assert parts == [(4, 8), (0, 2), (2, 4)]
+        parts = side_parts(np.arange(10), 0, 10, 4, HashOrderSplitter(), choose_first)
+        # Round 1 cuts 10 -> (0,3)+(3,10).  Round 2 cuts both of its parts,
+        # the larger first; (3,5) and (5,10) wait, though (5,10) is largest.
+        assert sizes == [10, 7, 3]
+        assert parts == [(3, 5), (5, 10), (0, 1), (1, 3)]
+
+    def test_rounds_cap_the_choices_a_node_is_in(self):
+        def choose_last(lo, hi, cuts, valid):
+            return valid.sum(axis=1) - 1
+
+        # 5 -> (0,4)+(4,5); round 2 cuts (0,4) and cannot cut (4,5); a third
+        # round would cut (0,3).
+        assert side_parts(np.arange(5), 0, 5, 4, HashOrderSplitter(), choose_last) == [(4, 5), (0, 3), (3, 4)]
+        assert len(side_parts(np.arange(5), 0, 5, 4, HashOrderSplitter(), choose_last, rounds=3)) == 4
 
 
 class TestRoundSchedule:
@@ -147,23 +165,27 @@ class TestRoundSchedule:
     def test_parts_partition_each_side_and_each_choice_takes_one_uniform(self, sides, seed):
         sizes = np.array([size for size, _ in sides])
         fanout = np.array([fanout for _, fanout in sides])
+        rounds = max(1, math.ceil(math.log2(int(fanout.max()))))
         hi = np.cumsum(sizes)
         lo = hi - sizes
         rng = np.random.default_rng(seed)
         degrees = rng.integers(0, 9, int(hi[-1]))
         prefix = np.concatenate(([0], np.cumsum(degrees)))
         mechanism = ExponentialMechanism(0.5, rng=rng)
-        drawn = []
-
-        def choose(rows, made, start, stop, cuts, valid):
-            drawn.append(len(rows))
-            scores = BalancedAssociationScore().score_rows(prefix, start, stop, cuts, valid)
-            return mechanism.select_indices(scores, valid, rng.random(len(rows)))
-
         buffer = np.arange(int(hi[-1]))
-        starts, stops, counts = split_sides(buffer, lo, hi, fanout, HashOrderSplitter(), choose)
-        assert counts.tolist() == np.minimum(fanout, sizes).tolist()
+        drawn, selections = [], np.zeros(len(buffer), dtype=np.int64)
+
+        def choose(start, stop, cuts, valid):
+            drawn.append(len(start))
+            for a, b in zip(start.tolist(), stop.tolist()):
+                selections[buffer[a:b]] += 1
+            scores = BalancedAssociationScore().score_rows(prefix, start, stop, cuts, valid)
+            return mechanism.select_indices(scores, valid, rng.random(len(start)))
+
+        starts, stops, counts = split_sides(buffer, lo, hi, fanout, rounds, HashOrderSplitter(), choose)
+        assert (counts >= 1).all() and (counts <= np.minimum(fanout, sizes)).all()
         assert sum(drawn) == int((counts - 1).sum())
+        assert selections.max(initial=0) <= rounds
         bounds = np.cumsum(counts)[:-1]
         for side_lo, side_hi, side_starts, side_stops in zip(
             lo, hi, np.split(starts, bounds), np.split(stops, bounds)

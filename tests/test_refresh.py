@@ -374,7 +374,11 @@ class TestUnversionedRelease:
         release = discloser.disclose(graph, hierarchy=hierarchy)
 
     Its ``level_fingerprints`` carry legacy digests and it has no
-    ``fingerprint_version``.
+    ``fingerprint_version``.  When the specializer's rounds were capped
+    (which moved this hierarchy) it was re-saved in the same layout: the
+    snippet's ``release.to_dict()`` without ``fingerprint_version``, with
+    :meth:`legacy_fingerprints` as its ``level_fingerprints``, written with
+    ``json.dumps(document, indent=1, sort_keys=True)``.
     """
 
     @pytest.fixture
