@@ -96,3 +96,21 @@ def test_batched_scores_match_one_cut_at_a_time(score):
         else:
             expected.append(-0.5 * (float(np.std(part_a)) + float(np.std(part_b))) / score.degree_bound)
     assert score.scores(degrees, cuts) == expected
+
+
+@pytest.mark.parametrize(
+    "score", [BalanceScore(), BalancedAssociationScore(degree_bound=7.0), EdgeUniformityScore(degree_bound=3.0)]
+)
+def test_score_rows_match_scores_row_by_row(score):
+    rng = np.random.default_rng(4)
+    degrees = rng.integers(0, 12, 200)
+    prefix = np.concatenate(([0], np.cumsum(degrees)))
+    lo = rng.integers(0, 150, 40)
+    hi = lo + rng.integers(2, 50, 40)
+    counts = rng.integers(1, 6, 40)
+    cuts = np.stack([rng.integers(1, n, 5) for n in (hi - lo).tolist()])
+    valid = np.arange(5)[None, :] < counts[:, None]
+    rows = score.score_rows(prefix, lo, hi, cuts, valid)
+    for row, start, stop, count, row_cuts in zip(rows, lo, hi, counts, cuts):
+        assert row[:count].tolist() == score.scores(degrees[start:stop].tolist(), row_cuts[:count].tolist())
+        assert np.isneginf(row[count:]).all()
