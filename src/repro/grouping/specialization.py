@@ -41,7 +41,7 @@ from repro.utils.validation import check_positive, check_positive_int
 
 #: Side codes of a group, and their names.
 LEFT, RIGHT, MIXED = 0, 1, 2
-SIDE_NAMES = np.array(["left", "right", "mixed"])
+SIDE_NAMES = ("left", "right", "mixed")
 
 
 @dataclass(frozen=True)
@@ -318,9 +318,8 @@ class Specializer:
             ids = [f"u:{nodes[i]}" for i in order.tolist()]
             node_sides = sides[parent_codes[0]]
             node_sides = np.where(node_sides == MIXED, (order >= num_left).astype(np.int64), node_sides)
-            levels[0] = Partition.from_labels(
-                table, ranks_of(order), ids, SIDE_NAMES[node_sides].tolist(), [0] * num_nodes
-            )
+            names = [SIDE_NAMES[code] for code in node_sides.tolist()]
+            levels[0] = Partition.from_labels(table, ranks_of(order), ids, names, [0] * num_nodes)
 
         hierarchy = GroupHierarchy(levels, parent_codes=parent_codes, validate=True)
         return SpecializationResult(
@@ -345,7 +344,8 @@ class Specializer:
         labels = np.empty(len(table), dtype=np.int64)
         labels[self._buffer] = np.repeat(order // 2, lengths)
         self._segment_starts, self._segment_lengths = starts[order], lengths
-        return Partition.from_labels(table, labels, ids, SIDE_NAMES[sides].tolist(), [level] * len(ids))
+        names = [SIDE_NAMES[code] for code in sides.tolist()]
+        return Partition.from_labels(table, labels, ids, names, [level] * len(ids))
 
 
 class DeterministicSpecializer(Specializer):
