@@ -150,7 +150,8 @@ class TestSplitIntoParts:
 
         # 5 -> (0,4)+(4,5); round 2 cuts (0,4) and cannot cut (4,5); a third
         # round would cut (0,3).
-        assert side_parts(np.arange(5), 0, 5, 4, HashOrderSplitter(), choose_last) == [(4, 5), (0, 3), (3, 4)]
+        parts = side_parts(np.arange(5), 0, 5, 4, HashOrderSplitter(), choose_last)
+        assert parts == [(4, 5), (0, 3), (3, 4)]
         assert len(side_parts(np.arange(5), 0, 5, 4, HashOrderSplitter(), choose_last, rounds=3)) == 4
 
 
