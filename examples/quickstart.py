@@ -18,9 +18,10 @@ from one compiled view.
 Two orchestration features of the staged pipeline are demonstrated at the
 end:
 
-* ``DisclosureConfig(executor="process")`` fans the independent per-level
-  perturbations out across cores (``"serial"``/``"thread"``/``"process"``
-  all produce bit-identical releases for the same seed);
+* ``run_figure1_trials(config=Figure1Config(executor="process"))`` fans
+  independent full-pipeline trials out across cores (a single disclosure
+  runs in-process; ``"serial"``/``"thread"``/``"process"`` trials are
+  bit-identical for the same seed);
 * :class:`repro.ReleaseStore` persists the release (JSON + npz) so it can
   be served — or re-reported with ``repro report`` — without re-spending
   privacy budget on a fresh disclosure.
@@ -30,6 +31,7 @@ Run with ``python examples/quickstart.py [num_authors]``.
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 import tempfile
 from pathlib import Path
@@ -44,6 +46,7 @@ from repro import (
     generate_dblp_like,
     verify_release,
 )
+from repro.evaluation.figure1 import Figure1Config, run_figure1_trials
 from repro.evaluation.metrics import relative_error_rate
 from repro.evaluation.reporting import format_table
 
@@ -91,19 +94,21 @@ def main(num_authors: int = 2_000) -> None:
         f"histogram bins={histogram.values.size}"
     )
 
-    # Parallel disclosure: the per-level perturbations are independent, so
-    # executor="process" fans them out across cores.  Same seed, same bits —
-    # the release matches the serial one above exactly (compare the noisy
-    # counts), only the wall clock changes.
-    parallel_config = DisclosureConfig.paper_defaults(epsilon_g=0.999)
-    parallel_config.executor = "process"
-    parallel_release = MultiLevelDiscloser(config=parallel_config, rng=42).disclose(graph)
-    level0 = release.level(0).scalar_answer("total_association_count")
-    parallel_level0 = parallel_release.level(0).scalar_answer("total_association_count")
+    # Parallel trials: each Figure-1 trial re-runs the whole pipeline from
+    # streams derived from (seed, trial index), so executor="process" fans
+    # the trials out across cores.  Same seed, same bits — the process run
+    # matches the serial one exactly, only the wall clock changes.
+    trials = Figure1Config(num_levels=4, num_trials=4, seed=42)
+    serial_trials = run_figure1_trials(graph=graph, config=trials)
+    parallel_trials = run_figure1_trials(
+        graph=graph, config=dataclasses.replace(trials, executor="process")
+    )
     print()
     print(
-        f"Process-parallel disclosure, level 0 noisy count: {parallel_level0:.1f} "
-        f"(serial run produced {level0:.1f}; identical={parallel_level0 == level0})"
+        f"Process-parallel Figure-1 trials, {parallel_trials.information_level_name(0)} "
+        f"mean RER at eps_g=1.0: "
+        f"{100 * parallel_trials.rer_at(0, 1.0):.3f}% "
+        f"(identical to serial: {parallel_trials.series == serial_trials.series})"
     )
 
     # Persist the release: the budget is spent either way, so keep the

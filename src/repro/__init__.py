@@ -45,20 +45,21 @@ Parallel execution
 ------------------
 The disclosure core is a staged pipeline
 (``specialize -> compile -> calibrate -> perturb -> assemble``; see
-:class:`~repro.core.pipeline.DisclosurePipeline`) whose independent work —
-per-level noise injection, per-trial Monte-Carlo runs — fans out through a
-pluggable :class:`~repro.execution.Executor`.  Select it with
-``DisclosureConfig(executor=...)``: ``"serial"`` (default), ``"thread"``, or
-``"process"`` for CPU-bound fan-out across cores.  Every task carries its own
-derived :class:`numpy.random.SeedSequence`, so for the same seed all three
-executors produce **bit-identical** releases.
+:class:`~repro.core.pipeline.DisclosurePipeline`) that runs in-process: its
+perturb stage draws one calibrated noise batch per level, too little work to
+pay for a pool.  Parallelism lives one layer up, where the tasks are whole
+disclosures or trials: parameter-sweep combinations, scalability sizes and
+Figure-1 trials fan out through a pluggable
+:class:`~repro.execution.Executor` — ``"serial"`` (default), ``"thread"``,
+or ``"process"`` for CPU-bound fan-out across cores.  Every task carries its
+own derived :class:`numpy.random.SeedSequence`, so for the same seed all
+three executors produce **bit-identical** results.
 
->>> config = DisclosureConfig(epsilon_g=0.5, executor="process")
+>>> config = DisclosureConfig(epsilon_g=0.5)
 >>> release = MultiLevelDiscloser(config, rng=1).disclose(graph)
 
-The evaluation harnesses take the same selector, e.g.
-``run_figure1_trials(config=Figure1Config(executor="process"))`` distributes
-the 25-trial Figure-1 Monte-Carlo over all cores
+For example, ``run_figure1_trials(config=Figure1Config(executor="process"))``
+distributes the 25-trial Figure-1 Monte-Carlo over all cores
 (``benchmarks/results/parallel.json`` records the measured speedup).
 
 The release store

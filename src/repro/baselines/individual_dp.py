@@ -28,7 +28,6 @@ from repro.core.pipeline import (
     PipelineContext,
 )
 from repro.core.release import LevelRelease, MultiLevelRelease
-from repro.execution import ExecutorSpec
 from repro.graphs.bipartite import BipartiteGraph
 from repro.grouping.hierarchy import GroupHierarchy
 from repro.mechanisms.base import PrivacyCost
@@ -106,14 +105,12 @@ class IndividualDPDiscloser:
         mechanism: str = "laplace",
         queries: WorkloadLike = None,
         rng: RandomState = None,
-        executor: ExecutorSpec = None,
     ):
         self.epsilon_i = check_positive(epsilon_i, "epsilon_i")
         self.delta = check_fraction(delta, "delta")
         if mechanism not in ("laplace", "gaussian"):
             raise ValueError(f"mechanism must be 'laplace' or 'gaussian', got {mechanism!r}")
         self.mechanism = mechanism
-        self.executor = executor
         self.workload = normalise_workload(queries, default_name="individual-baseline")
         self._noise_seeds = DiscloseSeedStream(rng, "individual-dp-baseline")
 
@@ -130,7 +127,6 @@ class IndividualDPDiscloser:
         context = PipelineContext(
             graph=graph,
             workload=self.workload,
-            executor=self.executor,
             noise_seed=noise_seed,
         )
         return pipeline.run(context).outcomes[0].answers

@@ -30,7 +30,6 @@ from repro.core.pipeline import (
     worst_case_group_sensitivity,
 )
 from repro.core.release import MultiLevelRelease
-from repro.execution import ExecutorSpec
 from repro.graphs.bipartite import BipartiteGraph
 from repro.grouping.hierarchy import GroupHierarchy
 from repro.utils.rng import RandomState
@@ -51,8 +50,6 @@ class NaiveGroupDPDiscloser:
         Workload; defaults to the total association count.
     rng:
         Seed / generator.
-    executor:
-        Executor spec for the per-level perturbations (default serial).
     """
 
     def __init__(
@@ -62,14 +59,12 @@ class NaiveGroupDPDiscloser:
         mechanism: str = "gaussian",
         queries: WorkloadLike = None,
         rng: RandomState = None,
-        executor: ExecutorSpec = None,
     ):
         self.epsilon_g = check_positive(epsilon_g, "epsilon_g")
         self.delta = check_fraction(delta, "delta")
         if mechanism not in ("laplace", "gaussian"):
             raise ValueError(f"mechanism must be 'laplace' or 'gaussian', got {mechanism!r}")
         self.mechanism = mechanism
-        self.executor = executor
         self.workload = normalise_workload(queries, default_name="naive-group-baseline")
         self._noise_seeds = DiscloseSeedStream(rng, "naive-group-baseline")
 
@@ -82,7 +77,6 @@ class NaiveGroupDPDiscloser:
         graph: BipartiteGraph,
         hierarchy: GroupHierarchy,
         levels: Optional[Iterable[int]] = None,
-        executor: ExecutorSpec = None,
     ) -> MultiLevelRelease:
         """Release every requested level with lemma-calibrated noise."""
         noise_seed = self._noise_seeds.next()
@@ -98,7 +92,6 @@ class NaiveGroupDPDiscloser:
             graph=graph,
             workload=self.workload,
             hierarchy=hierarchy,
-            executor=executor if executor is not None else self.executor,
             noise_seed=noise_seed,
             requested_levels=sorted(levels) if levels is not None else None,
             strict_levels=levels is not None,

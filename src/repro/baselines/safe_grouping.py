@@ -12,23 +12,21 @@ guarantee.
 
 Orchestration runs on the shared :class:`~repro.core.pipeline.DisclosurePipeline`
 framework with baseline-specific stages: :class:`SafeGroupStage` groups the
-two sides (independently, so they fan out through the executor — each side
-draws its insertion order from its own derived stream, keeping serial and
-parallel runs identical), :class:`PairCountStage` tabulates the group-pair
-counts, and :class:`SafeAssembleStage` packages the release.
+two sides (each side draws its insertion order from its own derived stream,
+so neither side's grouping depends on the other's), :class:`PairCountStage`
+tabulates the group-pair counts, and :class:`SafeAssembleStage` packages the
+release.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.pipeline import DisclosurePipeline, PipelineContext, PipelineStage
 from repro.exceptions import GroupingError
-from repro.execution import ExecutorSpec
 from repro.graphs.bipartite import BipartiteGraph, Side
 from repro.grouping.partition import Group, Partition
 from repro.core.common import DiscloseSeedStream
@@ -119,7 +117,7 @@ def _group_side(
     max_attempts: int,
     seed: Optional[np.random.SeedSequence],
 ) -> Partition:
-    """Group one side and wrap it into a partition (executor task)."""
+    """Group one side and wrap it into a partition."""
     prefix = "SGL" if side is Side.LEFT else "SGR"
     side_name = "left" if side is Side.LEFT else "right"
     side_seed = derive_seedseq(seed, f"safe-{side_name}") if seed is not None else None
@@ -133,7 +131,7 @@ def _group_side(
 
 
 class SafeGroupStage(PipelineStage):
-    """Group both sides, fanning the two independent sides out per executor."""
+    """Group both sides, left then right."""
 
     name = "safe-group"
 
@@ -142,16 +140,10 @@ class SafeGroupStage(PipelineStage):
         self.max_attempts = max_attempts
 
     def run(self, context: PipelineContext) -> None:
-        task = partial(
-            _group_side,
-            graph=context.graph,
-            k=self.k,
-            max_attempts=self.max_attempts,
-            seed=context.noise_seed,
-        )
-        left, right = context.executor.map(task, [Side.LEFT, Side.RIGHT])
-        context.extras["left_partition"] = left
-        context.extras["right_partition"] = right
+        for side, key in ((Side.LEFT, "left_partition"), (Side.RIGHT, "right_partition")):
+            context.extras[key] = _group_side(
+                side, context.graph, self.k, self.max_attempts, context.noise_seed
+            )
 
 
 class PairCountStage(PipelineStage):
@@ -207,9 +199,6 @@ class SafeGroupingDiscloser:
     rng:
         Seed / generator driving the greedy insertion orders (each side
         derives its own stream).
-    executor:
-        Executor spec; the two sides are grouped concurrently when a
-        parallel executor is configured.
     """
 
     def __init__(
@@ -217,11 +206,9 @@ class SafeGroupingDiscloser:
         k: int = 3,
         max_attempts: int = 50,
         rng: RandomState = None,
-        executor: ExecutorSpec = None,
     ):
         self.k = check_positive_int(k, "k")
         self.max_attempts = check_positive_int(max_attempts, "max_attempts")
-        self.executor = executor
         self._seeds = DiscloseSeedStream(rng, "safe-grouping")
 
     def disclose(self, graph: BipartiteGraph) -> SafeGroupingRelease:
@@ -236,7 +223,7 @@ class SafeGroupingDiscloser:
                 SafeAssembleStage(self.k),
             ]
         )
-        context = PipelineContext(graph=graph, executor=self.executor, noise_seed=seed)
+        context = PipelineContext(graph=graph, noise_seed=seed)
         return pipeline.run(context).extras["safe_release"]
 
     @staticmethod

@@ -27,7 +27,6 @@ from repro.core.pipeline import (
     UniformCalibrateStage,
 )
 from repro.core.release import MultiLevelRelease
-from repro.execution import ExecutorSpec
 from repro.graphs.bipartite import BipartiteGraph
 from repro.grouping.hierarchy import GroupHierarchy
 from repro.utils.rng import RandomState
@@ -43,11 +42,9 @@ class UniformNoiseDiscloser:
         delta: float = 1e-5,
         queries: WorkloadLike = None,
         rng: RandomState = None,
-        executor: ExecutorSpec = None,
     ):
         self.epsilon_g = check_positive(epsilon_g, "epsilon_g")
         self.delta = check_fraction(delta, "delta")
-        self.executor = executor
         self.workload = normalise_workload(queries, default_name="uniform-noise-baseline")
         self._noise_seeds = DiscloseSeedStream(rng, "uniform-noise-baseline")
 
@@ -56,7 +53,6 @@ class UniformNoiseDiscloser:
         graph: BipartiteGraph,
         hierarchy: GroupHierarchy,
         levels: Optional[Iterable[int]] = None,
-        executor: ExecutorSpec = None,
     ) -> MultiLevelRelease:
         """Release every level with noise calibrated to the coarsest level."""
         noise_seed = self._noise_seeds.next()
@@ -72,7 +68,6 @@ class UniformNoiseDiscloser:
             graph=graph,
             workload=self.workload,
             hierarchy=hierarchy,
-            executor=executor if executor is not None else self.executor,
             noise_seed=noise_seed,
             requested_levels=sorted(levels) if levels is not None else None,
             strict_levels=levels is not None,

@@ -21,9 +21,8 @@ Python:
   and row so an interrupted sweep resumes instead of re-disclosing,
   ``--on-error`` picks fail-fast or collect-and-continue, ``--progress``
   streams one ``{"event": "sweep-progress", ...}`` JSON line per wave to
-  stderr, and ``--workers`` / ``--inner-workers`` / ``--worker-budget``
-  negotiate the outer × inner worker split through a
-  :class:`~repro.execution.scheduler.SweepScheduler`;
+  stderr, and ``--workers`` / ``--worker-budget`` size the combination
+  fan-out through a :class:`~repro.execution.scheduler.SweepScheduler`;
 * ``repro refresh``  — incrementally re-disclose a *mutated* graph against a
   stored release: per-level fingerprints are diffed and only the affected
   levels are re-perturbed (unaffected levels are reused byte-for-byte at
@@ -84,7 +83,7 @@ from repro.evaluation.figure1 import (
 )
 from repro.evaluation.reporting import format_table
 from repro.evaluation.sweep import ParameterSweep
-from repro.execution import AUTO_INNER, EXECUTOR_NAMES, SweepScheduler
+from repro.execution import EXECUTOR_NAMES, SweepScheduler
 from repro.graphs.io import read_edge_list, write_edge_list
 from repro.grouping.specialization import SpecializationConfig
 from repro.utils.serialization import to_json_file
@@ -120,12 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="gaussian",
     )
     disclose.add_argument("--seed", type=int, default=0)
-    disclose.add_argument(
-        "--executor",
-        choices=list(EXECUTOR_NAMES),
-        default="serial",
-        help="where per-level perturbation runs (bit-identical in all cases)",
-    )
     disclose.add_argument("--output", type=Path, help="release JSON to write")
     disclose.add_argument(
         "--store",
@@ -252,24 +245,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="outer workers for the combination fan-out (validated against the "
+        help="workers for the combination fan-out (validated against the "
         "worker budget; pool executors only)",
-    )
-    sweep.add_argument(
-        "--inner-workers",
-        default=None,
-        dest="inner_workers",
-        help="per-combination threads for the nested per-level perturbation: a "
-        "count, or 'auto' to hand every leftover budget slot to the inner layer "
-        "(default 1)",
     )
     sweep.add_argument(
         "--worker-budget",
         type=int,
         default=None,
         dest="worker_budget",
-        help="total worker slots the outer x inner split must fit in "
-        "(default: CPU count)",
+        help="total worker slots --workers must fit in (default: CPU count)",
     )
     sweep.add_argument("--output", type=Path, help="optional JSON file for the result rows")
 
@@ -294,12 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="the original disclosure's seed — required for the refreshed release "
         "to be bit-identical to a from-scratch disclosure of the mutated graph",
-    )
-    refresh.add_argument(
-        "--executor",
-        choices=list(EXECUTOR_NAMES),
-        default=None,
-        help="override the stored config's executor for the affected levels",
     )
     refresh.add_argument("--output", type=Path, help="optional JSON file for the refreshed release")
 
@@ -387,7 +365,6 @@ def _cmd_disclose(args: argparse.Namespace) -> int:
         delta=args.delta,
         mechanism=args.mechanism,
         specialization=SpecializationConfig(num_levels=args.levels),
-        executor=args.executor,
     )
     release = MultiLevelDiscloser(config=config, rng=args.seed).disclose(graph)
     if args.output is not None:
@@ -470,23 +447,17 @@ def _sweep_runner(
     scale: str = "tiny",
     seed: int = 0,
     store: Optional[str] = None,
-    inner_workers: int = 1,
 ) -> dict:
     """Disclose one sweep combination (module-level so it pickles).
 
     Persists the release under a parameter-derived key when a store is
     given — the artefact a resumed sweep serves instead of re-disclosing —
-    and returns summary columns for the sweep row.  ``inner_workers`` > 1
-    runs the per-level perturbation on that many threads (the scheduler's
-    budget-negotiated inner layer); it is not part of the parameter grid,
-    so journal keys and store keys are identical across plans.
+    and returns summary columns for the sweep row.
     """
     graph = load_dataset(dataset, scale=scale, seed=seed)
     config = DisclosureConfig(
         epsilon_g=epsilon_g,
         specialization=SpecializationConfig(num_levels=levels),
-        executor="thread" if inner_workers > 1 else "serial",
-        max_workers=inner_workers if inner_workers > 1 else None,
     )
     release = MultiLevelDiscloser(config=config, rng=seed).disclose(graph)
     key = f"sweep-{dataset}-{scale}-l{levels}-eps{epsilon_g}-seed{seed}"
@@ -501,23 +472,10 @@ def _sweep_runner(
     }
 
 
-def _parse_inner_workers(value):
-    """``--inner-workers``: ``None``, a positive count, or the 'auto' split."""
-    if value is None or value == AUTO_INNER:
-        return value
-    try:
-        return int(value)
-    except ValueError:
-        raise ValidationError(
-            f"--inner-workers must be an integer or {AUTO_INNER!r}, got {value!r}"
-        ) from None
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     scheduler = SweepScheduler(
         executor=args.executor,
         workers=args.workers,
-        inner_workers=_parse_inner_workers(args.inner_workers),
         budget=args.worker_budget,
         task_timeout=args.task_timeout,
     )
@@ -527,7 +485,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         scale=args.scale,
         seed=args.seed,
         store=str(args.store) if args.store is not None else None,
-        inner_workers=scheduler.plan.inner_workers,
     )
     sweep = ParameterSweep(
         runner,
@@ -571,8 +528,6 @@ def _cmd_refresh(args: argparse.Namespace) -> int:
     else:
         graph = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
     config = DisclosureConfig.from_dict(release.config)
-    if args.executor is not None:
-        config.executor = args.executor
     # A re-loaded graph restarts its revision counter, so the new provenance
     # revision is forced past the stored one — staleness must be monotonic.
     stored_revision = release.provenance.get("graph_revision")

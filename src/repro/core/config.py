@@ -7,9 +7,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.common import uses_l2_sensitivity as common_uses_l2_sensitivity
 from repro.exceptions import ValidationError
-from repro.execution import check_executor_name
 from repro.grouping.specialization import SpecializationConfig
-from repro.utils.validation import check_fraction, check_positive, check_positive_int
+from repro.utils.validation import check_fraction, check_positive
 
 #: Mechanisms supported by phase 2 (noise injection).
 SUPPORTED_MECHANISMS: Tuple[str, ...] = (
@@ -57,14 +56,6 @@ class DisclosureConfig:
         (``"uniform"``, ``"geometric"`` or ``"proportional"``).
     allocation_ratio:
         Ratio parameter of the geometric allocation.
-    executor:
-        Where the independent per-level perturbations run: ``"serial"``
-        (default), ``"thread"`` or ``"process"``.  Every level draws its
-        noise from its own :func:`~repro.utils.rng.derive_seedseq`-derived
-        stream, so all three executors produce bit-identical releases for
-        the same seed (``tests/test_engine_parity.py``).
-    max_workers:
-        Pool size for the thread/process executors (``None`` = CPU count).
     """
 
     epsilon_g: float = 1.0
@@ -75,8 +66,6 @@ class DisclosureConfig:
     budget_mode: str = "per_level"
     allocation: str = "uniform"
     allocation_ratio: float = 2.0
-    executor: str = "serial"
-    max_workers: Optional[int] = None
 
     def __post_init__(self):
         check_positive(self.epsilon_g, "epsilon_g")
@@ -89,9 +78,6 @@ class DisclosureConfig:
             raise ValidationError(
                 f"budget_mode must be one of {SUPPORTED_BUDGET_MODES}, got {self.budget_mode!r}"
             )
-        check_executor_name(self.executor)
-        if self.max_workers is not None:
-            self.max_workers = check_positive_int(self.max_workers, "max_workers")
         if not isinstance(self.specialization, SpecializationConfig):
             raise ValidationError("specialization must be a SpecializationConfig")
         if self.release_levels is not None:
@@ -132,8 +118,6 @@ class DisclosureConfig:
             "budget_mode": self.budget_mode,
             "allocation": self.allocation,
             "allocation_ratio": self.allocation_ratio,
-            "executor": self.executor,
-            "max_workers": self.max_workers,
         }
 
     @classmethod
@@ -142,8 +126,8 @@ class DisclosureConfig:
         a stored release, which is how ``repro refresh`` reconstructs the
         original disclosure's configuration.  Unknown keys are ignored and
         missing keys fall back to the defaults, so configs stored by older
-        versions still load (including those that recorded the retired
-        ``engine`` setting)."""
+        versions still load, including those that recorded a since-retired
+        setting (the ``engine`` choice, or the per-level pool and its size)."""
         kwargs = {
             key: data[key]
             for key in (
@@ -153,8 +137,6 @@ class DisclosureConfig:
                 "budget_mode",
                 "allocation",
                 "allocation_ratio",
-                "executor",
-                "max_workers",
             )
             if key in data
         }

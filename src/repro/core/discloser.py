@@ -10,7 +10,6 @@ from repro.core.config import DisclosureConfig
 from repro.core.pipeline import DisclosurePipeline, PipelineContext
 from repro.core.refresh import RefreshResult, refresh_release
 from repro.core.release import MultiLevelRelease
-from repro.execution import ExecutorSpec, executor_name
 from repro.graphs.bipartite import BipartiteGraph
 from repro.grouping.hierarchy import GroupHierarchy
 from repro.grouping.specialization import Specializer
@@ -32,9 +31,7 @@ class MultiLevelDiscloser:
     config:
         A :class:`~repro.core.config.DisclosureConfig`; defaults reproduce the
         paper's setup (9 levels, 4-way splits, Gaussian noise, per-level
-        ``epsilon_g``).  ``config.executor`` selects where the independent
-        per-level perturbations run (``"serial"``, ``"thread"`` or
-        ``"process"``) — the release is bit-identical in all three cases.
+        ``epsilon_g``).
     specializer:
         The phase-1 specializer.  Defaults to an Exponential-Mechanism
         :class:`~repro.grouping.specialization.Specializer` built from
@@ -49,7 +46,8 @@ class MultiLevelDiscloser:
         Seed, generator, or ``None``.  Phase 1 and phase 2 use independent
         streams derived from this value, and each released level derives its
         own noise stream, so re-running with the same seed reproduces the
-        release exactly regardless of the executor.
+        release exactly, and a refresh re-draws an affected level's noise
+        exactly.
 
     Examples
     --------
@@ -73,7 +71,7 @@ class MultiLevelDiscloser:
         # Seed *material* rather than a live generator: each disclose call
         # (and, below it, each level) derives its own independent stream, so
         # the noise does not depend on generator call order — the property
-        # that makes serial/thread/process execution bit-identical.
+        # that lets refresh re-perturb one level without replaying the rest.
         self._noise_seeds = DiscloseSeedStream(rng, "phase2-noise")
         self.specializer = (
             specializer
@@ -100,7 +98,6 @@ class MultiLevelDiscloser:
         self,
         graph: BipartiteGraph,
         hierarchy: Optional[GroupHierarchy] = None,
-        executor: ExecutorSpec = None,
     ) -> MultiLevelRelease:
         """Run the staged pipeline and return the multi-level release.
 
@@ -112,29 +109,17 @@ class MultiLevelDiscloser:
             An existing group hierarchy to reuse (phase 1 is skipped and no
             specialization budget is charged).  Useful when the same grouping
             backs several releases, and in tests.
-        executor:
-            Override ``config.executor`` for this call — an executor name or
-            a live :class:`~repro.execution.Executor` instance (e.g. a shared
-            process pool amortised across many disclosures).
         """
-        executor_spec = executor if executor is not None else self.config.executor
-        # The persisted config must record the executor that actually ran
-        # (provenance), which a per-call override makes different from
-        # config.executor.
-        release_config = self.config.to_dict()
-        release_config["executor"] = executor_name(executor_spec)
         context = PipelineContext(
             graph=graph,
             workload=self.workload,
             hierarchy=hierarchy,
             specializer=self.specializer,
             ledger=self.ledger,
-            executor=executor_spec,
-            max_workers=self.config.max_workers,
             noise_seed=self._noise_seeds.next(),
             requested_levels=self.config.resolved_release_levels(),
             config=self.config,
-            release_config=release_config,
+            release_config=self.config.to_dict(),
         )
         release = self.pipeline.run(context).release
         # Which stream draw fed this release: refresh re-derives the same
@@ -151,7 +136,6 @@ class MultiLevelDiscloser:
         release: MultiLevelRelease,
         graph: BipartiteGraph,
         hierarchy: Optional[GroupHierarchy] = None,
-        executor: ExecutorSpec = None,
         revision: Optional[int] = None,
     ) -> RefreshResult:
         """Re-disclose a mutated ``graph``, re-perturbing only changed levels.
@@ -176,8 +160,6 @@ class MultiLevelDiscloser:
             once via :meth:`build_hierarchy` (charging its specialization
             budget) — the path a fresh process takes when refreshing a stored
             release.
-        executor:
-            Per-call override of ``config.executor``, as in :meth:`disclose`.
         revision:
             Overrides the graph revision stamped into the refreshed
             provenance.  A graph re-loaded from an edge list restarts its
@@ -196,7 +178,5 @@ class MultiLevelDiscloser:
             workload=self.workload,
             noise_seed=self._noise_seeds.seed_for(noise_draw),
             ledger=self.ledger,
-            executor=executor if executor is not None else self.config.executor,
-            max_workers=self.config.max_workers,
             revision=revision,
         )

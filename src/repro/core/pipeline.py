@@ -9,11 +9,10 @@ The paper's two-phase procedure decomposes into five explicit stages:
 3. :class:`CalibrateStage` — compute each level's sensitivity and epsilon and
    freeze them into picklable :class:`LevelPlan` payloads, one per level,
    each carrying its own derived noise seed;
-4. :class:`PerturbStage` — map :func:`perturb_level` over the plans through
-   the configured :class:`~repro.execution.Executor` (levels are independent,
-   so they parallelise freely — and because every plan carries its own
-   :class:`~numpy.random.SeedSequence`, serial, thread and process execution
-   are bit-for-bit identical);
+4. :class:`PerturbStage` — map :func:`perturb_level` over the plans in a
+   plain loop (one noise draw per level is far too little work to pay for a
+   pool; every plan carries its own :class:`~numpy.random.SeedSequence`, so
+   a level's noise does not depend on the order the levels run in);
 5. :class:`AssembleStage` — charge the ledger, wrap the outcomes in
    guarantees and assemble the :class:`~repro.core.release.MultiLevelRelease`.
 
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from functools import partial
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -46,7 +44,6 @@ from repro.core.common import (
 )
 from repro.core.release import LevelRelease, MultiLevelRelease
 from repro.exceptions import DisclosureError
-from repro.execution import Executor, executor_scope
 from repro.graphs.arrays import GraphArrays
 from repro.graphs.bipartite import BipartiteGraph
 from repro.grouping.hierarchy import GroupHierarchy
@@ -69,10 +66,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class LevelPlan:
     """Everything one level's perturbation task needs, frozen and picklable.
 
-    Calibration happens in the main process; the plan carries only plain
-    scalars plus a derived :class:`~numpy.random.SeedSequence`, so the
-    perturbation can run in any executor (including worker processes) and
-    still draw exactly the noise a serial run would draw.
+    The plan carries only plain scalars plus a derived
+    :class:`~numpy.random.SeedSequence`, so a level draws exactly the same
+    noise whether it is perturbed in a fresh disclosure or re-perturbed by a
+    refresh.
     """
 
     level: int
@@ -99,9 +96,8 @@ class LevelOutcome:
 def perturb_level(plan: LevelPlan, true_answers: Dict[str, QueryAnswer]) -> LevelOutcome:
     """Perturb the workload answers for one level plan.
 
-    Module-level (hence process-picklable) and pure: the only randomness
-    comes from the plan's own seed, so the result is independent of which
-    executor runs it and of how many other levels run concurrently.
+    Pure: the only randomness comes from the plan's own seed, so the result
+    is independent of which other levels run alongside it.
     """
     mechanism = build_mechanism(
         plan.mechanism, plan.epsilon, plan.sensitivity, delta=plan.delta, rng=plan.noise_seed
@@ -123,7 +119,7 @@ class PipelineContext:
     """Mutable state threaded through the pipeline stages.
 
     Callers populate the input fields (graph, workload, hierarchy or
-    specializer, seeds, executor spec); stages fill in the products, ending
+    specializer, seeds); stages fill in the products, ending
     with :attr:`release`.
     """
 
@@ -132,8 +128,6 @@ class PipelineContext:
     hierarchy: Optional[GroupHierarchy] = None
     specializer: Optional[Specializer] = None
     ledger: Optional[BudgetLedger] = None
-    executor: Any = None  # ExecutorSpec; resolved to an Executor by run()
-    max_workers: Optional[int] = None
     noise_seed: Optional[np.random.SeedSequence] = None
     requested_levels: Optional[Sequence[int]] = None
     #: When true, a requested level absent from the hierarchy is an error
@@ -395,16 +389,16 @@ class UniformCalibrateStage(FixedEpsilonCalibrateStage):
 
 
 class PerturbStage(PipelineStage):
-    """Phase 2 proper: map the level plans through the executor."""
+    """Phase 2 proper: perturb every planned level, in plan order."""
 
     name = "perturb"
 
     def run(self, context: PipelineContext) -> None:
         if context.true_answers is None:
             raise DisclosureError("perturbation requires evaluated true answers")
-        task = partial(perturb_level, true_answers=context.true_answers)
-        executor: Executor = context.executor
-        context.outcomes = executor.map(task, context.plans)
+        context.outcomes = [
+            perturb_level(plan, context.true_answers) for plan in context.plans
+        ]
 
 
 def level_fingerprints_for(context: PipelineContext, legacy: bool = False) -> Dict[str, str]:
@@ -525,18 +519,11 @@ class DisclosurePipeline:
         return [stage.name for stage in self.stages]
 
     def run(self, context: PipelineContext) -> PipelineContext:
-        """Execute every stage in order and return the (mutated) context.
-
-        The executor spec on the context is resolved once for the whole run;
-        a pool created here is torn down afterwards, while a caller-supplied
-        :class:`~repro.execution.Executor` instance is left open for reuse.
-        """
+        """Execute every stage in order and return the (mutated) context."""
         if context.graph.num_nodes() == 0:
             raise DisclosureError("cannot disclose an empty graph")
-        with executor_scope(context.executor, max_workers=context.max_workers) as executor:
-            context.executor = executor
-            for stage in self.stages:
-                stage.run(context)
+        for stage in self.stages:
+            stage.run(context)
         return context
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

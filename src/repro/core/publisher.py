@@ -113,16 +113,14 @@ class GraphPublisher:
     # ------------------------------------------------------------------
     # Releases
     # ------------------------------------------------------------------
-    def _release_cost(self, config: DisclosureConfig, levels: List[int]) -> PrivacyCost:
-        """Conservative cost of one release: worst per-level epsilon/delta.
+    def _release_cost(self, config: DisclosureConfig) -> PrivacyCost:
+        """Conservative cost of one release: ``epsilon_g`` and its delta.
 
         Each level's guarantee is stated against its own group adjacency, so
-        the release as a whole is charged the worst level's cost (identical to
-        what :meth:`MultiLevelRelease.noise_injection_cost` reports).
+        the release as a whole is charged the worst level's cost.  In
+        ``per_level`` mode every level spends ``epsilon_g``; in ``total`` mode
+        the levels split ``epsilon_g``, so it bounds the worst level's share.
         """
-        if config.budget_mode == "per_level":
-            delta = config.delta if config.uses_l2_sensitivity() else 0.0
-            return PrivacyCost(config.epsilon_g, delta)
         delta = config.delta if config.uses_l2_sensitivity() else 0.0
         return PrivacyCost(config.epsilon_g, delta)
 
@@ -152,8 +150,7 @@ class GraphPublisher:
         if self._hierarchy is None:
             self.build_hierarchy()
 
-        levels = [level for level in config.resolved_release_levels() if self._hierarchy.has_level(level)]
-        cost = self._release_cost(config, levels)
+        cost = self._release_cost(config)
         if not self.ledger.can_spend(cost):
             raise BudgetExceededError(cost.to_dict(), self._remaining_dict())
 

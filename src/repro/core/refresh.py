@@ -10,8 +10,8 @@ against the ones stamped into the existing release's provenance:
 * **Unaffected levels** — fingerprint unchanged — keep their stored
   :class:`~repro.core.release.LevelRelease` byte-for-byte.  No noise is
   drawn and **zero** new privacy budget is spent on them.
-* **Affected levels** are re-perturbed through the normal
-  :func:`~repro.core.pipeline.perturb_level` task under the *original*
+* **Affected levels** are re-perturbed by the normal
+  :class:`~repro.core.pipeline.PerturbStage` under the *original*
   disclosure's noise-seed material, so the refreshed release is bit-identical
   to what a from-scratch disclosure of the mutated graph under the same seed
   would have produced (``tests/test_refresh.py`` proves this).
@@ -25,7 +25,6 @@ when recomputing it would have reproduced the stored bytes anyway.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
@@ -36,13 +35,12 @@ from repro.core.pipeline import (
     AssembleStage,
     CompileStage,
     GroupCalibrateStage,
+    PerturbStage,
     PipelineContext,
     level_fingerprints_for,
-    perturb_level,
 )
 from repro.core.release import MultiLevelRelease
 from repro.exceptions import DisclosureError
-from repro.execution import ExecutorSpec, executor_name, executor_scope
 from repro.graphs.bipartite import BipartiteGraph
 from repro.grouping.hierarchy import GroupHierarchy
 from repro.mechanisms.base import PrivacyCost
@@ -83,8 +81,6 @@ def refresh_release(
     workload: WorkloadLike = None,
     noise_seed: Optional[np.random.SeedSequence] = None,
     ledger: Optional[BudgetLedger] = None,
-    executor: ExecutorSpec = None,
-    max_workers: Optional[int] = None,
     revision: Optional[int] = None,
 ) -> RefreshResult:
     """Re-disclose ``graph`` against ``release``, re-perturbing only what changed.
@@ -117,20 +113,15 @@ def refresh_release(
     if graph.num_nodes() == 0:
         raise DisclosureError("cannot refresh against an empty graph")
     workload = normalise_workload(workload)
-    executor_spec = executor if executor is not None else config.executor
-    release_config = config.to_dict()
-    release_config["executor"] = executor_name(executor_spec)
     context = PipelineContext(
         graph=graph,
         workload=workload,
         hierarchy=hierarchy,
         ledger=ledger,
-        executor=executor_spec,
-        max_workers=max_workers if max_workers is not None else config.max_workers,
         noise_seed=noise_seed,
         requested_levels=config.resolved_release_levels(),
         config=config,
-        release_config=release_config,
+        release_config=config.to_dict(),
     )
     # Cheap stages only: evaluate answers and calibrate every level ...
     CompileStage().run(context)
@@ -153,12 +144,7 @@ def refresh_release(
     reused_levels = sorted(level for level in context.levels if level not in affected_levels)
 
     context.plans = affected
-    if affected:
-        task = partial(perturb_level, true_answers=context.true_answers)
-        with executor_scope(executor_spec, max_workers=context.max_workers) as pool:
-            context.outcomes = pool.map(task, affected)
-    else:
-        context.outcomes = []
+    PerturbStage().run(context)
 
     # Assemble charges the ledger per (affected) outcome; specialization was
     # not re-run, so its cost carries over from the original release.

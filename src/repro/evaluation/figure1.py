@@ -46,7 +46,14 @@ PAPER_TEXT_EPSILON: float = 0.999
 
 @dataclass
 class Figure1Config:
-    """Parameters of a Figure 1 reproduction run."""
+    """Parameters of a Figure 1 reproduction run.
+
+    ``executor`` and ``max_workers`` pick where :func:`run_figure1_trials`
+    runs its independent full-pipeline trials (``"serial"``, ``"thread"`` or
+    ``"process"``, bit-identical in every case).  :func:`run_figure1` and
+    :func:`run_figure1_analytic` are a few array operations per epsilon and
+    always run in-process; they only record the fields.
+    """
 
     epsilons: Tuple[float, ...] = PAPER_EPSILONS
     num_levels: int = 9
@@ -205,37 +212,11 @@ def _expected_rer(mechanism: str, scale: float, true_count: float) -> float:
     return expected_rer_laplace(scale, true_count)
 
 
-def _epsilon_rer_row(
-    task: Tuple[float, np.ndarray],
-    mechanism: str,
-    delta: float,
-    sensitivities: Dict[int, float],
-    levels: List[int],
-    true_count: float,
-) -> List[float]:
-    """Per-level RER at one epsilon from a precomputed unit-noise row.
-
-    Module-level executor task: the noise is drawn *before* the fan-out, so
-    the executor choice cannot change the sampled values — serial, thread and
-    process runs of :func:`run_figure1` are bit-identical, and the golden
-    regression (``tests/golden/figure1_small.json``) stays valid.
-    """
-    epsilon, unit_noise = task
-    mean_unit_magnitude = float(np.mean(np.abs(unit_noise)))
-    return [
-        mean_unit_magnitude
-        * _noise_scale(mechanism, epsilon, delta, sensitivities[level])
-        / true_count
-        for level in levels
-    ]
-
-
 def run_figure1(
     graph: Optional[BipartiteGraph] = None,
     config: Optional[Figure1Config] = None,
     hierarchy: Optional[GroupHierarchy] = None,
     rng: RandomState = None,
-    executor: ExecutorSpec = None,
 ) -> Figure1Result:
     """Reproduce Figure 1 by Monte-Carlo sampling of the calibrated noise.
 
@@ -249,10 +230,6 @@ def run_figure1(
         Reuse an existing hierarchy (skips specialization).
     rng:
         Seed / generator for the noise draws (defaults to ``config.seed``).
-    executor:
-        Override ``config.executor`` for the per-epsilon aggregation fan-out.
-        All noise is drawn up front (common random numbers, see below), so
-        every executor produces the same result bit for bit.
     """
     config = config if config is not None else Figure1Config()
     if graph is None:
@@ -279,32 +256,20 @@ def run_figure1(
     # streams, see :func:`run_figure1_trials`.)
     draw = noise_rng.normal if config.mechanism == "gaussian" else noise_rng.laplace
     unit_matrix = draw(0.0, 1.0, size=(len(config.epsilons), config.num_trials))
-    unit_rows = [unit_matrix[index] for index in range(len(config.epsilons))]
-
-    task = partial(
-        _epsilon_rer_row,
-        mechanism=config.mechanism,
-        delta=config.delta,
-        sensitivities=sensitivities,
-        levels=levels,
-        true_count=true_count,
-    )
-    with executor_scope(
-        executor if executor is not None else config.executor, config.max_workers
-    ) as pool:
-        rows = pool.map(task, list(zip(config.epsilons, unit_rows)))
 
     series: Dict[int, List[float]] = {level: [] for level in levels}
-    for row in rows:
-        for position, level in enumerate(levels):
-            series[level].append(row[position])
+    for epsilon, unit_noise in zip(config.epsilons, unit_matrix):
+        mean_unit_magnitude = float(np.mean(np.abs(unit_noise)))
+        for level in levels:
+            scale = _noise_scale(config.mechanism, epsilon, config.delta, sensitivities[level])
+            series[level].append(mean_unit_magnitude * scale / true_count)
     return Figure1Result(
         epsilons=list(config.epsilons),
         series=series,
         true_count=true_count,
         sensitivities=sensitivities,
         num_levels=config.num_levels,
-        config=config.to_dict(executor_override=executor),
+        config=config.to_dict(),
     )
 
 

@@ -178,8 +178,8 @@ class SweepSnapshot:
         reports the observed task count).
     plan:
         The scheduler's :meth:`~repro.execution.scheduler.BudgetPlan.to_dict`
-        record — how many outer workers times how many inner workers the run
-        negotiated — stored verbatim so the plan is part of the history.
+        record — how many workers the run negotiated under which budget —
+        stored verbatim so the plan is part of the history.
     path:
         Optional append-only event-stream file (``<journal>.events.jsonl``
         for a journaled run).  Every *reducing* event is appended as one

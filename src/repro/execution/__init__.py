@@ -1,8 +1,9 @@
-"""Execution backends: where the pipeline's independent work actually runs.
+"""Execution backends: where the evaluation harnesses' independent work runs.
 
-The disclosure core and the evaluation harnesses express parallelisable work
-(per-level perturbation, per-trial Monte-Carlo runs, per-combination sweep
-rows) as pure functions mapped over task payloads; the classes here decide
+The evaluation harnesses express parallelisable work (per-trial Figure-1
+Monte-Carlo runs, per-combination sweep rows, per-size scalability
+measurements) as pure functions mapped over task payloads; a single
+disclosure always runs in-process inside one task.  The classes here decide
 whether that map runs serially, on a thread pool, or across processes — with
 bit-identical results in all three cases (see
 :mod:`repro.execution.executors` for the determinism contract).
@@ -12,8 +13,8 @@ transient task failures with deterministic backoff, the pool executors
 enforce per-task timeouts and rebuild broken process pools, and
 :mod:`repro.execution.faults` injects scripted failures to prove that a
 disturbed run is bit-identical to an undisturbed one.  (``faults`` is not
-re-exported here — it imports the store layer, and the execution package
-must stay importable from the core pipeline without cycles.)
+re-exported here — it imports the store layer, which the executors do not
+need.)
 """
 
 from repro.execution.executors import (
@@ -36,14 +37,12 @@ from repro.execution.retry import (
     map_with_retries,
 )
 from repro.execution.scheduler import (
-    AUTO_INNER,
     BudgetPlan,
     SweepScheduler,
     WorkerBudget,
 )
 
 __all__ = [
-    "AUTO_INNER",
     "EXECUTOR_NAMES",
     "DEFAULT_RETRYABLE",
     "BudgetPlan",

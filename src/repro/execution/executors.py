@@ -1,9 +1,10 @@
-"""Pluggable parallel executors for the disclosure and evaluation pipelines.
+"""Pluggable parallel executors for the evaluation harnesses.
 
-Every independent unit of work in the library — per-level noise injection,
-per-trial Monte-Carlo runs, per-combination sweep rows — is expressed as a
-pure function mapped over a list of task payloads.  An :class:`Executor`
-decides *where* that map runs:
+Every independent unit of work large enough to pay for a pool — per-trial
+Figure-1 Monte-Carlo runs, per-combination sweep rows, per-size scalability
+measurements — is expressed as a pure function mapped over a list of task
+payloads.  An :class:`Executor` decides *where* that map runs (a single
+disclosure is not among them: it perturbs its levels in-process):
 
 * :class:`SerialExecutor` — in the calling thread, one task after another
   (the default, and the semantics every parallel backend must reproduce);
@@ -20,7 +21,8 @@ functions must carry their own random state (a picklable
 :func:`repro.utils.rng.derive_seedseq`) rather than sharing a sequentially
 mutated generator.  Under that contract the three executors are bit-for-bit
 interchangeable: ``tests/test_engine_parity.py`` locks serial, thread and
-process disclosures to identical releases for the same seed.
+process Figure-1 trials and disclosure tasks to identical results for the
+same seed.
 
 Fault tolerance
 ---------------

@@ -156,8 +156,9 @@ class FaultInjectingExecutor(Executor):
     With a ``retry_policy``, tasks retry transient injected faults in-worker
     (via :func:`map_with_retries`); worker-death faults are recovered one
     layer down by the process executor's pool rebuild.  Pass an instance
-    straight into ``disclose(executor=...)`` or any harness accepting an
-    executor to chaos-test a full pipeline.
+    straight into ``run_figure1_trials(executor=...)``,
+    ``ParameterSweep.run(executor=...)`` or any harness accepting an
+    executor to chaos-test a full run.
     """
 
     def __init__(

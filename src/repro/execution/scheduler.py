@@ -1,20 +1,17 @@
-"""Sweep scheduling: worker-budget negotiation for nested executors.
+"""Sweep scheduling: bounding a sweep's workers by a slot budget.
 
-A parameter sweep stacks two layers of parallelism: the *outer* executor
-fans combinations out (one process per combination under ``--executor
-process``) while each combination's disclosure can fan its per-level
-perturbation out over *inner* threads.  Without
-coordination the two layers silently oversubscribe the host — ``8`` outer
-processes each starting ``8`` inner threads is 64 runnable workers on an
-8-core box.  :class:`WorkerBudget` negotiates the split: outer workers
-times inner workers must fit the total slot budget, the result is a
-deterministic :class:`BudgetPlan` recorded in the sweep's snapshot, and a
-conflicting request raises a clear
-:class:`~repro.exceptions.ValidationError` instead of thrashing.
+A parameter sweep has one layer of parallelism: the executor fans
+combinations out (one process per combination under ``--executor
+process``), and each combination's disclosure runs in-process in that
+worker.  :class:`WorkerBudget` checks the requested worker count against
+the slots the host grants the run: the result is a deterministic
+:class:`BudgetPlan` recorded in the sweep's snapshot, and a request that
+does not fit raises a clear :class:`~repro.exceptions.ValidationError`
+instead of oversubscribing the host.
 
 :class:`SweepScheduler` bundles the negotiated plan with executor
-lifecycle: :meth:`SweepScheduler.scope` yields the outer executor sized to
-the plan, and :attr:`SweepScheduler.plan` is what
+lifecycle: :meth:`SweepScheduler.scope` yields the executor sized to the
+plan, and :attr:`SweepScheduler.plan` is what
 :meth:`~repro.evaluation.sweep.ParameterSweep.run` stamps into the
 :class:`~repro.evaluation.snapshot.SweepSnapshot`.
 """
@@ -34,44 +31,34 @@ from repro.execution.executors import (
     executor_scope,
 )
 
-#: ``inner_workers`` spelling that asks the budget to hand every leftover
-#: slot to the nested per-level perturbation threads.
-AUTO_INNER = "auto"
-
-
 @dataclass(frozen=True)
 class BudgetPlan:
-    """The negotiated worker split, recorded verbatim in the snapshot.
+    """The negotiated worker count, recorded verbatim in the snapshot.
 
-    ``outer_workers * inner_workers <= total`` always holds — the plan is
-    only ever built by :meth:`WorkerBudget.plan`, which rejects anything
-    else.
+    ``outer_workers <= total`` always holds — the plan is only ever built by
+    :meth:`WorkerBudget.plan`, which rejects anything else.
     """
 
     executor: str
     total: int
     outer_workers: int
-    inner_workers: int
 
     def to_dict(self) -> dict:
         return {
             "executor": self.executor,
             "total": self.total,
             "outer_workers": self.outer_workers,
-            "inner_workers": self.inner_workers,
         }
 
 
 class WorkerBudget:
-    """A fixed pool of worker slots shared by nested executors.
+    """A fixed pool of worker slots a sweep's executor must fit in.
 
     Parameters
     ----------
     total:
         Total concurrently-runnable workers the host grants this run
-        (default: the CPU count).  The outer combination executor and the
-        per-combination inner threads negotiate their split out of this one
-        number.
+        (default: the CPU count).
     """
 
     def __init__(self, total: Optional[int] = None):
@@ -92,31 +79,24 @@ class WorkerBudget:
         self,
         executor: ExecutorSpec = None,
         outer_workers: Optional[int] = None,
-        inner_workers: Union[None, int, str] = None,
     ) -> BudgetPlan:
-        """Negotiate a deterministic outer x inner split under this budget.
+        """Negotiate a deterministic worker count under this budget.
 
         Parameters
         ----------
         executor:
-            The outer executor spec (name, ``None`` for serial, or a live
+            The executor spec (name, ``None`` for serial, or a live
             :class:`Executor` whose ``max_workers`` then counts as the
-            requested outer width).
+            requested width).
         outer_workers:
-            Requested outer worker count (``--workers``).  ``None`` defaults
-            to 1 for the serial executor and to the full budget for pool
+            Requested worker count (``--workers``).  ``None`` defaults to 1
+            for the serial executor and to the full budget for pool
             executors.
-        inner_workers:
-            Per-combination nested thread count.  ``None`` keeps the nested
-            perturbation serial (1), :data:`AUTO_INNER` hands every leftover
-            slot to the inner layer (``total // outer``), and an explicit
-            count is validated against the budget.
 
         Raises
         ------
         ValidationError
-            When ``outer_workers`` alone exceeds the budget, or the nested
-            product ``outer * inner`` oversubscribes it.
+            When ``outer_workers`` exceeds the budget.
         """
         name = executor_name(executor)
         if name == "serial":
@@ -139,24 +119,7 @@ class WorkerBudget:
                 f"--workers {outer} exceeds the worker budget of {self.total} slot(s); "
                 f"lower --workers or raise --worker-budget"
             )
-        if inner_workers is None:
-            inner = 1
-        elif inner_workers == AUTO_INNER:
-            inner = max(1, self.total // outer)
-        else:
-            inner = int(inner_workers)
-        if inner < 1:
-            raise ValidationError(f"inner workers must be >= 1, got {inner_workers}")
-        if outer * inner > self.total:
-            raise ValidationError(
-                f"nested executors oversubscribe the worker budget: {outer} outer "
-                f"worker(s) x {inner} inner thread(s) = {outer * inner} slots, but the "
-                f"budget is {self.total}; lower --workers/--inner-workers or raise "
-                f"--worker-budget"
-            )
-        return BudgetPlan(
-            executor=name, total=self.total, outer_workers=outer, inner_workers=inner
-        )
+        return BudgetPlan(executor=name, total=self.total, outer_workers=outer)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"WorkerBudget(total={self.total})"
@@ -168,39 +131,33 @@ class SweepScheduler:
     Parameters
     ----------
     executor:
-        Outer executor spec — a name, ``None``, or a live instance (chaos
-        tests pass a
-        :class:`~repro.execution.faults.FaultInjectingExecutor` here).
+        Executor spec — a name, ``None``, or a live instance (chaos tests
+        pass a :class:`~repro.execution.faults.FaultInjectingExecutor`
+        here).
     workers:
-        Requested outer worker count (validated against the budget).
-    inner_workers:
-        Nested per-combination thread count (``None``, a count, or
-        :data:`AUTO_INNER`).
+        Requested worker count (validated against the budget).
     budget:
         Total slots (:class:`WorkerBudget`, an int, or ``None`` for the
         CPU count).
     task_timeout:
-        Per-combination wall-clock bound handed to the outer executor.
+        Per-combination wall-clock bound handed to the executor.
     """
 
     def __init__(
         self,
         executor: ExecutorSpec = None,
         workers: Optional[int] = None,
-        inner_workers: Union[None, int, str] = None,
         budget: Union[None, int, WorkerBudget] = None,
         task_timeout: Optional[float] = None,
     ):
         self.budget = WorkerBudget.resolve(budget)
-        self.plan = self.budget.plan(
-            executor=executor, outer_workers=workers, inner_workers=inner_workers
-        )
+        self.plan = self.budget.plan(executor=executor, outer_workers=workers)
         self.task_timeout = task_timeout
         self._spec = executor
 
     @contextmanager
     def scope(self) -> Iterator[Executor]:
-        """Yield the outer executor sized to the plan (closing what it opens)."""
+        """Yield the executor sized to the plan (closing what it opens)."""
         with executor_scope(
             self._spec,
             max_workers=self.plan.outer_workers,

@@ -53,26 +53,20 @@ FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base=0.0, jitter=0.0)
 
 
 def _release_bytes(release) -> bytes:
-    """Canonical bytes of a release minus execution provenance.
-
-    ``config`` records *which executor* produced the artefact (that is the
-    point of provenance — a chaos-wrapped executor names itself); everything
-    else — answers, guarantees, noise scales, statistics — must be
-    bit-identical between disturbed and undisturbed runs.
-    """
-    document = release.to_dict()
-    config = dict(document.get("config", {}))
-    config.pop("executor", None)
-    config.pop("max_workers", None)
-    document["config"] = config
-    return canonical_json_bytes(document)
+    """Canonical bytes of a release (answers, guarantees, noise scales, ...)."""
+    return canonical_json_bytes(release.to_dict())
 
 
-def _disclose(graph, executor=None, seed=11):
+def _disclose(graph, seed=11):
     config = DisclosureConfig(
         epsilon_g=0.5, specialization=SpecializationConfig(num_levels=4)
     )
-    return MultiLevelDiscloser(config=config, rng=seed).disclose(graph, executor=executor)
+    return MultiLevelDiscloser(config=config, rng=seed).disclose(graph)
+
+
+def _disclose_task(seed):
+    """One whole disclosure as an executor task, the way a sweep runs it."""
+    return _release_bytes(_disclose(generate_dblp_like(num_authors=60, seed=0), seed=seed))
 
 
 def _square(task):
@@ -123,18 +117,17 @@ class TestInjectedTransientFaults:
 
     def test_disclosure_bit_identical_under_transient_faults(self, tmp_path):
         """Acceptance: injected transient failures + retries leave the
-        released artefact bit-for-bit identical to the undisturbed run."""
-        graph = generate_dblp_like(num_authors=60, seed=0)
-        baseline = _disclose(graph)
+        released artefacts bit-for-bit identical to the undisturbed run."""
+        baseline = [_disclose_task(seed) for seed in (11, 12)]
         inner = ThreadExecutor(max_workers=2)
         chaos = FaultInjectingExecutor(
             inner, FaultPlan.transient([0, 1]), tmp_path, retry_policy=FAST_RETRY
         )
         try:
-            disturbed = _disclose(graph, executor=chaos)
+            disturbed = chaos.map(_disclose_task, [11, 12])
         finally:
             chaos.close()
-        assert _release_bytes(disturbed) == _release_bytes(baseline)
+        assert disturbed == baseline
 
 
 class TestWorkerDeath:
@@ -163,16 +156,15 @@ class TestWorkerDeath:
     def test_disclosure_bit_identical_after_worker_crash(self, tmp_path):
         """Acceptance: a worker killed mid-disclosure is recovered by the
         pool rebuild and the release still matches the fault-free run."""
-        graph = generate_dblp_like(num_authors=60, seed=0)
-        baseline = _disclose(graph)
+        baseline = [_disclose_task(seed) for seed in (11, 12)]
         plan = FaultPlan({0: (KillWorkerFault(attempts=(1,)),)})
         inner = ProcessExecutor(max_workers=2)
         chaos = FaultInjectingExecutor(inner, plan, tmp_path)
         try:
-            disturbed = _disclose(graph, executor=chaos)
+            disturbed = chaos.map(_disclose_task, [11, 12])
         finally:
             chaos.close()
-        assert _release_bytes(disturbed) == _release_bytes(baseline)
+        assert disturbed == baseline
 
 
 class TestInjectedDelays:

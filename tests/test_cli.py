@@ -135,8 +135,6 @@ class TestCommands:
                 "4",
                 "--seed",
                 "2",
-                "--executor",
-                "thread",
                 "--store",
                 str(store_path),
             ]
@@ -323,8 +321,7 @@ class TestSweepCommand:
         assert "Traceback" not in err
 
 class TestSweepOrchestrationFlags:
-    """The scheduler/snapshot switches: --progress, --workers, --worker-budget,
-    --inner-workers."""
+    """The scheduler/snapshot switches: --progress, --workers, --worker-budget."""
 
     def _run(self, tmp_path, extra=()):
         return main(
@@ -370,12 +367,12 @@ class TestSweepOrchestrationFlags:
         assert "raise --worker-budget" in err
         assert "Traceback" not in err
 
-    def test_bogus_inner_workers_is_a_one_line_exit_2(self, tmp_path, capsys):
-        code = self._run(tmp_path, extra=["--inner-workers", "many"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("repro sweep:")
-        assert "--inner-workers must be an integer or 'auto'" in err
+    def test_inner_workers_is_no_longer_a_flag(self, tmp_path, capsys):
+        # A disclosure runs in-process, so the sweep has no inner layer to size.
+        with pytest.raises(SystemExit) as excinfo:
+            self._run(tmp_path, extra=["--inner-workers", "many"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --inner-workers many" in capsys.readouterr().err
 
     def test_process_executor_runs_the_sweep(self, tmp_path, capsys):
         assert self._run(

@@ -57,14 +57,36 @@ class TestGraphPublisher:
     def test_epsilon_override_keeps_every_other_config_field(self, dblp_graph):
         base = DisclosureConfig(
             epsilon_g=0.5,
+            mechanism="laplace",
             specialization=SpecializationConfig(num_levels=4),
-            executor="thread",
-            max_workers=2,
+            allocation_ratio=3.0,
         )
         publisher = GraphPublisher(dblp_graph, base_config=base, rng=3)
         overridden = publisher.release(epsilon_g=0.3).config
         assert overridden == {**base.to_dict(), "epsilon_g": 0.3}
-        assert (overridden["executor"], overridden["max_workers"]) == ("thread", 2)
+        assert (overridden["mechanism"], overridden["allocation_ratio"]) == ("laplace", 3.0)
+
+    def test_total_mode_release_charges_epsilon_g(self, dblp_graph):
+        base = DisclosureConfig(
+            epsilon_g=0.6,
+            specialization=SpecializationConfig(num_levels=4),
+            budget_mode="total",
+        )
+        publisher = GraphPublisher(
+            dblp_graph,
+            total_budget=PrivacyBudget(epsilon=2.0, delta=1e-3),
+            base_config=base,
+            rng=3,
+        )
+        release = publisher.release()
+        # The levels split epsilon_g; the release is charged all of it.
+        level_epsilons = [release.level(level).guarantee.epsilon for level in release.levels()]
+        assert sum(level_epsilons) == pytest.approx(0.6)
+        assert max(level_epsilons) < 0.6
+        assert publisher.spent().epsilon == pytest.approx(1.0 + 0.6)
+        assert publisher.spent().delta == pytest.approx(1e-5)
+        with pytest.raises(BudgetExceededError):
+            publisher.release()  # another 0.6 would exceed 2.0
 
     def test_budget_enforced(self, dblp_graph, base_config):
         publisher = GraphPublisher(

@@ -154,7 +154,6 @@ class TestArchitecture:
         for switch in (
             "--progress",
             "--workers",
-            "--inner-workers",
             "--worker-budget",
             "--executor process",
             "sweep-progress",

@@ -9,8 +9,10 @@ Three layers of parity, each exact (no tolerances):
   same-shape draw from a fresh generator for every numeric mechanism, and
   matches per-answer draws for the stream-concatenating families (Gaussian,
   Laplace);
-* **executor parity** — serial, thread and process execution produce
-  identical releases under the same seed.
+* **executor parity** — disclosures and Figure-1 trials run as tasks on the
+  serial, thread and process executors (as sweeps, scalability runs and
+  per-trial Monte-Carlo run them) produce identical results under the same
+  seed.
 
 Released values themselves are pinned by ``tests/test_golden_releases.py``.
 """
@@ -25,6 +27,7 @@ from hypothesis import strategies as st
 from repro.core.config import DisclosureConfig
 from repro.core.discloser import MultiLevelDiscloser
 from repro.datasets.dblp_like import generate_dblp_like
+from repro.execution import executor_scope
 from repro.graphs.bipartite import BipartiteGraph, Side
 from repro.grouping.partition import Group, Partition
 from repro.grouping.scores import BalancedAssociationScore
@@ -260,74 +263,53 @@ def test_specializer_hierarchy_parity():
 # ----------------------------------------------------------------------
 # Executor parity
 # ----------------------------------------------------------------------
-def _comparable(release):
-    """A release document with execution provenance removed.
-
-    ``config`` records *how* the release was produced (executor name, worker
-    count); everything else — the noisy answers, guarantees, noise scales,
-    level statistics — must be bit-identical across executors.
-    """
-    document = release.to_dict()
-    config = dict(document.get("config", {}))
-    config.pop("executor", None)
-    config.pop("max_workers", None)
-    document["config"] = config
-    return document
+#: Seeds of the disclosure tasks mapped per executor: two tasks, so the
+#: thread and process pools really run them side by side.
+TASK_SEEDS = (23, 24)
 
 
-def _executor_release(executor: str, mechanism: str = "gaussian", queries=None):
+def _disclose_task(task):
+    """One whole disclosure (a module-level, picklable executor task)."""
+    mechanism, queries, seed = task
     graph = generate_dblp_like(num_authors=150, seed=4)
     config = DisclosureConfig(
         epsilon_g=0.6,
         mechanism=mechanism,
         specialization=SpecializationConfig(num_levels=5),
-        executor=executor,
-        max_workers=2,
     )
-    return MultiLevelDiscloser(config=config, queries=queries, rng=23).disclose(graph)
+    return MultiLevelDiscloser(config=config, queries=queries, rng=seed).disclose(graph).to_dict()
+
+
+def _disclosure_tasks(mechanism="gaussian", queries=None):
+    return [(mechanism, queries, seed) for seed in TASK_SEEDS]
+
+
+def _executor_releases(executor, mechanism: str = "gaussian", queries=None):
+    """Release documents of the disclosure tasks mapped on ``executor``."""
+    with executor_scope(executor, max_workers=2) as pool:
+        return pool.map(_disclose_task, _disclosure_tasks(mechanism, queries))
 
 
 @pytest.mark.parametrize("mechanism", ["gaussian", "laplace", "analytic_gaussian", "geometric"])
 def test_discloser_executor_parity(mechanism):
-    """Serial, thread and process disclosures are bit-identical per seed.
+    """Disclosures mapped on serial, thread and process executors are
+    bit-identical per seed.
 
-    Every level plan carries its own derived SeedSequence, so the executor
-    cannot change which noise any level draws — for *all* mechanism families,
-    including geometric (whose batched draw interleaves two streams, but
-    identically so under every executor).
+    A disclosure derives every level's noise from its own seed, so the worker
+    it runs in cannot change which noise any level draws — for *all*
+    mechanism families, including geometric (whose batched draw interleaves
+    two streams, but identically so in every worker).
     """
-    serial = _comparable(_executor_release("serial", mechanism))
-    thread = _comparable(_executor_release("thread", mechanism))
-    process = _comparable(_executor_release("process", mechanism))
-    assert thread == serial
-    assert process == serial
+    serial = _executor_releases("serial", mechanism)
+    assert serial[0] != serial[1]  # the two seeds really differ
+    assert _executor_releases("thread", mechanism) == serial
+    assert _executor_releases("process", mechanism) == serial
 
 
 def test_discloser_executor_parity_multi_query_workload():
     queries = [TotalAssociationCountQuery(), DegreeHistogramQuery(max_degree=15)]
-    serial = _comparable(_executor_release("serial", queries=queries))
-    process = _comparable(_executor_release("process", queries=queries))
-    assert process == serial
-
-
-def test_disclose_call_executor_override_matches_config_selection():
-    """`disclose(executor=...)` and `config.executor` are the same code path,
-    and the release config records the executor that actually ran."""
-    graph = generate_dblp_like(num_authors=150, seed=4)
-    via_config = _executor_release("thread")
-    discloser = MultiLevelDiscloser(
-        config=DisclosureConfig(
-            epsilon_g=0.6,
-            specialization=SpecializationConfig(num_levels=5),
-            max_workers=2,
-        ),
-        rng=23,
-    )
-    via_call = discloser.disclose(graph, executor="thread")
-    assert _comparable(via_call) == _comparable(via_config)
-    # Provenance: the override, not the config default, is persisted.
-    assert via_call.to_dict()["config"]["executor"] == "thread"
-    assert via_config.to_dict()["config"]["executor"] == "thread"
+    serial = _executor_releases("serial", queries=queries)
+    assert _executor_releases("process", queries=queries) == serial
 
 
 def test_figure1_result_records_executor_override():
@@ -336,6 +318,21 @@ def test_figure1_result_records_executor_override():
     config = Figure1Config(num_levels=4, num_trials=2, scale="tiny", seed=3)
     result = run_figure1_trials(config=config, executor="thread")
     assert result.to_dict()["config"]["executor"] == "thread"
+
+
+def test_figure1_executor_parity():
+    """run_figure1 is a few array operations per epsilon and always runs
+    in-process: the executor named in its config is recorded, never used, so
+    it cannot perturb the golden regression."""
+    from dataclasses import replace
+
+    from repro.evaluation.figure1 import Figure1Config, run_figure1
+
+    config = Figure1Config(num_levels=4, num_trials=10, scale="tiny", seed=3)
+    serial = run_figure1(config=config).to_dict()
+    process = run_figure1(config=replace(config, executor="process")).to_dict()
+    assert process["series"] == serial["series"]
+    assert process["config"]["executor"] == "process"
 
 
 def test_figure1_trials_executor_parity():
@@ -354,32 +351,16 @@ def test_figure1_trials_executor_parity():
     assert process["sensitivities"] == serial["sensitivities"]
 
 
-def test_figure1_executor_parity():
-    """run_figure1 draws all noise before the fan-out (common random
-    numbers), so the executor cannot perturb the golden regression."""
-    from repro.evaluation.figure1 import Figure1Config, run_figure1
-
-    config = Figure1Config(num_levels=4, num_trials=10, scale="tiny", seed=3)
-    serial = run_figure1(config=config, executor="serial").to_dict()
-    process = run_figure1(config=config, executor="process").to_dict()
-    assert process["series"] == serial["series"]
-
-
 # ----------------------------------------------------------------------
 # Fault-tolerance parity: a disturbed run equals the undisturbed run.
 # ----------------------------------------------------------------------
-def _chaos_release(executor, plan, state_dir, retry_policy=None, mechanism="gaussian"):
+def _chaos_releases(executor, plan, state_dir, retry_policy=None, mechanism="gaussian"):
+    """The disclosure tasks mapped on ``executor`` under a fault plan."""
     from repro.execution.faults import FaultInjectingExecutor
 
-    graph = generate_dblp_like(num_authors=150, seed=4)
-    config = DisclosureConfig(
-        epsilon_g=0.6,
-        mechanism=mechanism,
-        specialization=SpecializationConfig(num_levels=5),
-    )
     chaos = FaultInjectingExecutor(executor, plan, state_dir, retry_policy=retry_policy)
     try:
-        return MultiLevelDiscloser(config=config, rng=23).disclose(graph, executor=chaos)
+        return chaos.map(_disclose_task, _disclosure_tasks(mechanism))
     finally:
         chaos.close()
 
@@ -392,15 +373,13 @@ def test_disclosure_parity_under_in_worker_retries(tmp_path, mechanism):
     from repro.execution import RetryPolicy, ThreadExecutor
     from repro.execution.faults import FaultPlan
 
-    undisturbed = _comparable(_executor_release("serial", mechanism))
-    disturbed = _comparable(
-        _chaos_release(
-            ThreadExecutor(max_workers=2),
-            FaultPlan.transient([0, 2], attempts=(1,)),
-            tmp_path,
-            retry_policy=RetryPolicy(max_attempts=3, backoff_base=0.0, jitter=0.0),
-            mechanism=mechanism,
-        )
+    undisturbed = _executor_releases("serial", mechanism)
+    disturbed = _chaos_releases(
+        ThreadExecutor(max_workers=2),
+        FaultPlan.transient([0, 1], attempts=(1,)),
+        tmp_path,
+        retry_policy=RetryPolicy(max_attempts=3, backoff_base=0.0, jitter=0.0),
+        mechanism=mechanism,
     )
     assert disturbed == undisturbed
 
@@ -412,13 +391,11 @@ def test_disclosure_parity_under_worker_crash_recovery(tmp_path):
     from repro.execution import ProcessExecutor
     from repro.execution.faults import FaultPlan, KillWorkerFault
 
-    undisturbed = _comparable(_executor_release("serial"))
-    disturbed = _comparable(
-        _chaos_release(
-            ProcessExecutor(max_workers=2),
-            FaultPlan({1: (KillWorkerFault(attempts=(1,)),)}),
-            tmp_path,
-        )
+    undisturbed = _executor_releases("serial")
+    disturbed = _chaos_releases(
+        ProcessExecutor(max_workers=2),
+        FaultPlan({1: (KillWorkerFault(attempts=(1,)),)}),
+        tmp_path,
     )
     assert disturbed == undisturbed
 

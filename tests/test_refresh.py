@@ -243,19 +243,23 @@ class TestRefreshProvenance:
         result = discloser.refresh(loaded, mutated, hierarchy=hierarchy)
         assert result.affected_levels == []
 
-    def test_release_stored_with_retired_engine_setting_refreshes(
-        self, mutated, config, tmp_path
-    ):
-        """Older versions recorded ``"engine"`` in the stored config; such a
-        release still loads, rebuilds its config and refreshes exactly like a
-        current one."""
+    @pytest.mark.parametrize(
+        "retired",
+        [{"engine": "reference"}, {"executor": "process", "max_workers": 4}],
+        ids=["engine", "executor"],
+    )
+    def test_release_with_retired_settings_refreshes(self, mutated, config, tmp_path, retired):
+        """Older versions recorded ``"engine"`` (and later the per-level
+        ``"executor"`` pool and its ``"max_workers"``) in the stored config;
+        such a release still loads, rebuilds its config and refreshes exactly
+        like a current one."""
         discloser = MultiLevelDiscloser(config=config, rng=5)
         hierarchy = discloser.build_hierarchy(mutated)
         release = discloser.disclose(mutated, hierarchy=hierarchy)
-        release.config["engine"] = "reference"
+        release.config.update(retired)
         store = ReleaseStore(tmp_path / "store.db")
         loaded = store.load(store.save(release, key="old"))
-        assert loaded.config["engine"] == "reference"
+        assert {key: loaded.config[key] for key in retired} == retired
 
         restored = DisclosureConfig.from_dict(loaded.config)
         assert restored.to_dict() == config.to_dict()
@@ -267,6 +271,7 @@ class TestRefreshProvenance:
         assert result.affected_levels
 
         expected = MultiLevelDiscloser(config=config, rng=5).disclose(mutated, hierarchy=hierarchy)
+        assert result.release.levels() == expected.levels()
         assert release_payload(result.release) == release_payload(expected)
 
 
