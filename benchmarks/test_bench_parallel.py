@@ -45,10 +45,9 @@ def _timed_run(executor: str) -> Dict:
         num_trials=NUM_TRIALS,
         scale=BENCH_SCALE,
         seed=BENCH_SEED,
-        executor=executor,
     )
     start = time.perf_counter()
-    result = run_figure1_trials(config=config)
+    result = run_figure1_trials(config=config, executor=executor)
     return {"seconds": time.perf_counter() - start, "result": result}
 
 

@@ -18,7 +18,7 @@ from one compiled view.
 Two orchestration features of the staged pipeline are demonstrated at the
 end:
 
-* ``run_figure1_trials(config=Figure1Config(executor="process"))`` fans
+* ``run_figure1_trials(config=Figure1Config(), executor="process")`` fans
   independent full-pipeline trials out across cores (a single disclosure
   runs in-process; ``"serial"``/``"thread"``/``"process"`` trials are
   bit-identical for the same seed);
@@ -31,7 +31,6 @@ Run with ``python examples/quickstart.py [num_authors]``.
 
 from __future__ import annotations
 
-import dataclasses
 import sys
 import tempfile
 from pathlib import Path
@@ -100,9 +99,7 @@ def main(num_authors: int = 2_000) -> None:
     # matches the serial one exactly, only the wall clock changes.
     trials = Figure1Config(num_levels=4, num_trials=4, seed=42)
     serial_trials = run_figure1_trials(graph=graph, config=trials)
-    parallel_trials = run_figure1_trials(
-        graph=graph, config=dataclasses.replace(trials, executor="process")
-    )
+    parallel_trials = run_figure1_trials(graph=graph, config=trials, executor="process")
     print()
     print(
         f"Process-parallel Figure-1 trials, {parallel_trials.information_level_name(0)} "

@@ -58,7 +58,7 @@ three executors produce **bit-identical** results.
 >>> config = DisclosureConfig(epsilon_g=0.5)
 >>> release = MultiLevelDiscloser(config, rng=1).disclose(graph)
 
-For example, ``run_figure1_trials(config=Figure1Config(executor="process"))``
+For example, ``run_figure1_trials(config=Figure1Config(), executor="process")``
 distributes the 25-trial Figure-1 Monte-Carlo over all cores
 (``benchmarks/results/parallel.json`` records the measured speedup).
 

@@ -10,12 +10,10 @@ useful syntactic point of comparison: zero noise error, but only a
 syntactic (k-anonymity-style) protection rather than a differential-privacy
 guarantee.
 
-Orchestration runs on the shared :class:`~repro.core.pipeline.DisclosurePipeline`
-framework with baseline-specific stages: :class:`SafeGroupStage` groups the
-two sides (each side draws its insertion order from its own derived stream,
-so neither side's grouping depends on the other's), :class:`PairCountStage`
-tabulates the group-pair counts, and :class:`SafeAssembleStage` packages the
-release.
+:meth:`SafeGroupingDiscloser.disclose` groups the two sides (each side
+draws its insertion order from its own derived stream, so neither side's
+grouping depends on the other's), tabulates the group-pair counts and
+packages the release.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.pipeline import DisclosurePipeline, PipelineContext, PipelineStage
 from repro.exceptions import GroupingError
 from repro.graphs.bipartite import BipartiteGraph, Side
 from repro.grouping.partition import Group, Partition
@@ -130,60 +127,6 @@ def _group_side(
     )
 
 
-class SafeGroupStage(PipelineStage):
-    """Group both sides, left then right."""
-
-    name = "safe-group"
-
-    def __init__(self, k: int, max_attempts: int):
-        self.k = k
-        self.max_attempts = max_attempts
-
-    def run(self, context: PipelineContext) -> None:
-        for side, key in ((Side.LEFT, "left_partition"), (Side.RIGHT, "right_partition")):
-            context.extras[key] = _group_side(
-                side, context.graph, self.k, self.max_attempts, context.noise_seed
-            )
-
-
-class PairCountStage(PipelineStage):
-    """Tabulate the exact group-pair association counts."""
-
-    name = "pair-count"
-
-    def run(self, context: PipelineContext) -> None:
-        graph = context.graph
-        left_partition: Partition = context.extras["left_partition"]
-        right_partition: Partition = context.extras["right_partition"]
-        # One bincount over the compiled edge arrays.
-        matrix = graph.arrays().cross_group_matrix(left_partition, right_partition)
-        left_ids = left_partition.group_ids()
-        right_ids = right_partition.group_ids()
-        nonzero = matrix.nonzero()
-        context.extras["group_pair_counts"] = {
-            (left_ids[i], right_ids[j]): int(value)
-            for i, j, value in zip(*nonzero, matrix[nonzero])
-        }
-
-
-class SafeAssembleStage(PipelineStage):
-    """Package partitions and counts into a :class:`SafeGroupingRelease`."""
-
-    name = "safe-assemble"
-
-    def __init__(self, k: int):
-        self.k = k
-
-    def run(self, context: PipelineContext) -> None:
-        context.extras["safe_release"] = SafeGroupingRelease(
-            dataset_name=context.graph.name,
-            left_partition=context.extras["left_partition"],
-            right_partition=context.extras["right_partition"],
-            group_pair_counts=context.extras["group_pair_counts"],
-            k=self.k,
-        )
-
-
 class SafeGroupingDiscloser:
     """Greedy safe-grouping of both sides followed by exact count publication.
 
@@ -216,15 +159,25 @@ class SafeGroupingDiscloser:
         if graph.num_nodes() == 0:
             raise GroupingError("cannot safe-group an empty graph")
         seed = self._seeds.next()
-        pipeline = DisclosurePipeline(
-            [
-                SafeGroupStage(self.k, self.max_attempts),
-                PairCountStage(),
-                SafeAssembleStage(self.k),
-            ]
+        left, right = (
+            _group_side(side, graph, self.k, self.max_attempts, seed)
+            for side in (Side.LEFT, Side.RIGHT)
         )
-        context = PipelineContext(graph=graph, noise_seed=seed)
-        return pipeline.run(context).extras["safe_release"]
+        # One bincount over the compiled edge arrays.
+        matrix = graph.arrays().cross_group_matrix(left, right)
+        left_ids = left.group_ids()
+        right_ids = right.group_ids()
+        nonzero = matrix.nonzero()
+        return SafeGroupingRelease(
+            dataset_name=graph.name,
+            left_partition=left,
+            right_partition=right,
+            group_pair_counts={
+                (left_ids[i], right_ids[j]): int(value)
+                for i, j, value in zip(*nonzero, matrix[nonzero])
+            },
+            k=self.k,
+        )
 
     @staticmethod
     def safety_violations(graph: BipartiteGraph, release: SafeGroupingRelease) -> int:

@@ -65,6 +65,7 @@ from repro.core.catalog import (
 from repro.core.config import DisclosureConfig
 from repro.core.discloser import MultiLevelDiscloser
 from repro.core.certificate import verify_release
+from repro.core.refresh import publish_refresh
 from repro.core.store import ReleaseStore
 from repro.exceptions import (
     EvaluationError,
@@ -147,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor",
         choices=list(EXECUTOR_NAMES),
         default="serial",
-        help="executor for the trial fan-out (use 'process' with --per-trial)",
+        help="executor for the trial fan-out (requires --per-trial)",
     )
     figure1.add_argument("--output", type=Path, help="optional JSON file for the result")
 
@@ -379,17 +380,19 @@ def _cmd_disclose(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure1(args: argparse.Namespace) -> int:
+    if args.executor != "serial" and not args.per_trial:
+        print("figure1: --executor fans out trials only with --per-trial", file=sys.stderr)
+        return 2
     config = Figure1Config(
         num_levels=args.levels,
         num_trials=args.trials,
         scale=args.scale,
         seed=args.seed,
-        executor=args.executor,
     )
     if args.analytic:
         result = run_figure1_analytic(config=config)
     elif args.per_trial:
-        result = run_figure1_trials(config=config)
+        result = run_figure1_trials(config=config, executor=args.executor)
     else:
         result = run_figure1(config=config)
     print(result.format_table())
@@ -536,27 +539,20 @@ def _cmd_refresh(args: argparse.Namespace) -> int:
         revision = max(revision, int(stored_revision) + 1)
 
     discloser = MultiLevelDiscloser(config=config, rng=args.seed)
-    archive_key = f"{args.key}-r{revision}"
-    holder = {}
-
-    def builder():
-        holder["result"] = discloser.refresh(release, graph, revision=revision)
-        return holder["result"].release
-
-    stored, created = store.get_or_create(archive_key, builder)
-    if created:
-        result = holder["result"]
+    result = publish_refresh(
+        store, args.key, revision, lambda: discloser.refresh(release, graph, revision=revision)
+    )
+    if result.reused_from_store:
+        print(f"revision {revision} already refreshed; reusing {result.store_key!r} (zero spend)")
+    else:
         print(
             f"refreshed {args.key!r}: re-perturbed level(s) "
             f"{result.affected_levels or 'none'}, reused {result.reused_levels or 'none'} "
             f"byte-for-byte (epsilon spent: {result.cost.epsilon:g})"
         )
-    else:
-        print(f"revision {revision} already refreshed; reusing {archive_key!r} (zero spend)")
-    store.save(stored, key=args.key)
-    print(f"archived as {archive_key!r} and republished {args.key!r} (staleness cleared)")
+    print(f"archived as {result.store_key!r} and republished {args.key!r} (staleness cleared)")
     if args.output is not None:
-        to_json_file(stored.to_dict(), args.output)
+        to_json_file(result.release.to_dict(), args.output)
         print(f"wrote {args.output}")
     return 0
 

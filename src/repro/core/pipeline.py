@@ -6,15 +6,22 @@ The paper's two-phase procedure decomposes into five explicit stages:
    caller supplied one;
 2. :class:`CompileStage` — compile the graph's array view, resolve the
    released levels and evaluate the true workload answers once;
-3. :class:`CalibrateStage` — compute each level's sensitivity and epsilon and
+3. :class:`CalibrateStage` — compute each level's sensitivity and epsilon,
    freeze them into picklable :class:`LevelPlan` payloads, one per level,
-   each carrying its own derived noise seed;
+   each carrying its own derived noise seed, and fingerprint every plan
+   once (:func:`level_fingerprints_for`);
 4. :class:`PerturbStage` — map :func:`perturb_level` over the plans in a
    plain loop (one noise draw per level is far too little work to pay for a
    pool; every plan carries its own :class:`~numpy.random.SeedSequence`, so
    a level's noise does not depend on the order the levels run in);
 5. :class:`AssembleStage` — charge the ledger, wrap the outcomes in
    guarantees and assemble the :class:`~repro.core.release.MultiLevelRelease`.
+
+A refresh is the same run with :attr:`PipelineContext.previous` set to the
+release being refreshed: the perturb stage skips every plan whose fingerprint
+matches the previous release's, and the assemble stage reuses those levels'
+:class:`~repro.core.release.LevelRelease` objects as they are and records the
+lineage in the provenance (see :mod:`repro.core.refresh`).
 
 :class:`MultiLevelDiscloser` and the group-DP baselines all run this one
 pipeline; they differ only in which :class:`CalibrateStage` subclass resolves
@@ -119,8 +126,8 @@ class PipelineContext:
     """Mutable state threaded through the pipeline stages.
 
     Callers populate the input fields (graph, workload, hierarchy or
-    specializer, seeds); stages fill in the products, ending
-    with :attr:`release`.
+    specializer, seeds, and for a refresh the previous release); stages fill
+    in the products, ending with :attr:`release`.
     """
 
     graph: BipartiteGraph
@@ -136,6 +143,10 @@ class PipelineContext:
     strict_levels: bool = False
     config: Optional["DisclosureConfig"] = None
     release_config: Dict[str, Any] = field(default_factory=dict)
+    #: The release a refresh diffs against (``None`` for a fresh disclosure).
+    previous: Optional[MultiLevelRelease] = None
+    #: The graph revision stamped into the provenance (default: the graph's).
+    revision: Optional[int] = None
 
     # Stage products.
     arrays: Optional[GraphArrays] = None
@@ -144,10 +155,12 @@ class PipelineContext:
     sensitivities: Dict[int, float] = field(default_factory=dict)
     epsilons: Dict[int, float] = field(default_factory=dict)
     plans: List[LevelPlan] = field(default_factory=list)
+    fingerprints: Dict[str, str] = field(default_factory=dict)
+    #: Levels whose previous release is kept as it is (refresh only).
+    reused_levels: List[int] = field(default_factory=list)
     outcomes: List[LevelOutcome] = field(default_factory=list)
     specialization_cost: PrivacyCost = field(default_factory=lambda: PrivacyCost(0.0, 0.0))
     release: Optional[MultiLevelRelease] = None
-    extras: Dict[str, Any] = field(default_factory=dict)
 
     def charge(self, cost: PrivacyCost, label: str) -> None:
         """Record a privacy spend when a ledger is attached."""
@@ -229,7 +242,7 @@ class CompileStage(PipelineStage):
 
 
 class CalibrateStage(PipelineStage):
-    """Resolve per-level sensitivities/epsilons and freeze the level plans.
+    """Resolve per-level sensitivities/epsilons, freeze and fingerprint the plans.
 
     Subclasses define the calibration policy via :meth:`sensitivity_for`,
     :meth:`epsilons_for` and the released mechanism/delta/description.
@@ -284,6 +297,7 @@ class CalibrateStage(PipelineStage):
                 )
             )
         context.plans = plans
+        context.fingerprints = level_fingerprints_for(context)
 
 
 class GroupCalibrateStage(CalibrateStage):
@@ -377,27 +391,58 @@ class UniformCalibrateStage(FixedEpsilonCalibrateStage):
     name = "calibrate-uniform"
     description = "uniform noise calibrated to the coarsest level"
 
+    def run(self, context: PipelineContext) -> None:
+        if context.hierarchy is not None:
+            # Every level shares the coarsest level's sensitivity: compute it once.
+            coarsest = context.hierarchy.partition_at(max(context.levels))
+            self._worst = group_count_sensitivity(context.graph, coarsest)
+        super().run(context)
+
     def sensitivity_for(self, context: PipelineContext, level: int) -> float:
-        worst = context.extras.get("uniform_worst_sensitivity")
-        if worst is None:
-            coarsest = max(context.levels)
-            worst = group_count_sensitivity(
-                context.graph, context.hierarchy.partition_at(coarsest)
-            )
-            context.extras["uniform_worst_sensitivity"] = worst
-        return worst
+        return self._worst
+
+
+def unchanged_levels(context: PipelineContext) -> List[int]:
+    """Planned levels whose previous release can be kept as it is, ascending.
+
+    A level qualifies when the previous release has it and its stored
+    fingerprint equals the plan's.  A previous release without fingerprints
+    qualifies no level; one stored without a ``fingerprint_version`` carries
+    :func:`legacy_fingerprint_partition` digests and is compared against
+    legacy fingerprints.  Empty for a fresh disclosure.
+    """
+    previous = context.previous
+    if previous is None:
+        return []
+    stored = previous.provenance.get("level_fingerprints", {})
+    current = context.fingerprints
+    if stored and "fingerprint_version" not in previous.provenance:
+        current = level_fingerprints_for(context, legacy=True)
+    return sorted(
+        plan.level
+        for plan in context.plans
+        if plan.level in previous.level_releases
+        and stored.get(str(plan.level)) == current[str(plan.level)]
+    )
 
 
 class PerturbStage(PipelineStage):
-    """Phase 2 proper: perturb every planned level, in plan order."""
+    """Phase 2 proper: perturb the planned levels, in plan order.
+
+    A refresh perturbs only the levels :func:`unchanged_levels` does not name;
+    those are recorded in :attr:`PipelineContext.reused_levels`.
+    """
 
     name = "perturb"
 
     def run(self, context: PipelineContext) -> None:
         if context.true_answers is None:
             raise DisclosureError("perturbation requires evaluated true answers")
+        context.reused_levels = unchanged_levels(context)
         context.outcomes = [
-            perturb_level(plan, context.true_answers) for plan in context.plans
+            perturb_level(plan, context.true_answers)
+            for plan in context.plans
+            if plan.level not in context.reused_levels
         ]
 
 
@@ -431,13 +476,21 @@ def level_fingerprints_for(context: PipelineContext, legacy: bool = False) -> Di
 
 
 class AssembleStage(PipelineStage):
-    """Charge the ledger, stamp provenance and assemble the release."""
+    """Charge the ledger, stamp provenance and assemble the release.
+
+    Reused levels (a refresh) keep the previous release's
+    :class:`~repro.core.release.LevelRelease` objects and charge nothing; the
+    provenance then also records the lineage: the revision refreshed from,
+    the affected and reused levels, and the previous ``noise_draw``.
+    """
 
     name = "assemble"
 
     def run(self, context: PipelineContext) -> None:
+        plans = {plan.level: plan for plan in context.plans}
         level_releases: Dict[int, LevelRelease] = {}
-        for plan, outcome in zip(context.plans, context.outcomes):
+        for outcome in context.outcomes:
+            plan = plans[outcome.level]
             context.charge(outcome.cost, f"noise-injection-level-{plan.level}")
             guarantee = GroupPrivacyGuarantee(
                 epsilon=outcome.cost.epsilon,
@@ -456,6 +509,22 @@ class AssembleStage(PipelineStage):
                 noise_scale=outcome.noise_scale,
                 sensitivity=plan.sensitivity,
             )
+        provenance = {
+            "graph_revision": (
+                int(context.revision) if context.revision is not None else context.graph.revision
+            ),
+            "level_fingerprints": context.fingerprints,
+            "fingerprint_version": FINGERPRINT_VERSION,
+        }
+        previous = context.previous
+        if previous is not None:
+            for level in context.reused_levels:
+                level_releases[level] = previous.level_releases[level]
+            provenance["refreshed_from_revision"] = previous.provenance.get("graph_revision")
+            provenance["affected_levels"] = sorted(outcome.level for outcome in context.outcomes)
+            provenance["reused_levels"] = list(context.reused_levels)
+            if "noise_draw" in previous.provenance:
+                provenance["noise_draw"] = previous.provenance["noise_draw"]
         context.release = MultiLevelRelease(
             dataset_name=context.graph.name,
             level_releases=level_releases,
@@ -464,11 +533,7 @@ class AssembleStage(PipelineStage):
             else [],
             specialization_cost=context.specialization_cost,
             config=dict(context.release_config),
-            provenance={
-                "graph_revision": context.graph.revision,
-                "level_fingerprints": level_fingerprints_for(context),
-                "fingerprint_version": FINGERPRINT_VERSION,
-            },
+            provenance=provenance,
         )
 
 
@@ -514,10 +579,6 @@ class DisclosurePipeline:
             ]
         )
 
-    def stage_names(self) -> List[str]:
-        """Names of the stages, in execution order."""
-        return [stage.name for stage in self.stages]
-
     def run(self, context: PipelineContext) -> PipelineContext:
         """Execute every stage in order and return the (mutated) context."""
         if context.graph.num_nodes() == 0:
@@ -527,4 +588,4 @@ class DisclosurePipeline:
         return context
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"DisclosurePipeline(stages={self.stage_names()})"
+        return f"DisclosurePipeline(stages={[stage.name for stage in self.stages]})"

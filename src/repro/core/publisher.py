@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.accounting.budget import BudgetLedger, PrivacyBudget
 from repro.core.access import AccessPolicy
 from repro.core.config import DisclosureConfig
 from repro.core.discloser import MultiLevelDiscloser
-from repro.core.refresh import RefreshResult
+from repro.core.refresh import RefreshResult, publish_refresh
 from repro.core.release import LevelRelease, MultiLevelRelease
 from repro.core.store import ReleaseStore
 from repro.exceptions import BudgetExceededError, DisclosureError, ValidationError
@@ -75,10 +75,10 @@ class GraphPublisher:
         self._rng = derive_rng(rng, "graph-publisher")
         self._hierarchy: Optional[GroupHierarchy] = None
         self._releases: List[MultiLevelRelease] = []
-        # Per-release refresh material: the discloser that produced each
-        # release (its frozen noise-seed stream is what lets a refresh
-        # re-perturb affected levels with the original streams).
-        self._release_records: List[dict] = []
+        # Each release with the discloser that produced it (its frozen
+        # noise-seed stream is what lets a refresh re-perturb affected
+        # levels with the original streams).
+        self._release_records: List[Tuple[MultiLevelRelease, MultiLevelDiscloser]] = []
         self._release_counter = 0
 
     # ------------------------------------------------------------------
@@ -163,9 +163,7 @@ class GraphPublisher:
         release = discloser.disclose(self.graph, hierarchy=self._hierarchy)
         self.ledger.charge(cost, label=label or f"release-{self._release_counter}")
         self._releases.append(release)
-        self._release_records.append(
-            {"release": release, "discloser": discloser, "config": config}
-        )
+        self._release_records.append((release, discloser))
         return release
 
     def refresh(
@@ -193,13 +191,13 @@ class GraphPublisher:
             is what makes the refreshed release bit-identical to disclosing
             the mutated graph from scratch under the same seed.
         store:
-            When given, the refreshed release is persisted twice: once under
-            a revision-qualified archive key (``<key>-r<revision>``, routed
-            through :meth:`ReleaseStore.get_or_create` so refreshing the
-            same revision twice reuses the stored artefact and spends
-            nothing), and once under ``key`` itself — the live alias the
-            serving layer watches, whose fingerprint change clears staleness
-            and invalidates response caches.
+            When given, the refreshed release is persisted by
+            :func:`~repro.core.refresh.publish_refresh`: once under a
+            revision-qualified archive key (``<key>-r<revision>``, so
+            refreshing the same revision twice reuses the stored artefact
+            and spends nothing), and once under ``key`` itself — the live
+            alias the serving layer watches, whose fingerprint change clears
+            staleness and invalidates response caches.
         key:
             Base store key (required with ``store``).
         label:
@@ -208,12 +206,12 @@ class GraphPublisher:
         if release is None:
             if not self._release_records:
                 raise DisclosureError("nothing to refresh: no release was produced yet")
-            record = self._release_records[-1]
+            release, discloser = self._release_records[-1]
         else:
-            record = next(
-                (rec for rec in self._release_records if rec["release"] is release), None
+            discloser = next(
+                (owner for produced, owner in self._release_records if produced is release), None
             )
-            if record is None:
+            if discloser is None:
                 raise ValidationError(
                     "refresh requires a release produced by this publisher "
                     "(its noise-seed material is needed to reproduce the levels)"
@@ -225,12 +223,9 @@ class GraphPublisher:
 
         self._release_counter += 1
         spend_label = label or f"refresh-{self._release_counter}"
-        discloser: MultiLevelDiscloser = record["discloser"]
 
         def run_refresh() -> RefreshResult:
-            result = discloser.refresh(
-                record["release"], self.graph, hierarchy=self._hierarchy
-            )
+            result = discloser.refresh(release, self.graph, hierarchy=self._hierarchy)
             if not self.ledger.can_spend(result.cost):
                 raise BudgetExceededError(result.cost.to_dict(), self._remaining_dict())
             self.ledger.charge(result.cost, label=spend_label)
@@ -238,35 +233,10 @@ class GraphPublisher:
 
         if store is None:
             result = run_refresh()
-            self._releases.append(result.release)
-            return result
-
-        archive_key = f"{key}-r{self.graph.revision}"
-        holder: Dict[str, RefreshResult] = {}
-
-        def builder() -> MultiLevelRelease:
-            holder["result"] = run_refresh()
-            return holder["result"].release
-
-        stored, created = store.get_or_create(archive_key, builder)
-        if created:
-            result = holder["result"]
-            result.release = stored
-            self._releases.append(stored)
         else:
-            # This revision was already refreshed (possibly by another
-            # process): reuse the stored artefact, spend nothing.
-            provenance = stored.provenance
-            result = RefreshResult(
-                release=stored,
-                affected_levels=list(provenance.get("affected_levels", [])),
-                reused_levels=list(provenance.get("reused_levels", [])),
-                reused_from_store=True,
-            )
-        # Republish the live alias so serving sees the refresh (fingerprint
-        # change -> response-cache invalidation, staleness cleared).
-        store.save(result.release, key=key)
-        result.store_key = archive_key
+            result = publish_refresh(store, key, self.graph.revision, run_refresh)
+        if not result.reused_from_store:
+            self._releases.append(result.release)
         return result
 
     def releases(self) -> List[MultiLevelRelease]:

@@ -2,19 +2,31 @@
 
 A full re-disclosure after every graph mutation re-perturbs — and re-spends
 privacy budget on — every level, even when one edge changed inside one
-group.  :func:`refresh_release` instead re-runs only the *cheap* pipeline
-stages (compile + calibrate) on the mutated graph, fingerprints every level
-(:func:`repro.core.common.fingerprint_level`), and diffs the fingerprints
-against the ones stamped into the existing release's provenance:
+group.  :func:`refresh_release` instead runs the disclosure pipeline once
+more, without specialization, on a context that carries the existing
+release (:attr:`~repro.core.pipeline.PipelineContext.previous`).  The
+calibrate stage fingerprints every level once
+(:func:`repro.core.common.fingerprint_level`), and the fingerprints are
+diffed against the ones stamped into the existing release's provenance:
 
-* **Unaffected levels** — fingerprint unchanged — keep their stored
-  :class:`~repro.core.release.LevelRelease` byte-for-byte.  No noise is
-  drawn and **zero** new privacy budget is spent on them.
-* **Affected levels** are re-perturbed by the normal
-  :class:`~repro.core.pipeline.PerturbStage` under the *original*
-  disclosure's noise-seed material, so the refreshed release is bit-identical
-  to what a from-scratch disclosure of the mutated graph under the same seed
-  would have produced (``tests/test_refresh.py`` proves this).
+* **Unaffected levels** — fingerprint unchanged — are skipped by the
+  :class:`~repro.core.pipeline.PerturbStage`, and the
+  :class:`~repro.core.pipeline.AssembleStage` keeps their stored
+  :class:`~repro.core.release.LevelRelease` objects as they are.  No noise
+  is drawn and **zero** new privacy budget is spent on them.
+* **Affected levels** are re-perturbed under the *original* disclosure's
+  noise-seed material, so the refreshed release is bit-identical to what a
+  from-scratch disclosure of the mutated graph under the same seed would
+  have produced (``tests/test_refresh.py`` proves this).
+
+The assemble stage also writes the lineage into the provenance
+(``refreshed_from_revision``, ``affected_levels``, ``reused_levels`` and the
+carried ``noise_draw``), and :class:`RefreshResult` is read off the finished
+context.  :func:`publish_refresh` is the one way a refresh reaches a
+:class:`~repro.core.store.ReleaseStore`: it archives the release under
+``<key>-r<revision>`` and republishes ``<key>``, for
+:meth:`~repro.core.publisher.GraphPublisher.refresh` and ``repro refresh``
+alike.
 
 The fingerprint captures everything that determines a level's output given
 its seed (true answers, sensitivity, epsilon, mechanism, delta, partition
@@ -25,28 +37,28 @@ when recomputing it would have reproduced the stored bytes anyway.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.accounting.budget import BudgetLedger
-from repro.core.common import FINGERPRINT_VERSION, WorkloadLike, normalise_workload
+from repro.core.common import WorkloadLike, normalise_workload
 from repro.core.pipeline import (
     AssembleStage,
     CompileStage,
+    DisclosurePipeline,
     GroupCalibrateStage,
     PerturbStage,
     PipelineContext,
-    level_fingerprints_for,
 )
 from repro.core.release import MultiLevelRelease
-from repro.exceptions import DisclosureError
 from repro.graphs.bipartite import BipartiteGraph
 from repro.grouping.hierarchy import GroupHierarchy
 from repro.mechanisms.base import PrivacyCost
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import DisclosureConfig
+    from repro.core.store import ReleaseStore
 
 
 @dataclass
@@ -55,8 +67,8 @@ class RefreshResult:
 
     ``cost`` is the worst per-affected-level spend — ``PrivacyCost(0, 0)``
     when every level was reused.  ``store_key`` / ``reused_from_store`` are
-    filled in by :meth:`~repro.core.publisher.GraphPublisher.refresh` when
-    the refresh routes through a :class:`~repro.core.store.ReleaseStore`.
+    filled in by :func:`publish_refresh` when the refresh routes through a
+    :class:`~repro.core.store.ReleaseStore`.
     """
 
     release: MultiLevelRelease
@@ -110,67 +122,66 @@ def refresh_release(
         Overrides the graph revision recorded in the new provenance (the CLI
         uses this to keep file-loaded revisions monotonic per refresh).
     """
-    if graph.num_nodes() == 0:
-        raise DisclosureError("cannot refresh against an empty graph")
-    workload = normalise_workload(workload)
     context = PipelineContext(
         graph=graph,
-        workload=workload,
+        workload=normalise_workload(workload),
         hierarchy=hierarchy,
         ledger=ledger,
         noise_seed=noise_seed,
         requested_levels=config.resolved_release_levels(),
         config=config,
         release_config=config.to_dict(),
+        previous=release,
+        revision=revision,
+        # Specialization is not re-run: its cost carries over.
+        specialization_cost=release.specialization_cost,
     )
-    # Cheap stages only: evaluate answers and calibrate every level ...
-    CompileStage().run(context)
-    GroupCalibrateStage().run(context)
-    fingerprints = level_fingerprints_for(context)
-
-    # ... then re-perturb only the levels whose fingerprints moved.  A release
-    # stored without a fingerprint version carries legacy partition digests.
-    old_fingerprints: Dict[str, str] = dict(release.provenance.get("level_fingerprints", {}))
-    comparable = fingerprints
-    if old_fingerprints and "fingerprint_version" not in release.provenance:
-        comparable = level_fingerprints_for(context, legacy=True)
-    affected = [
-        plan
-        for plan in context.plans
-        if plan.level not in release.level_releases
-        or old_fingerprints.get(str(plan.level)) != comparable[str(plan.level)]
-    ]
-    affected_levels = sorted(plan.level for plan in affected)
-    reused_levels = sorted(level for level in context.levels if level not in affected_levels)
-
-    context.plans = affected
-    PerturbStage().run(context)
-
-    # Assemble charges the ledger per (affected) outcome; specialization was
-    # not re-run, so its cost carries over from the original release.
-    context.specialization_cost = release.specialization_cost
-    AssembleStage().run(context)
-    refreshed = context.release
-    for level in reused_levels:
-        refreshed.level_releases[level] = release.level_releases[level]
-
-    cost = PrivacyCost(
-        max((outcome.cost.epsilon for outcome in context.outcomes), default=0.0),
-        max((outcome.cost.delta for outcome in context.outcomes), default=0.0),
-    )
-    refreshed.provenance = {
-        "graph_revision": int(revision) if revision is not None else graph.revision,
-        "level_fingerprints": fingerprints,
-        "fingerprint_version": FINGERPRINT_VERSION,
-        "refreshed_from_revision": release.provenance.get("graph_revision"),
-        "affected_levels": affected_levels,
-        "reused_levels": reused_levels,
-    }
-    if "noise_draw" in release.provenance:
-        refreshed.provenance["noise_draw"] = release.provenance["noise_draw"]
+    DisclosurePipeline(
+        [CompileStage(), GroupCalibrateStage(), PerturbStage(), AssembleStage()]
+    ).run(context)
+    provenance = context.release.provenance
     return RefreshResult(
-        release=refreshed,
-        affected_levels=affected_levels,
-        reused_levels=reused_levels,
-        cost=cost,
+        release=context.release,
+        affected_levels=provenance["affected_levels"],
+        reused_levels=provenance["reused_levels"],
+        cost=PrivacyCost(
+            max((outcome.cost.epsilon for outcome in context.outcomes), default=0.0),
+            max((outcome.cost.delta for outcome in context.outcomes), default=0.0),
+        ),
     )
+
+
+def publish_refresh(
+    store: "ReleaseStore", key: str, revision: int, refresh: Callable[[], RefreshResult]
+) -> RefreshResult:
+    """Archive a refresh under ``<key>-r<revision>`` and republish ``key``.
+
+    The archive goes through :meth:`~repro.core.store.ReleaseStore.get_or_create`,
+    so ``refresh`` runs only when the revision is not archived yet.  A
+    revision already archived (by this or another process) is reused as
+    stored: nothing runs, nothing is spent, and the result carries
+    ``reused_from_store=True`` with the archived lineage.  Either way the
+    archived release is saved again under ``key``, the live alias the
+    serving layer watches.
+    """
+    archive_key = f"{key}-r{revision}"
+    holder: Dict[str, RefreshResult] = {}
+
+    def builder() -> MultiLevelRelease:
+        holder["result"] = refresh()
+        return holder["result"].release
+
+    stored, created = store.get_or_create(archive_key, builder)
+    if created:
+        result = holder["result"]
+    else:
+        provenance = stored.provenance
+        result = RefreshResult(
+            release=stored,
+            affected_levels=list(provenance.get("affected_levels", [])),
+            reused_levels=list(provenance.get("reused_levels", [])),
+            reused_from_store=True,
+        )
+    store.save(stored, key=key)
+    result.store_key = archive_key
+    return result

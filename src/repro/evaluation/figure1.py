@@ -29,7 +29,7 @@ from repro.core.release import MultiLevelRelease
 from repro.datasets.registry import load_dataset
 from repro.evaluation.metrics import expected_rer_gaussian, expected_rer_laplace
 from repro.exceptions import EvaluationError
-from repro.execution import ExecutorSpec, check_executor_name, executor_name, executor_scope
+from repro.execution import ExecutorSpec, executor_scope
 from repro.graphs.bipartite import BipartiteGraph
 from repro.grouping.hierarchy import GroupHierarchy
 from repro.grouping.specialization import SpecializationConfig, Specializer
@@ -48,11 +48,9 @@ PAPER_TEXT_EPSILON: float = 0.999
 class Figure1Config:
     """Parameters of a Figure 1 reproduction run.
 
-    ``executor`` and ``max_workers`` pick where :func:`run_figure1_trials`
-    runs its independent full-pipeline trials (``"serial"``, ``"thread"`` or
-    ``"process"``, bit-identical in every case).  :func:`run_figure1` and
-    :func:`run_figure1_analytic` are a few array operations per epsilon and
-    always run in-process; they only record the fields.
+    Where the trials run is not a parameter of the figure: only
+    :func:`run_figure1_trials` fans out, and it takes its executor as an
+    argument.
     """
 
     epsilons: Tuple[float, ...] = PAPER_EPSILONS
@@ -64,23 +62,13 @@ class Figure1Config:
     scale: str = "small"
     specialization_epsilon: float = 1.0
     seed: int = 20170605
-    executor: str = "serial"
-    max_workers: Optional[int] = None
-
-    def __post_init__(self):
-        check_executor_name(self.executor)
 
     def release_levels(self) -> List[int]:
         """The information levels plotted in the figure: ``I_{L,0} .. I_{L,L-2}``."""
         return list(range(0, self.num_levels - 1))
 
-    def to_dict(self, executor_override: ExecutorSpec = None) -> dict:
-        """JSON-serialisable representation.
-
-        ``executor_override`` records provenance when a run was handed an
-        executor directly (overriding :attr:`executor`): the resulting
-        document names the executor that actually ran.
-        """
+    def to_dict(self) -> dict:
+        """JSON-serialisable representation."""
         return {
             "epsilons": list(self.epsilons),
             "num_levels": self.num_levels,
@@ -91,12 +79,6 @@ class Figure1Config:
             "scale": self.scale,
             "specialization_epsilon": self.specialization_epsilon,
             "seed": self.seed,
-            "executor": (
-                executor_name(executor_override)
-                if executor_override is not None
-                else self.executor
-            ),
-            "max_workers": self.max_workers,
         }
 
 
@@ -349,6 +331,7 @@ def run_figure1_trials(
     graph: Optional[BipartiteGraph] = None,
     config: Optional[Figure1Config] = None,
     executor: ExecutorSpec = None,
+    max_workers: Optional[int] = None,
 ) -> Figure1Result:
     """Monte-Carlo Figure 1 over the *full* pipeline, one task per trial.
 
@@ -356,10 +339,11 @@ def run_figure1_trials(
     only samples the noise), every trial here re-runs specialization,
     sensitivity calibration and noise injection with its own derived random
     streams, then the per-level RER is averaged across trials.  Trials are
-    completely independent, so they fan out through the configured
-    :class:`~repro.execution.Executor` — ``executor="process"`` distributes
-    them across cores with bit-identical results
-    (``benchmarks/test_bench_parallel.py`` records the speedup).
+    completely independent, so they fan out through ``executor`` (an
+    :class:`~repro.execution.Executor` or its name, serial by default, with
+    ``max_workers`` workers) — ``executor="process"`` distributes them across
+    cores with bit-identical results (``benchmarks/test_bench_parallel.py``
+    records the speedup).
     """
     config = config if config is not None else Figure1Config()
     if graph is None:
@@ -369,9 +353,7 @@ def run_figure1_trials(
         raise EvaluationError("the graph has no associations; RER is undefined")
 
     task = partial(_figure1_trial, graph=graph, config=config)
-    with executor_scope(
-        executor if executor is not None else config.executor, config.max_workers
-    ) as pool:
+    with executor_scope(executor, max_workers) as pool:
         trials = pool.map(task, list(range(config.num_trials)))
     if not trials:
         raise EvaluationError("num_trials must be >= 1")
@@ -400,7 +382,7 @@ def run_figure1_trials(
         true_count=true_count,
         sensitivities=mean_sensitivities,
         num_levels=config.num_levels,
-        config=config.to_dict(executor_override=executor),
+        config=config.to_dict(),
     )
 
 

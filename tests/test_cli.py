@@ -119,6 +119,12 @@ class TestCommands:
         assert code == 0
         assert "eps_g" in capsys.readouterr().out
 
+    def test_figure1_executor_without_per_trial_is_exit_2(self, capsys):
+        code = main(["figure1", "--scale", "tiny", "--levels", "4", "--executor", "process"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "figure1: --executor fans out trials only with --per-trial\n"
+
     def test_disclose_requires_output_or_store(self, capsys):
         code = main(["disclose", "--scale", "tiny", "--levels", "3"])
         assert code == 2
@@ -264,6 +270,34 @@ class TestRefreshCommand:
         out = capsys.readouterr().out
         assert "re-perturbed level(s) none" in out
         assert "epsilon spent: 0" in out
+
+    def test_refresh_of_an_archived_revision_reuses_the_archive(self, tmp_path, capsys):
+        from repro.core.store import ReleaseStore
+
+        edges, store_path = self._publish(tmp_path)
+        store = ReleaseStore(store_path)
+        base = store.load("live")
+        with edges.open("a") as handle:
+            handle.write("brand-new-author\tbrand-new-paper\n")
+        command = [
+            "refresh", "--store", str(store_path), "--key", "live", "--input", str(edges), "--seed", "9"
+        ]
+        assert main(command) == 0
+        refreshed = store.load("live")
+        revision = refreshed.provenance["graph_revision"]
+        archive_key = f"live-r{revision}"
+        archived = store.fingerprint(archive_key)
+        capsys.readouterr()
+
+        # A second refresher that loaded `live` before the first one
+        # republished computes the same revision: restore the base and rerun.
+        store.save(base, key="live")
+        assert main(command) == 0
+        out = capsys.readouterr().out
+        assert f"revision {revision} already refreshed; reusing {archive_key!r} (zero spend)" in out
+        assert f"archived as {archive_key!r} and republished 'live'" in out
+        assert store.fingerprint(archive_key) == archived
+        assert store.load("live").to_dict() == refreshed.to_dict()
 
     def test_refresh_unknown_key_fails_cleanly(self, tmp_path, capsys):
         edges, store_path = self._publish(tmp_path)

@@ -312,27 +312,17 @@ def test_discloser_executor_parity_multi_query_workload():
     assert _executor_releases("process", queries=queries) == serial
 
 
-def test_figure1_result_records_executor_override():
-    from repro.evaluation.figure1 import Figure1Config, run_figure1_trials
+def test_figure1_config_names_no_executor():
+    """Only run_figure1_trials fans out, and it takes its executor as an
+    argument: the config has no executor to record, so no result names one."""
+    from repro.evaluation.figure1 import Figure1Config, run_figure1, run_figure1_trials
 
+    with pytest.raises(TypeError):
+        Figure1Config(executor="process")
     config = Figure1Config(num_levels=4, num_trials=2, scale="tiny", seed=3)
-    result = run_figure1_trials(config=config, executor="thread")
-    assert result.to_dict()["config"]["executor"] == "thread"
-
-
-def test_figure1_executor_parity():
-    """run_figure1 is a few array operations per epsilon and always runs
-    in-process: the executor named in its config is recorded, never used, so
-    it cannot perturb the golden regression."""
-    from dataclasses import replace
-
-    from repro.evaluation.figure1 import Figure1Config, run_figure1
-
-    config = Figure1Config(num_levels=4, num_trials=10, scale="tiny", seed=3)
-    serial = run_figure1(config=config).to_dict()
-    process = run_figure1(config=replace(config, executor="process")).to_dict()
-    assert process["series"] == serial["series"]
-    assert process["config"]["executor"] == "process"
+    trials = run_figure1_trials(config=config, executor="thread")
+    for result in (run_figure1(config=config), trials):
+        assert not {"executor", "max_workers"} & set(result.to_dict()["config"])
 
 
 def test_figure1_trials_executor_parity():

@@ -275,6 +275,31 @@ class TestRefreshProvenance:
         assert release_payload(result.release) == release_payload(expected)
 
 
+class TestSinglePass:
+    def test_full_reperturb_fingerprints_each_level_once(self, mutated, config, monkeypatch):
+        """A refresh is one pipeline run: every level is fingerprinted once,
+        over one digest of the true answers."""
+        from repro.core import pipeline
+
+        discloser = MultiLevelDiscloser(config=config, rng=3)
+        hierarchy = discloser.build_hierarchy(mutated)
+        release = discloser.disclose(mutated, hierarchy=hierarchy)
+        mutated.add_right_node("fresh-right")
+        mutated.add_association(next(iter(mutated.left_nodes())), "fresh-right")
+
+        calls = {"fingerprint_level": 0, "fingerprint_answers": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(pipeline, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, name, counted)
+        result = discloser.refresh(release, mutated, hierarchy=hierarchy)
+
+        assert result.affected_levels == release.levels()
+        assert calls == {"fingerprint_level": len(release.levels()), "fingerprint_answers": 1}
+
+
 class TestPublisherRefresh:
     @pytest.fixture
     def publisher(self, mutated, config):
