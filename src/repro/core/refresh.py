@@ -52,6 +52,7 @@ from repro.core.pipeline import (
     PipelineContext,
 )
 from repro.core.release import MultiLevelRelease
+from repro.exceptions import DisclosureError
 from repro.graphs.bipartite import BipartiteGraph
 from repro.grouping.hierarchy import GroupHierarchy
 from repro.mechanisms.base import PrivacyCost
@@ -122,6 +123,8 @@ def refresh_release(
         Overrides the graph revision recorded in the new provenance (the CLI
         uses this to keep file-loaded revisions monotonic per refresh).
     """
+    if graph.num_nodes() == 0:
+        raise DisclosureError("cannot refresh against an empty graph")
     context = PipelineContext(
         graph=graph,
         workload=normalise_workload(workload),

@@ -331,7 +331,6 @@ def run_figure1_trials(
     graph: Optional[BipartiteGraph] = None,
     config: Optional[Figure1Config] = None,
     executor: ExecutorSpec = None,
-    max_workers: Optional[int] = None,
 ) -> Figure1Result:
     """Monte-Carlo Figure 1 over the *full* pipeline, one task per trial.
 
@@ -340,9 +339,10 @@ def run_figure1_trials(
     sensitivity calibration and noise injection with its own derived random
     streams, then the per-level RER is averaged across trials.  Trials are
     completely independent, so they fan out through ``executor`` (an
-    :class:`~repro.execution.Executor` or its name, serial by default, with
-    ``max_workers`` workers) — ``executor="process"`` distributes them across
-    cores with bit-identical results (``benchmarks/test_bench_parallel.py``
+    :class:`~repro.execution.Executor` or its name, serial by default; pass
+    an instance such as ``ProcessExecutor(max_workers=4)`` to size the pool)
+    — ``executor="process"`` distributes them across cores with
+    bit-identical results (``benchmarks/test_bench_parallel.py``
     records the speedup).
     """
     config = config if config is not None else Figure1Config()
@@ -353,7 +353,7 @@ def run_figure1_trials(
         raise EvaluationError("the graph has no associations; RER is undefined")
 
     task = partial(_figure1_trial, graph=graph, config=config)
-    with executor_scope(executor, max_workers) as pool:
+    with executor_scope(executor) as pool:
         trials = pool.map(task, list(range(config.num_trials)))
     if not trials:
         raise EvaluationError("num_trials must be >= 1")

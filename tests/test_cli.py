@@ -119,11 +119,19 @@ class TestCommands:
         assert code == 0
         assert "eps_g" in capsys.readouterr().out
 
-    def test_figure1_executor_without_per_trial_is_exit_2(self, capsys):
-        code = main(["figure1", "--scale", "tiny", "--levels", "4", "--executor", "process"])
-        assert code == 2
+    @pytest.mark.parametrize("mode", [[], ["--analytic"]])
+    def test_figure1_executor_without_per_trial_is_exit_2(self, capsys, mode):
+        argv = ["figure1", "--scale", "tiny", "--levels", "4", *mode, "--executor", "process"]
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert err == "figure1: --executor fans out trials only with --per-trial\n"
+
+    def test_figure1_analytic_with_per_trial_is_exit_2(self, capsys):
+        argv = ["figure1", "--analytic", "--per-trial", "--executor", "process"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "not allowed with argument --analytic" in capsys.readouterr().err
 
     def test_disclose_requires_output_or_store(self, capsys):
         code = main(["disclose", "--scale", "tiny", "--levels", "3"])

@@ -120,6 +120,13 @@ class TestNoOpRefresh:
         with pytest.raises(DisclosureError):
             discloser.refresh(release, BipartiteGraph(), hierarchy=hierarchy)
 
+    def test_empty_graph_message_names_the_refresh(self, mutated, config):
+        discloser = MultiLevelDiscloser(config=config, rng=5)
+        hierarchy = discloser.build_hierarchy(mutated)
+        release = discloser.disclose(mutated, hierarchy=hierarchy)
+        with pytest.raises(DisclosureError, match="^cannot refresh against an empty graph$"):
+            refresh_release(release, BipartiteGraph(), hierarchy, config=config)
+
     def test_release_without_fingerprints_refreshes_every_level(self, mutated, config):
         discloser = MultiLevelDiscloser(config=config, rng=5)
         hierarchy = discloser.build_hierarchy(mutated)
