@@ -8,11 +8,11 @@ Two sections, both sweeping a fixed ``epsilon_g`` grid of small disclosures:
   **combinations/sec** for each.  The rows are asserted identical across
   executors — the determinism contract the parity suite proves per-release
   holds for whole sweeps too.
-* **scheduler overhead** — the serial sweep run bare vs run through a
-  :class:`~repro.execution.SweepScheduler` with a live
-  :class:`~repro.evaluation.snapshot.SweepSnapshot` and a progress callback.
-  The difference is the full observability tax (budget negotiation, task
-  events, aggregate reduction, progress serialisation), reported in
+* **scheduler overhead** — the serial sweep run bare vs run with a live
+  :class:`~repro.evaluation.snapshot.SweepSnapshot` and a progress callback
+  (both through a serial :class:`~repro.execution.SweepScheduler`).
+  The difference is the full observability tax (task events, snapshot
+  reduction, progress serialisation), reported in
   milliseconds and as a fraction and asserted < 30% — observation must stay
   cheap relative to disclosure work.
 
@@ -101,7 +101,7 @@ def _bench_executors() -> Dict[str, object]:
 
 
 def _bench_scheduler_overhead() -> Dict[str, object]:
-    bare_s, _ = _timed_sweep(executor="serial")
+    bare_s, _ = _timed_sweep()
     observed_s, result = _timed_sweep(
         scheduler=SweepScheduler(executor="serial", budget=POOL_WORKERS),
         snapshot=None,

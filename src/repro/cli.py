@@ -28,7 +28,8 @@ Python:
   levels are re-perturbed (unaffected levels are reused byte-for-byte at
   zero extra privacy spend); the refreshed release is archived under a
   revision-qualified key and republished at the live key, which clears the
-  serving layer's staleness verdict;
+  serving layer's staleness verdict (a refresh that changes nothing the
+  live key holds saves nothing);
 * ``repro serve``    — serve the releases in a store over a read-only HTTP
   API, resolving each caller's role through an
   :class:`~repro.core.access.AccessPolicy` (no disclosure code runs while
@@ -542,15 +543,21 @@ def _cmd_refresh(args: argparse.Namespace) -> int:
     result = publish_refresh(
         store, args.key, revision, lambda: discloser.refresh(release, graph, revision=revision)
     )
-    if result.reused_from_store:
-        print(f"revision {revision} already refreshed; reusing {result.store_key!r} (zero spend)")
-    else:
+    if result.store_key is None:
         print(
-            f"refreshed {args.key!r}: re-perturbed level(s) "
-            f"{result.affected_levels or 'none'}, reused {result.reused_levels or 'none'} "
-            f"byte-for-byte (epsilon spent: {result.cost.epsilon:g})"
+            f"refreshed {args.key!r}: re-perturbed level(s) none (epsilon spent: 0); "
+            f"{args.key!r} already holds this release, nothing archived or republished"
         )
-    print(f"archived as {result.store_key!r} and republished {args.key!r} (staleness cleared)")
+    else:
+        if result.reused_from_store:
+            print(f"revision {revision} already refreshed; reusing {result.store_key!r} (zero spend)")
+        else:
+            print(
+                f"refreshed {args.key!r}: re-perturbed level(s) "
+                f"{result.affected_levels or 'none'}, reused {result.reused_levels or 'none'} "
+                f"byte-for-byte (epsilon spent: {result.cost.epsilon:g})"
+            )
+        print(f"archived as {result.store_key!r} and republished {args.key!r} (staleness cleared)")
     if args.output is not None:
         to_json_file(result.release.to_dict(), args.output)
         print(f"wrote {args.output}")

@@ -197,7 +197,8 @@ class GraphPublisher:
             refreshing the same revision twice reuses the stored artefact
             and spends nothing), and once under ``key`` itself — the live
             alias the serving layer watches, whose fingerprint change clears
-            staleness and invalidates response caches.
+            staleness and invalidates response caches.  A refresh that moves
+            no level and whose release ``key`` already holds saves nothing.
         key:
             Base store key (required with ``store``).
         label:

@@ -24,7 +24,8 @@ The assemble stage also writes the lineage into the provenance
 carried ``noise_draw``), and :class:`RefreshResult` is read off the finished
 context.  :func:`publish_refresh` is the one way a refresh reaches a
 :class:`~repro.core.store.ReleaseStore`: it archives the release under
-``<key>-r<revision>`` and republishes ``<key>``, for
+``<key>-r<revision>`` and republishes ``<key>`` (or saves nothing when
+``<key>`` already holds the refreshed release), for
 :meth:`~repro.core.publisher.GraphPublisher.refresh` and ``repro refresh``
 alike.
 
@@ -37,7 +38,7 @@ when recomputing it would have reproduced the stored bytes anyway.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 import numpy as np
 
@@ -159,25 +160,25 @@ def publish_refresh(
 ) -> RefreshResult:
     """Archive a refresh under ``<key>-r<revision>`` and republish ``key``.
 
-    The archive goes through :meth:`~repro.core.store.ReleaseStore.get_or_create`,
-    so ``refresh`` runs only when the revision is not archived yet.  A
+    ``refresh`` runs only when the revision is not archived yet.  A
     revision already archived (by this or another process) is reused as
     stored: nothing runs, nothing is spent, and the result carries
-    ``reused_from_store=True`` with the archived lineage.  Either way the
-    archived release is saved again under ``key``, the live alias the
-    serving layer watches.
+    ``reused_from_store=True`` with the archived lineage.  A refresh that
+    re-perturbs no level and whose release ``key`` already holds (provenance
+    aside) saves nothing and comes back with ``store_key=None``: archiving
+    it would only add a copy.  Otherwise the archived release is saved
+    again under ``key``, the live alias the serving layer watches.
     """
     archive_key = f"{key}-r{revision}"
-    holder: Dict[str, RefreshResult] = {}
-
-    def builder() -> MultiLevelRelease:
-        holder["result"] = refresh()
-        return holder["result"].release
-
-    stored, created = store.get_or_create(archive_key, builder)
-    if created:
-        result = holder["result"]
+    if store.exists(archive_key):
+        stored, created = store.load(archive_key), False
     else:
+        result = refresh()
+        if not result.affected_levels and _holds(store, key, result.release):
+            return result
+        # A concurrent refresher may archive the revision first; its release wins.
+        stored, created = store.get_or_create(archive_key, lambda: result.release)
+    if not created:
         provenance = stored.provenance
         result = RefreshResult(
             release=stored,
@@ -188,3 +189,14 @@ def publish_refresh(
     store.save(stored, key=key)
     result.store_key = archive_key
     return result
+
+
+def _holds(store: "ReleaseStore", key: str, release: MultiLevelRelease) -> bool:
+    """Whether ``key`` already stores ``release``, provenance aside."""
+    if not store.exists(key):
+        return False
+    stored = store.load(key).to_dict()
+    fresh = release.to_dict()
+    stored.pop("provenance")
+    fresh.pop("provenance")
+    return stored == fresh

@@ -16,11 +16,11 @@ that guard is why rows are reused only under a journal.  A version-1
 journal, which kept per-item entries itself, is converted once: its
 ``done`` rows become ``DONE`` events, then the header is rewritten.
 
-:func:`open_run` opens journal, log and recorder for
-:meth:`~repro.evaluation.sweep.ParameterSweep.run` and
-:func:`~repro.evaluation.scalability.run_scalability`, and
-:func:`checkpointed_map` fans their items out through an executor in
-pool-width waves under the ``fail_fast`` / ``collect_errors`` policy.
+:meth:`~repro.evaluation.sweep.ParameterSweep.run` is the one journaled
+runner: :func:`open_run` opens its journal, log and recorder, and
+:func:`checkpointed_map` fans its combinations out through the
+scheduler's executor in pool-width waves under the ``fail_fast`` /
+``collect_errors`` policy.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def open_run(
     fingerprint: str,
     name: str,
     total: int,
-    plan: Optional[Dict[str, Any]] = None,
+    plan: Dict[str, Any],
 ) -> Tuple[SnapshotRecorder, bool]:
     """Open a run's journal, event log and recorder.
 
@@ -156,7 +156,7 @@ def open_run(
     elif not isinstance(snapshot, SweepSnapshot):
         snapshot = SweepSnapshot.open(snapshot, name=name, total=total, plan=plan)
     if snapshot.plan is None:
-        snapshot.plan = plan
+        snapshot.plan = dict(plan)
     recorder = SnapshotRecorder(snapshot, progress=progress)
     if journal is not None:
         journal.start(recorder)
@@ -191,7 +191,6 @@ def checkpointed_map(
     resume: bool = False,
     on_error: str = "fail_fast",
     timeout: Optional[float] = None,
-    on_result: Optional[Callable[[str, Any, Dict[str, Any]], Dict[str, Any]]] = None,
 ) -> Tuple[List[Optional[Dict[str, Any]]], List[Dict[str, Any]]]:
     """Map ``fn`` over ``items`` in recorded waves under an error policy.
 
@@ -202,10 +201,6 @@ def checkpointed_map(
     flight.  While a wave runs, the pool's ``on_retry`` hook reports
     resubmitted items to ``recorder.on_retrying``, so a crash-recovery
     resubmission shows up as ``RETRYING`` instead of a silent gap.
-
-    ``on_result(key, item, row)`` post-processes a fresh result before it is
-    recorded (e.g. persisting a release into a store) and returns the row
-    to record.
 
     Returns ``(rows, errors)`` where ``rows`` is in item order (``None`` for
     items that failed) and ``errors`` lists error details with their keys.
@@ -238,8 +233,8 @@ def checkpointed_map(
         for index, (status, payload) in zip(wave, outcomes):
             key = keys[index]
             if status == "ok":
-                rows[index] = on_result(key, items[index], payload) if on_result else payload
-                recorder.on_done(key, rows[index])
+                rows[index] = payload
+                recorder.on_done(key, payload)
             else:
                 failed.append({"key": key, **payload})
                 recorder.on_failed(key, payload)

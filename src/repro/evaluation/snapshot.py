@@ -5,8 +5,8 @@ it is.  This module turns a sweep into a *monitored job* the way ert's
 ensemble evaluator does: each task emits :class:`TaskEvent`\\ s
 (``PENDING → RUNNING → RETRYING → DONE | FAILED``) and a
 :class:`SweepSnapshot` reduces the append-only event stream into one
-consistent aggregate view — per-state counts, an ETA derived from completed
-wall times, and per-failure detail — that can be streamed to a CLI as
+consistent view — each task's latest event, per-state counts and an ETA
+derived from completed wall times — that can be streamed to a CLI as
 structured ``{"event": "sweep-progress", ...}`` lines.
 
 For a journaled run the stream lives at ``<journal>.events.jsonl`` and is
@@ -33,12 +33,9 @@ stale ``RUNNING`` (and even a recorded ``FAILED``) from the killed run, so
 the reopened snapshot converges to consistent terminal states instead of
 reporting tasks stuck mid-flight.
 
-Serialisation
--------------
-:meth:`SweepSnapshot.to_json` emits one canonical JSON line (sorted keys,
-compact separators) and :meth:`SweepSnapshot.from_json` round-trips it
-byte-identically; :meth:`SweepSnapshot.progress_line` emits the CLI's
-``sweep-progress`` line in the same canonical form.
+Every event record, and the CLI's ``sweep-progress`` line
+(:meth:`SweepSnapshot.progress_line`), is one canonical JSON line
+(:func:`canonical_line`: sorted keys, compact separators).
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import EvaluationError, ValidationError
 
@@ -177,17 +174,15 @@ class SweepSnapshot:
         Expected number of tasks (0 = unknown; :meth:`progress_line` then
         reports the observed task count).
     plan:
-        The scheduler's :meth:`~repro.execution.scheduler.BudgetPlan.to_dict`
-        record — how many workers the run negotiated under which budget —
-        stored verbatim so the plan is part of the history.
+        The :attr:`~repro.execution.scheduler.SweepScheduler.plan` record —
+        how many workers the run negotiated under which budget — stored
+        verbatim so the plan is part of the history.
     path:
         Optional append-only event-stream file (``<journal>.events.jsonl``
         for a journaled run).  Every *reducing* event is appended as one
         canonical JSON line; :meth:`open` replays the file so a killed sweep
         reopens with its full history.
     """
-
-    VERSION = 1
 
     def __init__(
         self,
@@ -308,14 +303,6 @@ class SweepSnapshot:
             counts["PENDING"] += unseen
         return counts
 
-    def failed(self) -> List[dict]:
-        """Per-failure detail, sorted by key for a deterministic view."""
-        return [
-            event.to_dict()
-            for _, event in sorted(self.tasks.items())
-            if event.state == "FAILED"
-        ]
-
     def eta_seconds(self) -> Optional[float]:
         """Projected seconds of work left: mean DONE wall time x open tasks.
 
@@ -341,54 +328,6 @@ class SweepSnapshot:
         return bool(self.tasks) and all(
             event.is_terminal() for event in self.tasks.values()
         )
-
-    def aggregate(self) -> dict:
-        """The consistent aggregate view (what a dashboard would render)."""
-        counts = self.counts()
-        return {
-            "name": self.name,
-            "total": self.total if self.total else len(self.tasks),
-            "plan": self.plan,
-            "counts": counts,
-            "eta_seconds": self.eta_seconds(),
-            "converged": self.is_converged(),
-            "failed": self.failed(),
-        }
-
-    # -- serialisation -----------------------------------------------------
-    def to_json(self) -> str:
-        """The whole snapshot as one canonical JSON line."""
-        return canonical_line(
-            {
-                "version": self.VERSION,
-                "name": self.name,
-                "total": self.total,
-                "plan": self.plan,
-                "tasks": {key: event.to_dict() for key, event in self.tasks.items()},
-            }
-        )
-
-    @classmethod
-    def from_json(cls, line: str) -> "SweepSnapshot":
-        """Rebuild a snapshot from :meth:`to_json` output (byte-exact inverse)."""
-        try:
-            payload = json.loads(line)
-            version = payload["version"]
-            tasks = payload["tasks"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise EvaluationError(f"malformed snapshot line: {exc}") from exc
-        if version != cls.VERSION:
-            raise EvaluationError(
-                f"snapshot has version {version!r}, expected {cls.VERSION}"
-            )
-        snapshot = cls(
-            name=payload.get("name", "sweep"),
-            total=payload.get("total", 0),
-            plan=payload.get("plan"),
-        )
-        for key, event in tasks.items():
-            snapshot._reduce(TaskEvent.from_dict({"key": key, **event}))
-        return snapshot
 
     def progress_line(self) -> str:
         """One structured ``sweep-progress`` line for the CLI's stderr."""
@@ -491,8 +430,8 @@ class SnapshotRecorder:
 
 
 def _row_wall_seconds(row: Mapping[str, Any]) -> Optional[float]:
-    """Wall time a result row carries, if any (sweep rows record
-    ``elapsed_seconds``; scalability rows record ``total_seconds``)."""
+    """Wall time a result row carries, if any (``record_time`` sweep rows
+    carry ``elapsed_seconds``; a runner's own ``total_seconds`` counts too)."""
     for column in ("elapsed_seconds", "total_seconds"):
         value = row.get(column)
         if isinstance(value, (int, float)):

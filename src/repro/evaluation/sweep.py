@@ -30,7 +30,7 @@ from repro.evaluation.journal import (
 )
 from repro.evaluation.snapshot import SweepSnapshot
 from repro.exceptions import EvaluationError
-from repro.execution import ExecutorSpec, executor_scope
+from repro.execution import SweepScheduler
 
 
 def combination_key(params: Mapping[str, Any]) -> str:
@@ -149,23 +149,24 @@ class ParameterSweep:
     def run(
         self,
         record_time: bool = False,
-        executor: ExecutorSpec = None,
-        max_workers: Optional[int] = None,
-        task_timeout: Optional[float] = None,
         journal: Union[None, PathLike, RunJournal] = None,
         on_error: str = "fail_fast",
-        scheduler: Optional[Any] = None,
+        scheduler: Optional[SweepScheduler] = None,
         snapshot: Union[None, PathLike, SweepSnapshot] = None,
         progress: Optional[Callable[[str], None]] = None,
     ) -> SweepResult:
         """Execute the runner for every combination and collect rows.
 
-        Combinations are independent, so they fan out through ``executor``
-        (``None``/``"serial"``, ``"thread"``, ``"process"`` or an
-        :class:`~repro.execution.Executor` instance).  Rows always come back
-        in deterministic combination order; with a process executor the
-        runner must be a picklable module-level callable and should derive
-        any random state from its own parameters.
+        Combinations are independent, so they fan out through the
+        executor of ``scheduler`` (a
+        :class:`~repro.execution.scheduler.SweepScheduler`; ``None`` means
+        a serial ``SweepScheduler()``).  The scheduler's plan — executor,
+        worker budget and worker count — is stamped into the snapshot, and
+        its ``task_timeout`` bounds each combination's wall-clock seconds
+        on the pool executors.  Rows always come back in deterministic
+        combination order; with a process executor the runner must be a
+        picklable module-level callable and should derive any random state
+        from its own parameters.
 
         Fault tolerance
         ---------------
@@ -179,37 +180,27 @@ class ParameterSweep:
         exception when unjournaled, or a checkpointing
         :class:`~repro.exceptions.SweepInterrupted` when journaled — while
         ``"collect_errors"`` records failures (see ``SweepResult.errors``)
-        and keeps going.  ``task_timeout`` bounds each combination's
-        wall-clock seconds on the pool executors.
+        and keeps going.
 
-        Orchestration
-        -------------
-        ``scheduler`` (a :class:`~repro.execution.scheduler.SweepScheduler`)
-        replaces ``executor``/``max_workers``: the sweep fans out through
-        the scheduler's budget-negotiated plan, which is also stamped into
-        the snapshot.  ``snapshot`` (a
-        :class:`~repro.evaluation.snapshot.SweepSnapshot` or a stream-file
-        path) and/or ``progress`` (a callable receiving one canonical
-        ``sweep-progress`` JSON line per wave) turn the run into a monitored
-        job; the reduced snapshot comes back on ``SweepResult.snapshot``.
-        With a journal, ``snapshot`` must be ``None`` or the journal's own
-        ``<journal>.events.jsonl``: one run keeps one log.
+        Observation
+        -----------
+        ``snapshot`` (a :class:`~repro.evaluation.snapshot.SweepSnapshot`
+        or a stream-file path) and/or ``progress`` (a callable receiving one
+        canonical ``sweep-progress`` JSON line per wave) turn the run into a
+        monitored job; the reduced snapshot comes back on
+        ``SweepResult.snapshot``.  With a journal, ``snapshot`` must be
+        ``None`` or the journal's own ``<journal>.events.jsonl``: one run
+        keeps one log.
         """
         check_error_policy(on_error)
-        if scheduler is not None and (executor is not None or max_workers is not None):
-            raise EvaluationError("pass either scheduler= or executor=/max_workers=, not both")
-        if scheduler is not None and task_timeout is None:
-            task_timeout = scheduler.task_timeout
+        if scheduler is None:
+            scheduler = SweepScheduler()
         task = partial(_run_combination, runner=self.runner, record_time=record_time)
         combinations = self.combinations()
-        if scheduler is not None:
-            scope = scheduler.scope()
-        else:
-            scope = executor_scope(executor, max_workers=max_workers)
         if journal is None and snapshot is None and progress is None and on_error == "fail_fast":
             # The historical path: the first failure propagates unwrapped.
-            with scope as pool:
-                rows = pool.map(task, combinations, timeout=task_timeout)
+            with scheduler.scope() as pool:
+                rows = pool.map(task, combinations, timeout=scheduler.task_timeout)
             return SweepResult(name=self.name, rows=rows)
         recorder, resume = open_run(
             journal,
@@ -218,12 +209,12 @@ class ParameterSweep:
             fingerprint=self.fingerprint(),
             name=self.name,
             total=len(combinations),
-            plan=scheduler.plan.to_dict() if scheduler is not None else None,
+            plan=scheduler.plan,
         )
         keys = [combination_key(params) for params in combinations]
-        with scope as pool:
+        with scheduler.scope() as pool:
             rows, errors = checkpointed_map(
-                pool, task, combinations, keys, recorder, resume, on_error, task_timeout
+                pool, task, combinations, keys, recorder, resume, on_error, scheduler.task_timeout
             )
         return SweepResult(
             name=self.name,

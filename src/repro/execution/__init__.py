@@ -8,6 +8,11 @@ whether that map runs serially, on a thread pool, or across processes — with
 bit-identical results in all three cases (see
 :mod:`repro.execution.executors` for the determinism contract).
 
+A parameter sweep takes its executor from one place: a
+:class:`SweepScheduler` (``ParameterSweep.run(scheduler=...)``), which
+checks the requested worker count against the host's slot budget and
+records the resulting plan in the sweep's snapshot.
+
 Fault tolerance lives alongside: :mod:`repro.execution.retry` retries
 transient task failures with deterministic backoff, the pool executors
 enforce per-task timeouts and rebuild broken process pools, and
@@ -36,16 +41,11 @@ from repro.execution.retry import (
     RetryingTask,
     map_with_retries,
 )
-from repro.execution.scheduler import (
-    BudgetPlan,
-    SweepScheduler,
-    WorkerBudget,
-)
+from repro.execution.scheduler import SweepScheduler
 
 __all__ = [
     "EXECUTOR_NAMES",
     "DEFAULT_RETRYABLE",
-    "BudgetPlan",
     "Executor",
     "ExecutorSpec",
     "SerialExecutor",
@@ -54,7 +54,6 @@ __all__ = [
     "ProcessExecutor",
     "RetryPolicy",
     "RetryingTask",
-    "WorkerBudget",
     "check_executor_name",
     "default_max_workers",
     "executor_name",

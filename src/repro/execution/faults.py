@@ -156,9 +156,10 @@ class FaultInjectingExecutor(Executor):
     With a ``retry_policy``, tasks retry transient injected faults in-worker
     (via :func:`map_with_retries`); worker-death faults are recovered one
     layer down by the process executor's pool rebuild.  Pass an instance
-    straight into ``run_figure1_trials(executor=...)``,
-    ``ParameterSweep.run(executor=...)`` or any harness accepting an
-    executor to chaos-test a full run.
+    straight into ``run_figure1_trials(executor=...)`` or
+    ``run_scalability(executor=...)``, or wrap it in
+    ``SweepScheduler(executor=...)`` for ``ParameterSweep.run(scheduler=...)``,
+    to chaos-test a full run.
     """
 
     def __init__(

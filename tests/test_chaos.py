@@ -22,7 +22,6 @@ from repro.core.discloser import MultiLevelDiscloser
 from repro.core.store import ReleaseStore
 from repro.datasets.dblp_like import generate_dblp_like
 from repro.evaluation.journal import RunJournal
-from repro.evaluation.scalability import run_scalability, scalability_key
 from repro.evaluation.sweep import ParameterSweep, combination_key
 from repro.exceptions import (
     EvaluationError,
@@ -35,6 +34,7 @@ from repro.execution import (
     ProcessExecutor,
     RetryPolicy,
     SerialExecutor,
+    SweepScheduler,
     ThreadExecutor,
 )
 from repro.execution.faults import (
@@ -425,7 +425,11 @@ class TestSweepOrchestrationUnderChaos:
         pool = ProcessExecutor(max_workers=4, max_pool_rebuilds=0)
         try:
             with pytest.raises(WorkerCrashError):
-                sweep.run(executor=pool, journal=journal_path, snapshot=snapshot_path)
+                sweep.run(
+                    scheduler=SweepScheduler(executor=pool, workers=4, budget=4),
+                    journal=journal_path,
+                    snapshot=snapshot_path,
+                )
         finally:
             pool.close()
 
@@ -442,7 +446,9 @@ class TestSweepOrchestrationUnderChaos:
 
         # Phase 2: resume with the same journal + snapshot stream.
         result = sweep.run(
-            executor="process", max_workers=4, journal=journal_path, snapshot=snapshot_path
+            scheduler=SweepScheduler(executor="process", workers=4, budget=4),
+            journal=journal_path,
+            snapshot=snapshot_path,
         )
         assert len(result.rows) == 100
 
@@ -466,7 +472,7 @@ class TestSweepOrchestrationUnderChaos:
         # produces byte-for-byte the same artefacts for all 100 keys.
         clean_runner = _Victim100Runner(tmp_path / "state-clean", tmp_path / "store-clean.db")
         ParameterSweep(clean_runner, {"epsilon_g": self.EPSILONS}, name="chaos-100").run(
-            executor="process", max_workers=4
+            scheduler=SweepScheduler(executor="process", workers=4, budget=4)
         )
         disturbed_store = ReleaseStore(tmp_path / "store.db")
         clean_store = ReleaseStore(tmp_path / "store-clean.db")
@@ -486,7 +492,9 @@ class TestSweepOrchestrationUnderChaos:
         snapshot_path = tmp_path / "journal.json.events.jsonl"
         try:
             result = sweep.run(
-                executor=chaos, journal=tmp_path / "journal.json", snapshot=snapshot_path
+                scheduler=SweepScheduler(executor=chaos, workers=2, budget=2),
+                journal=tmp_path / "journal.json",
+                snapshot=snapshot_path,
             )
         finally:
             chaos.close()
@@ -498,30 +506,3 @@ class TestSweepOrchestrationUnderChaos:
         stream = snapshot_path.read_text()
         assert '"state":"RETRYING"' in stream
         assert any(snap.attempt(key) >= 2 for key in snap.tasks)
-
-
-class TestScalabilityResume:
-    def test_resumed_run_reuses_rows_and_stored_releases(self, tmp_path):
-        store = ReleaseStore(tmp_path / "store.db")
-        journal_path = tmp_path / "journal.json"
-        kwargs = dict(
-            author_counts=(60, 90),
-            num_levels=3,
-            epsilon_g=0.5,
-            seed=5,
-            store=store,
-            journal=journal_path,
-        )
-        first = run_scalability(**kwargs)
-        assert len(first.rows) == 2
-        key = scalability_key(3, 0.5, 5, 60)
-        # Keys written by earlier versions must still match.
-        assert key == "scalability-vectorized-l3-eps0.5-seed5-60"
-        fingerprint = store.fingerprint(key)
-        assert fingerprint is not None
-
-        resumed = run_scalability(**kwargs)
-        # Rows come back from the journal (identical, including timings)
-        # and the stored artefacts were not rewritten.
-        assert resumed.rows == first.rows
-        assert store.fingerprint(key) == fingerprint

@@ -279,6 +279,25 @@ class TestRefreshCommand:
         assert "re-perturbed level(s) none" in out
         assert "epsilon spent: 0" in out
 
+    def test_rerun_refresh_on_unchanged_edges_stores_nothing(self, tmp_path, capsys):
+        from repro.core.store import ReleaseStore
+
+        edges, store_path = self._publish(tmp_path)
+        store = ReleaseStore(store_path)
+        keys = store.keys()
+        live = store.fingerprint("live")
+        command = [
+            "refresh", "--store", str(store_path), "--key", "live", "--input", str(edges), "--seed", "9"
+        ]
+        capsys.readouterr()
+        for _ in range(2):
+            assert main(command) == 0
+            out = capsys.readouterr().out
+            assert len(out.splitlines()) == 1, out
+            assert "nothing archived or republished" in out
+        assert store.keys() == keys
+        assert store.fingerprint("live") == live
+
     def test_refresh_of_an_archived_revision_reuses_the_archive(self, tmp_path, capsys):
         from repro.core.store import ReleaseStore
 

@@ -141,7 +141,6 @@ class TestArchitecture:
             "SweepSnapshot",
             "TaskEvent",
             "RETRYING",
-            "WorkerBudget",
             "SweepScheduler",
             "ProcessExecutor",
             "sweep-progress",

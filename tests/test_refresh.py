@@ -386,6 +386,37 @@ class TestPublisherRefresh:
         assert second.affected_levels == first.affected_levels
         assert publisher.spent().epsilon == pytest.approx(spent)
 
+    def test_store_noop_refresh_saves_nothing(self, publisher, mutated, tmp_path):
+        release = publisher.release()
+        store = ReleaseStore(tmp_path / "store.db")
+        store.save(release, key="live")
+        live = store.fingerprint("live")
+        mutated.add_right_node("unlinked-paper")  # a new revision, no level moves
+
+        result = publisher.refresh(release=release, store=store, key="live")
+        assert result.affected_levels == [] and result.store_key is None
+        assert store.keys() == ["live"]
+        assert store.fingerprint("live") == live
+
+    def test_store_refresh_back_to_the_base_republishes(self, publisher, mutated, tmp_path):
+        """A refresh that moves no level against its base release still
+        republishes when ``key`` holds a later refresh."""
+        release = publisher.release()
+        store = ReleaseStore(tmp_path / "store.db")
+        store.save(release, key="live")
+        left = next(iter(mutated.left_nodes()))
+        mutated.add_right_node("late-paper")
+        mutated.add_association(left, "late-paper")
+        publisher.refresh(release=release, store=store, key="live")
+        mutated.remove_association(left, "late-paper")  # back to the base levels
+
+        result = publisher.refresh(release=release, store=store, key="live")
+        assert result.affected_levels == []
+        assert result.store_key == f"live-r{mutated.revision}"
+        assert store.load("live").level_releases.keys() == release.level_releases.keys()
+        for level, view in release.level_releases.items():
+            assert store.load("live").level_releases[level].answers == view.answers
+
     def test_store_requires_key(self, publisher, tmp_path):
         publisher.release()
         with pytest.raises(ValidationError):

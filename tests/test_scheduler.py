@@ -1,4 +1,4 @@
-"""Worker-budget negotiation, process-pool recovery, and the sweep scheduler.
+"""Worker-budget checks, process-pool recovery, and the sweep scheduler.
 
 The budget tests lock the ``ValidationError`` message shapes (the CLI shows
 them verbatim), the recovery tests hold the process executor — the sweep's
@@ -23,12 +23,11 @@ from repro.exceptions import (
     WorkerCrashError,
 )
 from repro.execution import (
-    BudgetPlan,
     ProcessExecutor,
     SerialExecutor,
     SweepScheduler,
     ThreadExecutor,
-    WorkerBudget,
+    default_max_workers,
     executor_scope,
 )
 from repro.execution.faults import FaultInjectingExecutor, FaultPlan, KillWorkerFault
@@ -62,40 +61,40 @@ def _release_bytes(seed):
 
 
 class TestWorkerBudget:
+    """The worker budget, as :class:`SweepScheduler` checks it at construction."""
+
     def test_defaults_to_cpu_count(self):
-        assert WorkerBudget().total >= 1
+        assert SweepScheduler().plan["total"] == default_max_workers()
 
     def test_rejects_non_positive_total(self):
         with pytest.raises(ValidationError, match="worker budget must be >= 1"):
-            WorkerBudget(0)
+            SweepScheduler(budget=0)
 
     def test_resolve_accepts_int_budget_or_none(self):
-        assert WorkerBudget.resolve(3).total == 3
-        budget = WorkerBudget(2)
-        assert WorkerBudget.resolve(budget) is budget
-        assert WorkerBudget.resolve(None).total >= 1
+        assert SweepScheduler(budget=3).plan["total"] == 3
+        assert SweepScheduler(budget=None).plan["total"] >= 1
 
     def test_plan_defaults_serial_to_one_worker(self):
-        plan = WorkerBudget(4).plan()
-        assert plan == BudgetPlan(executor="serial", total=4, outer_workers=1)
+        plan = SweepScheduler(budget=4).plan
+        assert plan == {"executor": "serial", "total": 4, "outer_workers": 1}
 
     def test_plan_pool_executor_takes_the_budget_by_default(self):
-        plan = WorkerBudget(4).plan(executor="process")
-        assert plan.outer_workers == 4
+        plan = SweepScheduler(executor="process", budget=4).plan
+        assert plan["outer_workers"] == 4
 
     def test_plan_from_executor_instance_uses_its_width(self):
         pool = ThreadExecutor(max_workers=3)
         try:
-            plan = WorkerBudget(4).plan(executor=pool)
-            assert plan.executor == "thread" and plan.outer_workers == 3
+            plan = SweepScheduler(executor=pool, budget=4).plan
+            assert plan["executor"] == "thread" and plan["outer_workers"] == 3
         finally:
             pool.close()
 
     def test_workers_over_budget_is_a_clear_validation_error(self):
-        """Satellite fix: no silent oversubscription — the message names the
-        request, the budget, and both remedies."""
+        """No silent oversubscription — the message names the request, the
+        budget, and both remedies."""
         with pytest.raises(ValidationError) as excinfo:
-            WorkerBudget(2).plan(executor="process", outer_workers=5)
+            SweepScheduler(executor="process", workers=5, budget=2)
         message = str(excinfo.value)
         assert "--workers 5" in message
         assert "exceeds the worker budget of 2 slot(s)" in message
@@ -103,11 +102,11 @@ class TestWorkerBudget:
 
     def test_serial_with_workers_points_at_pool_executors(self):
         with pytest.raises(ValidationError, match="one combination at a time"):
-            WorkerBudget(4).plan(executor="serial", outer_workers=2)
+            SweepScheduler(executor="serial", workers=2, budget=4)
 
     def test_plan_dict_is_snapshot_ready(self):
-        plan = WorkerBudget(4).plan(executor="thread", outer_workers=2)
-        assert plan.to_dict() == {
+        plan = SweepScheduler(executor="thread", workers=2, budget=4).plan
+        assert plan == {
             "executor": "thread",
             "total": 4,
             "outer_workers": 2,
@@ -202,7 +201,7 @@ class TestSweepScheduler:
             SerialExecutor(), FaultPlan(), tmp_path
         )
         scheduler = SweepScheduler(executor=chaos, budget=4)
-        assert scheduler.plan.executor == "chaos-serial"
+        assert scheduler.plan["executor"] == "chaos-serial"
         with scheduler.scope() as pool:
             assert pool is chaos  # instances stay caller-owned
 
@@ -211,11 +210,13 @@ class TestSweepScheduler:
         sweep = ParameterSweep(_pure_runner, {"x": [1, 2, 3]})
         result = sweep.run(scheduler=scheduler, snapshot=None, progress=lambda line: None)
         assert result.snapshot is not None
-        assert result.snapshot.plan == scheduler.plan.to_dict()
+        assert result.snapshot.plan == scheduler.plan
         assert result.snapshot.is_converged()
         assert [row["y"] for row in result.rows] == [1, 4, 9]
 
-    def test_scheduler_and_executor_are_mutually_exclusive(self):
-        sweep = ParameterSweep(_pure_runner, {"x": [1]})
-        with pytest.raises(Exception, match="not both"):
-            sweep.run(scheduler=SweepScheduler(budget=1), executor="thread")
+    def test_unscheduled_journaled_run_records_the_serial_plan(self, tmp_path):
+        sweep = ParameterSweep(_pure_runner, {"x": [1, 2]})
+        result = sweep.run(journal=tmp_path / "journal.json")
+        assert result.snapshot.plan == SweepScheduler().plan
+        assert result.snapshot.plan["executor"] == "serial"
+        assert result.snapshot.plan["outer_workers"] == 1
