@@ -71,17 +71,11 @@ _quote: Callable[[str], str] = json.encoder.encode_basestring_ascii
 _float_repr = float.__repr__
 _int_repr = int.__repr__
 _INFINITY = float("inf")
-_FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _float_text(value: float) -> str:
-    """``json``'s spelling of a float: ``NaN``/``Infinity``, else ``repr``."""
-    text = _float_repr(value)
-    return _FLOAT_SPECIALS.get(text, text)
-
-
-def _json_float_text(value: float) -> str:
-    """``json``'s own float test, for float subclasses (their ``==`` applies)."""
+    """``json``'s spelling of a float, by its own test (so a float subclass's
+    ``==`` applies): ``NaN``/``Infinity``, else ``float.__repr__``."""
     if value != value:
         return "NaN"
     if value == _INFINITY:
@@ -96,7 +90,7 @@ def _key_text(key: Any) -> str:
     if isinstance(key, str):
         return _quote(key)
     if isinstance(key, float):
-        return _quote(_json_float_text(key))
+        return _quote(_float_text(key))
     if key is True:
         return '"true"'
     if key is False:
@@ -157,7 +151,7 @@ def _emit(value: Any, indent: str, append: Callable[[str], None]) -> None:
     elif isinstance(value, int):
         append(_int_repr(value))
     elif isinstance(value, float):
-        append(_json_float_text(value))
+        append(_float_text(value))
     else:
         # Tuples, sets, arrays, subclasses, ``to_dict`` objects: convert
         # once; the result is plain JSON types (or str/int/float subclasses,
