@@ -44,15 +44,20 @@ KEY = "golden"
 ROLE = "partner"
 
 
-def compute_golden(workdir: Path) -> dict:
-    """Every pinned value, in the JSON file's layout."""
+def golden_release():
+    """The pinned release and the graph it discloses."""
     config = DisclosureConfig(
         epsilon_g=0.8,
         mechanism="gaussian",
         specialization=SpecializationConfig(num_levels=5),
     )
     graph = generate_dblp_like(num_authors=120, seed=9)
-    release = MultiLevelDiscloser(config=config, rng=31).disclose(graph)
+    return MultiLevelDiscloser(config=config, rng=31).disclose(graph), graph
+
+
+def compute_golden(workdir: Path) -> dict:
+    """Every pinned value, in the JSON file's layout."""
+    release, graph = golden_release()
     true_answers = normalise_workload(None).evaluate_batch(graph)
 
     store = ReleaseStore(workdir / "store.db")
