@@ -1,4 +1,4 @@
-"""Persistent storage for disclosure releases (JSON structure + npz answers).
+"""Persistent storage for disclosure releases (JSON structure + raw float64 answers).
 
 A release is an artefact worth keeping: the privacy budget it consumed is
 spent whether or not the noisy answers are saved, so a publisher should
@@ -6,8 +6,18 @@ persist every release and *serve* it rather than re-disclose.
 :class:`ReleaseStore` provides that layer on top of a pluggable
 :class:`StoreBackend`.  Every backend keeps the same two artefacts per key:
 the release *document* — canonical JSON with the numeric answer vectors
-replaced by references — and the *answers* — those vectors as float64 npz
-arrays, so the round-trip is lossless down to the last bit.
+replaced by references — and the *answers* — those vectors as raw
+little-endian float64, so the round-trip is lossless down to the last bit.
+
+The answers payload is a small versioned container: the line
+``repro-answers 1``, then a one-line JSON index of ``[name, dtype, length]``
+entries, then every array's values concatenated in index order.  It parses
+with one ``json.loads`` and zero-copy ``np.frombuffer`` views, so a load
+needs neither ``np.load`` nor its lock.  Answers stored before the container
+existed are ``np.savez`` zips; they stay readable (never written again), both
+in existing rows and in pairs copied in by :func:`import_directory_store`.
+The document still names each vector's entry ``npz_key``: renaming the
+field would change every stored document's bytes.
 
 Every store is a :class:`~repro.core.sqlite_backend.SqliteBackend`: a path
 opens one WAL-mode SQLite file, and :meth:`ReleaseStore.in_memory` opens a
@@ -56,7 +66,18 @@ PathLike = Union[str, Path]
 
 _KEY_RE = re.compile(r"[^A-Za-z0-9._-]+")
 
-#: Serialises answer-array parsing.  NumPy parses ``.npy`` headers with
+#: Header line of the raw answers container (the number is its version).
+_ANSWERS_MAGIC = b"repro-answers "
+_ANSWERS_HEADER = _ANSWERS_MAGIC + b"1\n"
+
+#: The dtypes a container entry may hold, always little-endian ...
+_ANSWERS_DTYPES = {code: np.dtype(code) for code in ("<f8", "<i8")}
+#: ... and the entry code of every in-memory dtype written as one of them.
+_ANSWERS_CODES = {
+    dtype.newbyteorder(order): code for code, dtype in _ANSWERS_DTYPES.items() for order in "<>"
+}
+
+#: Serialises legacy npz answer parsing.  NumPy parses ``.npy`` headers with
 #: ``ast.literal_eval``, which is not thread-safe on every CPython (3.11.7
 #: raises ``SystemError: AST constructor recursion depth mismatch`` when two
 #: threads parse at once), so concurrent loads would misreport intact
@@ -86,7 +107,7 @@ def _strip_answers(document: dict) -> Tuple[dict, Dict[str, np.ndarray]]:
     """Split a release document into JSON structure and numeric arrays.
 
     Each level/query answer mapping is replaced by its label list plus the
-    npz key holding the value vector.
+    name (``npz_key``) of the answers-container entry holding its values.
     """
     arrays: Dict[str, np.ndarray] = {}
     levels = {}
@@ -132,9 +153,54 @@ def _restore_answers(document: dict, arrays: Dict[str, np.ndarray]) -> dict:
 
 
 def _answers_bytes(arrays: Dict[str, np.ndarray]) -> bytes:
-    buffer = io.BytesIO()
-    np.savez(buffer, **arrays)
-    return buffer.getvalue()
+    """The raw answers container holding ``arrays`` (1-D, float64 or int64)."""
+    index = []
+    body = []
+    for name, values in arrays.items():
+        code = _ANSWERS_CODES.get(values.dtype)
+        if code is None:
+            raise TypeError(f"answers container cannot hold {name!r} of dtype {values.dtype}")
+        index.append([name, code, len(values)])
+        body.append(values.astype(_ANSWERS_DTYPES[code], copy=False).tobytes())
+    return b"".join([_ANSWERS_HEADER, json.dumps(index).encode("ascii"), b"\n", *body])
+
+
+def _parse_answers(raw: bytes) -> Dict[str, np.ndarray]:
+    """Inverse of :func:`_answers_bytes`: read-only views into ``raw``.
+
+    Raises :class:`ValueError` naming what is corrupt.
+    """
+    if not raw.startswith(_ANSWERS_HEADER):
+        version = raw[len(_ANSWERS_MAGIC) : raw.find(b"\n")]
+        raise ValueError(f"unsupported answers container version {version!r}")
+    index_end = raw.find(b"\n", len(_ANSWERS_HEADER))
+    if index_end < 0:
+        raise ValueError("answers container index is truncated")
+    try:
+        index = json.loads(raw[len(_ANSWERS_HEADER) : index_end])
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"answers container index is unreadable: {exc}") from None
+    if not isinstance(index, list):
+        raise ValueError("answers container index is not a list")
+    arrays: Dict[str, np.ndarray] = {}
+    offset = index_end + 1
+    for entry in index:
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise ValueError(f"answers container index entry {entry!r} is malformed")
+        name, code, length = entry
+        dtype = _ANSWERS_DTYPES.get(code) if isinstance(code, str) else None
+        if dtype is None:
+            raise ValueError(f"answers container entry {name!r} has unknown dtype {code!r}")
+        if not isinstance(name, str) or name in arrays or type(length) is not int or length < 0:
+            raise ValueError(f"answers container index entry {entry!r} is malformed")
+        end = offset + length * dtype.itemsize
+        if end > len(raw):
+            raise ValueError(f"answers container body is truncated at {name!r}")
+        arrays[name] = np.frombuffer(raw, dtype, length, offset)
+        offset = end
+    if offset != len(raw):
+        raise ValueError(f"answers container has {len(raw) - offset} trailing bytes")
+    return arrays
 
 
 # ----------------------------------------------------------------------
@@ -144,7 +210,8 @@ class StoreBackend(ABC):
     """Byte-level I/O behind a :class:`ReleaseStore`.
 
     A backend stores, per (already slugified) key, exactly two artefacts: the
-    release *document* (canonical JSON bytes) and the *answers* (npz bytes),
+    release *document* (canonical JSON bytes) and the *answers* (container
+    bytes, or legacy npz bytes),
     and answers the catalog and staleness queries from columns derived from
     the document when it was stored.  The one real backend is SQLite; the
     abstraction lets a fault-injecting wrapper stand in for it.
@@ -385,7 +452,7 @@ class ReleaseStore:
         return self._put(key, release.to_dict())
 
     def _put(self, key: str, document: dict) -> str:
-        """Store ``document`` (canonical JSON + npz answers) under ``key``."""
+        """Store ``document`` (canonical JSON + answers container) under ``key``."""
         document, arrays = _strip_answers(document)
         self.backend.put(key, canonical_json_bytes(document), _answers_bytes(arrays))
         self._cache_drop(key)
@@ -409,6 +476,10 @@ class ReleaseStore:
         if raw is None:
             return {}
         try:
+            if raw.startswith(_ANSWERS_MAGIC):
+                return _parse_answers(raw)
+            if not raw.startswith(b"PK"):
+                raise ValueError("neither an answers container nor an npz archive")
             with _NPZ_PARSE_LOCK, np.load(io.BytesIO(raw)) as npz:
                 return {name: npz[name] for name in npz.files}
         except (zipfile.BadZipFile, ValueError, OSError, EOFError, KeyError) as exc:
@@ -418,7 +489,7 @@ class ReleaseStore:
             raise ReleaseIntegrityError(f"answer arrays for {key!r} are corrupt: {exc}") from exc
 
     def load_document(self, key: str) -> dict:
-        """The stored release document alone — answers stay as npz references.
+        """The stored release document alone — answers stay as references.
 
         The cheap path for metadata/provenance readers (e.g. the serving
         layer's release-metadata endpoint): the answer arrays are never read

@@ -51,12 +51,24 @@ DELTA_COMPILE_MAX_FRACTION = 0.25
 DELTA_COMPILE_MIN_THRESHOLD = 16
 
 
+def _sorted_columns(neighbour_sets, rows: np.ndarray, right_index: Dict[Node, int]) -> np.ndarray:
+    """Right-local columns of ``neighbour_sets``, concatenated and sorted within rows.
+
+    ``rows`` holds each column's row, non-decreasing (the sets' rows
+    repeated by their sizes).  One ``np.fromiter`` reads every set and one
+    ``lexsort`` (its last key is the primary one) orders each row.
+    """
+    cols = np.fromiter(
+        (right_index[nb] for neighbours in neighbour_sets for nb in neighbours),
+        dtype=np.int64,
+        count=len(rows),
+    )
+    return cols[np.lexsort((cols, rows))]
+
+
 def _recount_right_degrees(edge_right: np.ndarray, num_right: int) -> np.ndarray:
-    """Right-side degree vector from the column array (matches ``compile``)."""
-    right_degrees = np.zeros(num_right, dtype=np.int64)
-    if edge_right.size:
-        np.add.at(right_degrees, edge_right, 1)
-    return right_degrees
+    """Right-side degree vector from the column array."""
+    return np.bincount(edge_right, minlength=num_right).astype(np.int64, copy=False)
 
 
 class GraphArrays:
@@ -140,26 +152,13 @@ class GraphArrays:
         right_index = {node: j for j, node in enumerate(right_ids)}
 
         adjacency = graph._adj_left  # noqa: SLF001 - same-package fast path
-        counts = np.zeros(len(left_ids), dtype=np.int64)
-        columns: List[np.ndarray] = []
-        for i, node in enumerate(left_ids):
-            neighbours = adjacency[node]
-            counts[i] = len(neighbours)
-            if neighbours:
-                cols = np.fromiter(
-                    (right_index[nb] for nb in neighbours), dtype=np.int64, count=len(neighbours)
-                )
-                cols.sort()
-                columns.append(cols)
+        neighbour_sets = [adjacency[node] for node in left_ids]
+        counts = np.fromiter(map(len, neighbour_sets), dtype=np.int64, count=len(left_ids))
         left_indptr = np.zeros(len(left_ids) + 1, dtype=np.int64)
         np.cumsum(counts, out=left_indptr[1:])
-        edge_right = np.concatenate(columns) if columns else np.zeros(0, dtype=np.int64)
         edge_left = np.repeat(np.arange(len(left_ids), dtype=np.int64), counts)
-
-        right_degrees = np.zeros(len(right_ids), dtype=np.int64)
-        if edge_right.size:
-            np.add.at(right_degrees, edge_right, 1)
-
+        edge_right = _sorted_columns(neighbour_sets, edge_left, right_index)
+        right_degrees = _recount_right_degrees(edge_right, len(right_ids))
         return cls(
             revision=graph.revision,
             left_ids=left_ids,
@@ -244,34 +243,27 @@ class GraphArrays:
     def _delta_edges_only(cls, old, graph, adjacency, dirty_left):
         """Delta path when no node was added or removed: same id spaces."""
         right_index = old.right_index
+        dirty_rows = np.fromiter(
+            sorted(old.left_index[n] for n in dirty_left), dtype=np.int64, count=len(dirty_left)
+        )
+        neighbour_sets = [adjacency[old.left_ids[row]] for row in dirty_rows.tolist()]
+        dirty_counts = np.fromiter(map(len, neighbour_sets), dtype=np.int64, count=len(neighbour_sets))
         counts = old.left_degrees.copy()
-        dirty_rows = sorted(old.left_index[n] for n in dirty_left)
-        for row in dirty_rows:
-            counts[row] = len(adjacency[old.left_ids[row]])
+        counts[dirty_rows] = dirty_counts
 
         left_indptr = np.zeros(len(old.left_ids) + 1, dtype=np.int64)
         np.cumsum(counts, out=left_indptr[1:])
-        edge_right = np.empty(int(left_indptr[-1]), dtype=np.int64)
 
-        # Splice: bulk-copy the clean stretches between dirty rows, recompute
-        # only the dirty rows from the dict adjacency (exactly like compile).
-        src_cursor = dst_cursor = 0
-        old_indptr = old.left_indptr
-        old_edge_right = old.edge_right
-        for row in dirty_rows:
-            src_stop = int(old_indptr[row])
-            dst_stop = int(left_indptr[row])
-            edge_right[dst_cursor:dst_stop] = old_edge_right[src_cursor:src_stop]
-            neighbours = adjacency[old.left_ids[row]]
-            if neighbours:
-                cols = np.fromiter(
-                    (right_index[nb] for nb in neighbours), dtype=np.int64, count=len(neighbours)
-                )
-                cols.sort()
-                edge_right[dst_stop : dst_stop + len(cols)] = cols
-            src_cursor = int(old_indptr[row + 1])
-            dst_cursor = int(left_indptr[row + 1])
-        edge_right[dst_cursor:] = old_edge_right[src_cursor:]
+        # Splice: the clean rows' old slices keep their order, and the dirty
+        # rows' slots take their columns recomputed exactly as compile does.
+        is_dirty = np.zeros(len(old.left_ids), dtype=bool)
+        is_dirty[dirty_rows] = True
+        dirty_slots = np.repeat(is_dirty, counts)
+        edge_right = np.empty(int(left_indptr[-1]), dtype=np.int64)
+        edge_right[dirty_slots] = _sorted_columns(
+            neighbour_sets, np.repeat(dirty_rows, dirty_counts), right_index
+        )
+        edge_right[~dirty_slots] = old.edge_right[~np.repeat(is_dirty, old.left_degrees)]
 
         edge_left = np.repeat(np.arange(len(old.left_ids), dtype=np.int64), counts)
         right_degrees = _recount_right_degrees(edge_right, len(old.right_ids))
@@ -344,14 +336,12 @@ class GraphArrays:
                 values = remap[values]
             edge_right[dst] = values
 
-        for row in np.flatnonzero(~clean):
-            neighbours = adjacency[left_ids[row]]
-            if neighbours:
-                cols = np.fromiter(
-                    (right_index[nb] for nb in neighbours), dtype=np.int64, count=len(neighbours)
-                )
-                cols.sort()
-                edge_right[left_indptr[row] : left_indptr[row + 1]] = cols
+        dirty_rows = np.flatnonzero(~clean)
+        edge_right[np.repeat(~clean, counts)] = _sorted_columns(
+            [adjacency[left_ids[row]] for row in dirty_rows.tolist()],
+            np.repeat(dirty_rows, counts[dirty_rows]),
+            right_index,
+        )
 
         edge_left = np.repeat(np.arange(len(left_ids), dtype=np.int64), counts)
         right_degrees = _recount_right_degrees(edge_right, len(right_ids))

@@ -1,13 +1,19 @@
-"""Tests for the persistent release store (JSON + npz round-trip)."""
+"""Tests for the persistent release store (JSON + answers-container round-trip)."""
 
+import io
 import json
+import threading
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import DisclosureConfig
 from repro.core.discloser import MultiLevelDiscloser
 from repro.core.sqlite_backend import SqliteBackend
-from repro.core.store import ReleaseStore, _answers_bytes
+from repro.core import store as store_module
+from repro.core.store import ReleaseStore, _answers_bytes, _strip_answers
 from repro.exceptions import ReleaseIntegrityError
 from repro.grouping.specialization import SpecializationConfig
 
@@ -35,7 +41,7 @@ class TestRoundTrip:
     def test_save_load_is_lossless(self, store, release):
         key = store.save(release)
         loaded = store.load(key)
-        # Bit-for-bit: answers travel as float64 npz arrays, everything else
+        # Bit-for-bit: answers travel as raw float64 arrays, everything else
         # as JSON, so the full document survives unchanged.
         assert loaded.to_dict() == release.to_dict()
 
@@ -228,3 +234,142 @@ class TestGetOrCreate:
         assert first is not None
         store.backend.put(key, b"{broken", store.backend.get_answers(key))
         assert store.fingerprint(key) != first
+
+
+# ----------------------------------------------------------------------
+# The raw answers container
+# ----------------------------------------------------------------------
+#: Any 64-bit word, read as a float64 (so every NaN payload, both zeros,
+#: both infinities and every subnormal) or as an int64.
+words = st.integers(min_value=0, max_value=2**64 - 1)
+answer_arrays = st.dictionaries(
+    st.text(max_size=12),
+    st.tuples(st.sampled_from([np.float64, np.int64]), st.lists(words, max_size=6)).map(
+        lambda spec: np.array(spec[1], dtype=np.uint64).view(spec[0])
+    ),
+    max_size=5,
+)
+
+
+def _load_raw(raw, key="raw"):
+    """The arrays a store reads back from ``raw`` answers bytes."""
+    store = ReleaseStore.in_memory()
+    store.backend.put(key, b"{}", raw)
+    return store._load_arrays(key, key)
+
+
+def _assert_bit_identical(actual, expected):
+    assert list(actual) == list(expected)
+    for name, values in expected.items():
+        assert actual[name].dtype == values.dtype, name
+        assert actual[name].tobytes() == values.tobytes(), name
+
+
+class TestAnswersContainer:
+    @given(arrays=answer_arrays)
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip_is_bit_exact(self, arrays):
+        raw = _answers_bytes(arrays)
+        assert raw.startswith(b"repro-answers 1\n")
+        _assert_bit_identical(_load_raw(raw), arrays)
+
+    def test_special_float64_values_survive_bit_for_bit(self):
+        nan_with_payload = np.array([0x7FF800000000BEEF], dtype=np.uint64).view(np.float64)[0]
+        values = np.array(
+            [-0.0, 0.0, np.inf, -np.inf, nan_with_payload, -np.nan, 5e-324, -2.2250738585072e-308],
+            dtype=np.float64,
+        )
+        arrays = {"specials": values, "empty": np.zeros(0), "counts": np.arange(3)}
+        _assert_bit_identical(_load_raw(_answers_bytes(arrays)), arrays)
+        assert _load_raw(_answers_bytes({})) == {}
+
+    def test_a_saved_release_writes_the_container(self, store, release):
+        key = store.save(release)
+        raw = store.backend.get_answers(key)
+        assert raw.startswith(b"repro-answers 1\n")
+        _assert_bit_identical(_load_raw(raw), _strip_answers(release.to_dict())[1])
+
+    def test_unsupported_dtypes_are_refused_on_write(self):
+        with pytest.raises(TypeError):
+            _answers_bytes({"x": np.zeros(2, dtype=np.float32)})
+
+
+def _swap(old, new):
+    return lambda raw: raw.replace(old, new, 1)
+
+
+CORRUPTIONS = {
+    "wrong-magic": _swap(b"repro-answers", b"repro-answerz"),
+    "wrong-version": _swap(b"repro-answers 1", b"repro-answers 2"),
+    "truncated-index": lambda raw: raw[: raw.index(b"]]") + 1],
+    "unreadable-index": _swap(b'[["', b'[{"'),
+    "index-not-a-list": lambda raw: b"repro-answers 1\n{}\n",
+    "malformed-entry": _swap(b'"<f8", ', b""),
+    "negative-length": lambda raw: b"repro-answers 1\n" + b'[["a", "<f8", -1]]\n',
+    "boolean-length": lambda raw: b"repro-answers 1\n" + b'[["a", "<f8", true]]\n' + bytes(8),
+    "duplicate-name": lambda raw: b"repro-answers 1\n" + b'[["a", "<f8", 0], ["a", "<f8", 0]]\n',
+    "truncated-body": lambda raw: raw[:-1],
+    "trailing-bytes": lambda raw: raw + b"\x00",
+    "unknown-dtype": _swap(b'"<f8"', b'"<f4"'),
+    "empty": lambda raw: b"",
+    "neither-format": lambda raw: b"not an answers payload",
+}
+
+
+class TestAnswersContainerCorruption:
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_every_corrupt_form_is_an_integrity_error(self, store, release, corruption):
+        key = store.save(release)
+        raw = store.backend.get_answers(key)
+        corrupt = CORRUPTIONS[corruption](raw)
+        assert corrupt != raw
+        store.backend.put(key, store.backend.get_document(key), corrupt)
+        with pytest.raises(ReleaseIntegrityError):
+            store.load(key)
+
+    def test_a_length_that_disagrees_with_the_labels_is_an_integrity_error(self, store, release):
+        key = store.save(release)
+        arrays = _strip_answers(release.to_dict())[1]
+        name = next(iter(arrays))
+        arrays[name] = np.append(arrays[name], 1.0)
+        store.backend.put(key, store.backend.get_document(key), _answers_bytes(arrays))
+        with pytest.raises(ReleaseIntegrityError, match="length mismatch"):
+            store.load(key)
+
+
+class _ForbiddenLock:
+    def __enter__(self):
+        raise AssertionError("the npz parse lock was taken")
+
+    def __exit__(self, *exc):
+        return False
+
+
+class TestConcurrentContainerLoads:
+    def test_threaded_loads_never_take_the_npz_lock(self, store, release, monkeypatch):
+        key = store.save(release)
+        legacy = io.BytesIO()
+        np.savez(legacy, **_strip_answers(release.to_dict())[1])
+        store.backend.put("legacy", store.backend.get_document(key), legacy.getvalue())
+        monkeypatch.setattr(store_module, "_NPZ_PARSE_LOCK", _ForbiddenLock())
+        with pytest.raises(AssertionError, match="npz parse lock"):
+            store.load("legacy")  # the guard is live for npz payloads
+
+        expected = release.to_dict()
+        failures = []
+        start = threading.Barrier(8)
+
+        def reader():
+            start.wait()
+            try:
+                for _ in range(10):
+                    assert store.load(key).to_dict() == expected
+            except Exception as error:  # pragma: no cover - the regression
+                failures.append(error)
+
+        threads = [threading.Thread(target=reader) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not failures

@@ -48,6 +48,14 @@ def assert_views_identical(actual: GraphArrays, expected: GraphArrays) -> None:
         assert not got.flags.writeable, name
 
 
+def assert_rows_match_adjacency(view: GraphArrays, graph: BipartiteGraph) -> None:
+    """Each CSR row holds its left node's neighbours, sorted: an oracle that
+    does not go through :meth:`GraphArrays.compile`."""
+    for row, node in enumerate(view.left_ids):
+        expected = sorted(view.right_index[nb] for nb in graph.neighbors(node))
+        assert view.neighbor_slice(row).tolist() == expected, node
+
+
 def small_graph() -> BipartiteGraph:
     graph = BipartiteGraph(name="delta")
     for i in range(4):
@@ -243,6 +251,86 @@ class TestDeltaCompileParity:
         for kind, payload in program:
             apply_step(graph, kind, payload)
         assert_views_identical(graph.arrays(), GraphArrays.compile(graph))
+
+
+# Wide edge-only deltas: one delta dirties dozens of left rows, empties some
+# of them to zero edges and gives isolated left nodes their first edge.
+wide_graphs = st.lists(st.tuples(st.integers(0, 59), st.integers(0, 39)), min_size=1, max_size=250)
+wide_deltas = st.tuples(
+    st.lists(st.integers(0, 59), max_size=10),  # rows emptied to zero edges
+    st.lists(st.tuples(st.integers(0, 79), st.integers(0, 39)), min_size=30, max_size=80),  # additions
+    st.lists(st.integers(min_value=0), max_size=40),  # removals, as edge positions
+    st.sampled_from([None, "add-left", "remove-right"]),  # an optional node mutation
+)
+
+
+def wide_graph(pairs) -> BipartiteGraph:
+    """80 left nodes (20 always isolated) and 40 right nodes."""
+    graph = BipartiteGraph(name="wide")
+    for i in range(80):
+        graph.add_left_node(f"L{i}")
+    for j in range(40):
+        graph.add_right_node(f"R{j}")
+    graph.add_associations([(f"L{left}", f"R{right}") for left, right in pairs])
+    return graph
+
+
+class TestWideDeltaCompileParity:
+    @given(pairs=wide_graphs, delta=wide_deltas)
+    @settings(max_examples=120, deadline=None)
+    def test_wide_delta_matches_full_compile(self, pairs, delta):
+        emptied, additions, removals, node_op = delta
+        graph = wide_graph(pairs)
+        old = GraphArrays.compile(graph)
+        for row in emptied:
+            for right in list(graph.neighbors(f"L{row}")):
+                graph.remove_association(f"L{row}", right)
+        for left, right in additions:
+            graph.add_association(f"L{left}", f"R{right}")
+        for position in removals:
+            edges = sorted(graph.associations())
+            if edges:
+                graph.remove_association(*edges[position % len(edges)])
+        if node_op == "add-left":
+            graph.add_association("L-new", "R0", auto_add=True)
+        elif node_op == "remove-right":
+            graph.remove_node("R1")
+        delta_view = GraphArrays.delta_compile(old, graph, max_fraction=1e9)
+        if graph.revision != old.revision:
+            assert delta_view.compiled_incrementally
+            # An edge-only delta keeps the old id spaces (the splice path).
+            assert (delta_view.left_index is old.left_index) == (node_op is None)
+        assert_views_identical(delta_view, GraphArrays.compile(graph))
+        assert_rows_match_adjacency(delta_view, graph)
+
+    def test_refresh_sized_insert_then_removal(self):
+        """The refresh benchmark's shape: a 1,000-author graph, a 50-edge
+        insert, then its removal; each delta equals a full compile."""
+        from repro.datasets.dblp_like import generate_dblp_like
+
+        graph = generate_dblp_like(num_authors=1000, seed=3)
+        rng = np.random.default_rng(3)
+        left = sorted(graph.left_nodes(), key=str)
+        right = sorted(graph.right_nodes(), key=str)
+        batch = []
+        while len(batch) < 50:
+            pair = (left[rng.integers(len(left))], right[rng.integers(len(right))])
+            if not graph.has_association(*pair) and pair not in batch:
+                batch.append(pair)
+        base = GraphArrays.compile(graph)
+        for pair in batch:
+            graph.add_association(*pair)
+        inserted = GraphArrays.delta_compile(base, graph)
+        assert inserted.compiled_incrementally
+        assert_views_identical(inserted, GraphArrays.compile(graph))
+        assert_rows_match_adjacency(inserted, graph)
+        for pair in batch:
+            graph.remove_association(*pair)
+        removed = GraphArrays.delta_compile(inserted, graph)
+        assert removed.compiled_incrementally
+        assert_views_identical(removed, GraphArrays.compile(graph))
+        for name in ("edge_left", "edge_right", "left_indptr", "left_degrees", "right_degrees"):
+            assert np.array_equal(getattr(removed, name), getattr(base, name)), name
 
 
 class TestCopyIsolation:

@@ -564,23 +564,46 @@ class TestQuarantine:
 
     def test_transient_load_error_is_not_quarantined(self, release, policy, tmp_path, monkeypatch):
         """A parser failure that says nothing about the stored bytes (here a
-        ``RuntimeError`` from ``np.load``, like CPython 3.11's thread-unsafe
-        ``ast.literal_eval`` raising ``SystemError``) fails that one request
-        but leaves the key servable."""
-        import repro.core.store as store_module
+        ``RuntimeError`` from ``np.load`` on legacy npz answers, like CPython
+        3.11's thread-unsafe ``ast.literal_eval`` raising ``SystemError``)
+        fails that one request but leaves the key servable."""
+        import io
+
+        import numpy as np
+
+        from repro.core.store import _strip_answers
 
         store = ReleaseStore(tmp_path / "store.db")
         key = store.save(release)
-        real_load = store_module.np.load
+        buffer = io.BytesIO()
+        np.savez(buffer, **_strip_answers(release.to_dict())[1])
+        store.backend.put(key, store.backend.get_document(key), buffer.getvalue())
+        self._assert_transient_failure_not_quarantined(store, key, policy, monkeypatch, "load")
+
+    def test_transient_container_parse_error_is_not_quarantined(
+        self, release, policy, tmp_path, monkeypatch
+    ):
+        """The same for the raw answers container, failing in ``np.frombuffer``."""
+        store = ReleaseStore(tmp_path / "store.db")
+        key = store.save(release)
+        self._assert_transient_failure_not_quarantined(
+            store, key, policy, monkeypatch, "frombuffer"
+        )
+
+    @staticmethod
+    def _assert_transient_failure_not_quarantined(store, key, policy, monkeypatch, parser):
+        import repro.core.store as store_module
+
+        real_parser = getattr(store_module.np, parser)
         failures = []
 
-        def flaky_load(*args, **kwargs):
+        def flaky_parser(*args, **kwargs):
             if not failures:
                 failures.append(True)
                 raise RuntimeError("transient parser failure")
-            return real_load(*args, **kwargs)
+            return real_parser(*args, **kwargs)
 
-        monkeypatch.setattr(store_module.np, "load", flaky_load)
+        monkeypatch.setattr(store_module.np, parser, flaky_parser)
         with ReleaseServer(store, policy, port=0) as server:
             status, _ = http_get(f"{server.url}/releases/{key}/views/public")
             assert status in (500, 503)
