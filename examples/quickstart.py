@@ -22,7 +22,7 @@ end:
   independent full-pipeline trials out across cores (a single disclosure
   runs in-process; ``"serial"``/``"thread"``/``"process"`` trials are
   bit-identical for the same seed);
-* :class:`repro.ReleaseStore` persists the release (JSON + npz) so it can
+* :class:`repro.ReleaseStore` persists the release (JSON + raw answers) so it can
   be served — or re-reported with ``repro report`` — without re-spending
   privacy budget on a fresh disclosure.
 

@@ -66,7 +66,8 @@ The release store
 -----------------
 A release spends its privacy budget whether or not it is kept, so persist it
 and serve it instead of re-disclosing.  :class:`~repro.core.store.ReleaseStore`
-round-trips releases losslessly (JSON structure + float64 npz answers):
+round-trips releases losslessly (JSON structure + raw float64 answers; answers
+stored as npz by older stores still load):
 
 >>> import tempfile
 >>> from pathlib import Path

@@ -52,11 +52,11 @@ DELTA_COMPILE_MIN_THRESHOLD = 16
 
 
 def _sorted_columns(neighbour_sets, rows: np.ndarray, right_index: Dict[Node, int]) -> np.ndarray:
-    """Right-local columns of ``neighbour_sets``, concatenated and sorted within rows.
+    """Right-local columns of ``neighbour_sets``, by ascending row, each row sorted.
 
-    ``rows`` holds each column's row, non-decreasing (the sets' rows
-    repeated by their sizes).  One ``np.fromiter`` reads every set and one
-    ``lexsort`` (its last key is the primary one) orders each row.
+    ``rows`` holds each column's row: the sets' rows repeated by their
+    sizes.  One ``np.fromiter`` reads every set and one ``lexsort`` (its
+    last key is the primary one) orders the lot.
     """
     cols = np.fromiter(
         (right_index[nb] for neighbours in neighbour_sets for nb in neighbours),
@@ -244,7 +244,7 @@ class GraphArrays:
         """Delta path when no node was added or removed: same id spaces."""
         right_index = old.right_index
         dirty_rows = np.fromiter(
-            sorted(old.left_index[n] for n in dirty_left), dtype=np.int64, count=len(dirty_left)
+            (old.left_index[n] for n in dirty_left), dtype=np.int64, count=len(dirty_left)
         )
         neighbour_sets = [adjacency[old.left_ids[row]] for row in dirty_rows.tolist()]
         dirty_counts = np.fromiter(map(len, neighbour_sets), dtype=np.int64, count=len(neighbour_sets))

@@ -172,7 +172,7 @@ class ServingStats:
 def _release_metadata(key: str, document: dict) -> dict:
     """Everything about a stored release except the answers themselves.
 
-    Works directly off the stored document (answers still npz references),
+    Works directly off the stored document (answers still references),
     so serving metadata never reads or parses the answer arrays.
     """
     level_metadata = {}

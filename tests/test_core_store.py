@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 import threading
 
 import numpy as np
@@ -368,8 +369,14 @@ class TestConcurrentContainerLoads:
                 failures.append(error)
 
         threads = [threading.Thread(target=reader) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert not failures
