@@ -46,23 +46,23 @@ def _serve_view(store: ReleaseStore) -> dict:
     }
 
 
-def _golden_document(workdir: Path) -> bytes:
-    """The stored document of the golden release, checked against its pin."""
+def _golden_document(workdir: Path):
+    """The golden release and its stored document, checked against its pin."""
     release, _ = golden_release()
     store = ReleaseStore(workdir / "current.db")
     store.save(release, key=KEY)
     document = store.backend.get_document(KEY)
     golden = json.loads(GOLDEN_PATH.read_text())
     assert hashlib.sha256(document).hexdigest() == golden["document_sha256"]
-    return document
+    return release, document
 
 
 def test_legacy_npz_answers_load_and_serve_the_golden_view(tmp_path):
     legacy = LEGACY_ANSWERS.read_bytes()
     assert legacy[:2] == b"PK"  # a zip, as np.savez writes it
+    release, document = _golden_document(tmp_path)
     store = ReleaseStore(tmp_path / "store.db")
-    store.backend.put(KEY, _golden_document(tmp_path), legacy)
-    release, _ = golden_release()
+    store.backend.put(KEY, document, legacy)
     assert store.load(KEY).to_dict() == release.to_dict()
     assert _serve_view(store) == json.loads(GOLDEN_PATH.read_text())["view"]
 
@@ -70,7 +70,7 @@ def test_legacy_npz_answers_load_and_serve_the_golden_view(tmp_path):
 def test_imported_directory_pair_serves_the_golden_view(tmp_path):
     directory = tmp_path / "legacy" / KEY
     directory.mkdir(parents=True)
-    (directory / "release.json").write_bytes(_golden_document(tmp_path))
+    (directory / "release.json").write_bytes(_golden_document(tmp_path)[1])
     (directory / "answers.npz").write_bytes(LEGACY_ANSWERS.read_bytes())
     store = ReleaseStore(tmp_path / "imported.db")
     assert import_directory_store(tmp_path / "legacy", store) == [KEY]
