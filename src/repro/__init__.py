@@ -137,7 +137,6 @@ from repro.grouping.specialization import (
 from repro.mechanisms.exponential import ExponentialMechanism
 from repro.mechanisms.gaussian import AnalyticGaussianMechanism, GaussianMechanism
 from repro.mechanisms.laplace import LaplaceMechanism
-from repro.privacy.adjacency import GroupAdjacency, IndividualAdjacency, NodeAdjacency
 from repro.privacy.guarantees import (
     GroupPrivacyGuarantee,
     IndividualPrivacyGuarantee,
@@ -217,9 +216,6 @@ __all__ = [
     "IndividualPrivacyGuarantee",
     "GroupPrivacyGuarantee",
     "PrivacyUnit",
-    "IndividualAdjacency",
-    "NodeAdjacency",
-    "GroupAdjacency",
     # queries
     "TotalAssociationCountQuery",
     "GroupedAssociationCountQuery",

@@ -26,6 +26,7 @@ from repro.core.pipeline import (
     LevelPlan,
     PerturbStage,
     PipelineContext,
+    calibrated_sensitivity,
 )
 from repro.core.release import LevelRelease, MultiLevelRelease
 from repro.graphs.bipartite import BipartiteGraph
@@ -33,7 +34,7 @@ from repro.grouping.hierarchy import GroupHierarchy
 from repro.mechanisms.base import PrivacyCost
 from repro.privacy.conversion import group_guarantee_from_individual
 from repro.privacy.guarantees import IndividualPrivacyGuarantee, PrivacyUnit
-from repro.privacy.sensitivity import group_count_sensitivity
+from repro.queries.counts import TotalAssociationCountQuery
 from repro.utils.rng import RandomState
 from repro.utils.validation import check_fraction, check_positive
 
@@ -56,9 +57,7 @@ class IndividualCalibrateStage(CalibrateStage):
         return self.delta
 
     def sensitivity_for(self, context: PipelineContext, level: int) -> float:
-        if self.mechanism == "gaussian":
-            return context.workload.l2_sensitivity(context.graph, adjacency="individual")
-        return context.workload.l1_sensitivity(context.graph, adjacency="individual")
+        return calibrated_sensitivity(context.workload, context.graph, self.mechanism)
 
     def epsilons_for(self, context: PipelineContext) -> Dict[int, float]:
         return {0: self.epsilon_i}
@@ -150,9 +149,12 @@ class IndividualDPDiscloser:
         typically enormous for coarse levels, which is precisely the gap the
         paper's approach closes.
         """
+        count = TotalAssociationCountQuery()
         implied: Dict[int, float] = {}
         for level in hierarchy.level_indices():
-            worst_records = group_count_sensitivity(graph, hierarchy.partition_at(level))
+            worst_records = count.l1_sensitivity(
+                graph, adjacency="group", partition=hierarchy.partition_at(level)
+            )
             implied[level] = self.epsilon_i * worst_records
         return implied
 

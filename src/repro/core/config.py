@@ -5,18 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.common import uses_l2_sensitivity as common_uses_l2_sensitivity
+from repro.core.common import MECHANISM_BUILDERS
 from repro.exceptions import ValidationError
 from repro.grouping.specialization import SpecializationConfig
 from repro.utils.validation import check_fraction, check_positive
-
-#: Mechanisms supported by phase 2 (noise injection).
-SUPPORTED_MECHANISMS: Tuple[str, ...] = (
-    "gaussian",
-    "analytic_gaussian",
-    "laplace",
-    "geometric",
-)
 
 #: How the per-level budget is interpreted.
 SUPPORTED_BUDGET_MODES: Tuple[str, ...] = ("per_level", "total")
@@ -70,9 +62,9 @@ class DisclosureConfig:
     def __post_init__(self):
         check_positive(self.epsilon_g, "epsilon_g")
         check_fraction(self.delta, "delta")
-        if self.mechanism not in SUPPORTED_MECHANISMS:
+        if self.mechanism not in MECHANISM_BUILDERS:
             raise ValidationError(
-                f"mechanism must be one of {SUPPORTED_MECHANISMS}, got {self.mechanism!r}"
+                f"mechanism must be one of {MECHANISM_BUILDERS}, got {self.mechanism!r}"
             )
         if self.budget_mode not in SUPPORTED_BUDGET_MODES:
             raise ValidationError(
@@ -102,10 +94,6 @@ class DisclosureConfig:
         lowest = 0 if self.specialization.include_individual_level else 1
         highest = max(lowest, self.specialization.num_levels - 2)
         return list(range(lowest, highest + 1))
-
-    def uses_l2_sensitivity(self) -> bool:
-        """Gaussian-family mechanisms calibrate to the L2 sensitivity."""
-        return common_uses_l2_sensitivity(self.mechanism)
 
     def to_dict(self) -> dict:
         """JSON-serialisable representation."""

@@ -27,7 +27,9 @@ lineage in the provenance (see :mod:`repro.core.refresh`).
 pipeline; they differ only in which :class:`CalibrateStage` subclass resolves
 sensitivities and epsilons (:class:`GroupCalibrateStage` for the paper's
 calibration, :class:`WorstCaseCalibrateStage` for the naive lemma bound,
-:class:`UniformCalibrateStage` for the coarsest-level strawman).
+:class:`UniformCalibrateStage` for the coarsest-level strawman).  Every
+measured workload sensitivity, released or plotted by the Figure-1 harnesses,
+comes from :func:`calibrated_sensitivity`.
 """
 
 from __future__ import annotations
@@ -54,16 +56,41 @@ from repro.exceptions import DisclosureError
 from repro.graphs.arrays import GraphArrays
 from repro.graphs.bipartite import BipartiteGraph
 from repro.grouping.hierarchy import GroupHierarchy
+from repro.grouping.partition import Partition
 from repro.grouping.specialization import Specializer
 from repro.mechanisms.base import PrivacyCost
 from repro.privacy.guarantees import GroupPrivacyGuarantee, PrivacyUnit
-from repro.privacy.sensitivity import group_count_sensitivity, node_count_sensitivity, scale_sensitivity
+from repro.privacy.sensitivity import node_count_sensitivity, scale_sensitivity
 from repro.queries.base import QueryAnswer
 from repro.queries.workload import QueryWorkload, noisy_workload_answers
 from repro.utils.rng import derive_seedseq
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import DisclosureConfig
+
+
+# ----------------------------------------------------------------------
+# The calibration rule
+# ----------------------------------------------------------------------
+def calibrated_sensitivity(
+    workload: QueryWorkload,
+    graph: BipartiteGraph,
+    mechanism: str,
+    partition: Optional[Partition] = None,
+) -> float:
+    """The sensitivity a level's noise is calibrated to.
+
+    The workload's L2 sensitivity for the Gaussian family and its L1
+    sensitivity otherwise (:func:`~repro.core.common.uses_l2_sensitivity`),
+    under group adjacency over ``partition``, or record-level adjacency when
+    ``partition`` is ``None``.  The calibrate stages and the Figure-1
+    harnesses all call this one function, so a released level and its
+    plotted error always share one noise scale.
+    """
+    adjacency = "individual" if partition is None else "group"
+    if uses_l2_sensitivity(mechanism):
+        return workload.l2_sensitivity(graph, adjacency=adjacency, partition=partition)
+    return workload.l1_sensitivity(graph, adjacency=adjacency, partition=partition)
 
 
 # ----------------------------------------------------------------------
@@ -321,13 +348,11 @@ class GroupCalibrateStage(CalibrateStage):
         return self._config(context).delta
 
     def sensitivity_for(self, context: PipelineContext, level: int) -> float:
-        partition = context.hierarchy.partition_at(level)
-        if uses_l2_sensitivity(self._config(context).mechanism):
-            return context.workload.l2_sensitivity(
-                context.graph, adjacency="group", partition=partition
-            )
-        return context.workload.l1_sensitivity(
-            context.graph, adjacency="group", partition=partition
+        return calibrated_sensitivity(
+            context.workload,
+            context.graph,
+            self._config(context).mechanism,
+            context.hierarchy.partition_at(level),
         )
 
     def epsilons_for(self, context: PipelineContext) -> Dict[int, float]:
@@ -395,7 +420,9 @@ class UniformCalibrateStage(FixedEpsilonCalibrateStage):
         if context.hierarchy is not None:
             # Every level shares the coarsest level's sensitivity: compute it once.
             coarsest = context.hierarchy.partition_at(max(context.levels))
-            self._worst = group_count_sensitivity(context.graph, coarsest)
+            self._worst = calibrated_sensitivity(
+                context.workload, context.graph, self.mechanism, coarsest
+            )
         super().run(context)
 
     def sensitivity_for(self, context: PipelineContext, level: int) -> float:

@@ -17,6 +17,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.accounting.budget import BudgetLedger, PrivacyBudget
 from repro.core.access import AccessPolicy
+from repro.core.common import uses_l2_sensitivity
 from repro.core.config import DisclosureConfig
 from repro.core.discloser import MultiLevelDiscloser
 from repro.core.refresh import RefreshResult, publish_refresh
@@ -121,7 +122,7 @@ class GraphPublisher:
         ``per_level`` mode every level spends ``epsilon_g``; in ``total`` mode
         the levels split ``epsilon_g``, so it bounds the worst level's share.
         """
-        delta = config.delta if config.uses_l2_sensitivity() else 0.0
+        delta = config.delta if uses_l2_sensitivity(config.mechanism) else 0.0
         return PrivacyCost(config.epsilon_g, delta)
 
     def release(

@@ -15,6 +15,7 @@ from repro.baselines.individual_dp import IndividualDPDiscloser
 from repro.baselines.naive_group import NaiveGroupDPDiscloser
 from repro.baselines.safe_grouping import SafeGroupingDiscloser
 from repro.baselines.uniform_noise import UniformNoiseDiscloser
+from repro.core.common import build_mechanism
 from repro.core.config import DisclosureConfig
 from repro.core.discloser import MultiLevelDiscloser
 from repro.datasets.registry import load_dataset
@@ -27,7 +28,7 @@ from repro.evaluation.figure1 import (
     run_figure1,
     run_figure1_analytic,
 )
-from repro.evaluation.metrics import expected_rer_gaussian, release_error_report
+from repro.evaluation.metrics import release_error_report
 from repro.evaluation.scalability import ScalabilityResult, run_scalability
 from repro.exceptions import EvaluationError
 from repro.graphs.bipartite import BipartiteGraph
@@ -37,8 +38,6 @@ from repro.grouping.specialization import (
     SpecializationConfig,
     Specializer,
 )
-from repro.mechanisms.calibration import analytic_gaussian_sigma, gaussian_sigma, laplace_scale
-from repro.privacy.sensitivity import group_count_sensitivity
 
 
 # ----------------------------------------------------------------------
@@ -144,14 +143,14 @@ def run_e4_ablation_split(
         levels = [level for level in range(0, num_levels - 1) if hierarchy.has_level(level)]
         sensitivities = level_sensitivities(graph, hierarchy, levels)
         for level in levels:
-            sigma = gaussian_sigma(epsilon_g, delta, sensitivities[level])
+            mechanism = build_mechanism("gaussian", epsilon_g, sensitivities[level], delta=delta)
             rows.append(
                 {
                     "method": name,
                     "level": level,
                     "epsilon_g": epsilon_g,
                     "sensitivity": sensitivities[level],
-                    "expected_rer": expected_rer_gaussian(sigma, true_count),
+                    "expected_rer": mechanism.expected_absolute_error() / true_count,
                     "specialization_epsilon": result.privacy_cost.epsilon,
                 }
             )
@@ -186,24 +185,15 @@ def run_e5_ablation_mechanism(
     rows: List[Dict[str, Any]] = []
     for mechanism in ("gaussian", "analytic_gaussian", "laplace"):
         for level in levels:
-            sensitivity = sensitivities[level]
-            if mechanism == "gaussian":
-                scale_value = gaussian_sigma(epsilon_g, delta, sensitivity)
-                rer = expected_rer_gaussian(scale_value, true_count)
-            elif mechanism == "analytic_gaussian":
-                scale_value = analytic_gaussian_sigma(epsilon_g, delta, sensitivity)
-                rer = expected_rer_gaussian(scale_value, true_count)
-            else:
-                scale_value = laplace_scale(epsilon_g, sensitivity)
-                rer = scale_value / true_count
+            calibrated = build_mechanism(mechanism, epsilon_g, sensitivities[level], delta=delta)
             rows.append(
                 {
                     "comparison": "mechanism",
                     "variant": mechanism,
                     "level": level,
                     "epsilon_g": epsilon_g,
-                    "noise_scale": scale_value,
-                    "expected_rer": rer,
+                    "noise_scale": calibrated.noise_scale(),
+                    "expected_rer": calibrated.expected_absolute_error() / true_count,
                 }
             )
 
@@ -213,15 +203,15 @@ def run_e5_ablation_mechanism(
         strategy = make_allocation(allocation) if allocation != "geometric" else make_allocation(allocation, ratio=2.0)
         per_level = strategy.allocate(epsilon_g, levels, sensitivities=sensitivities)
         for level in levels:
-            sigma = gaussian_sigma(per_level[level], delta, sensitivities[level])
+            calibrated = build_mechanism("gaussian", per_level[level], sensitivities[level], delta=delta)
             rows.append(
                 {
                     "comparison": "allocation",
                     "variant": allocation,
                     "level": level,
                     "epsilon_g": per_level[level],
-                    "noise_scale": sigma,
-                    "expected_rer": expected_rer_gaussian(sigma, true_count),
+                    "noise_scale": calibrated.noise_scale(),
+                    "expected_rer": calibrated.expected_absolute_error() / true_count,
                 }
             )
     return rows

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.core.common import build_mechanism
 from repro.datasets.registry import load_dataset
 from repro.evaluation.figure1 import Figure1Config, build_figure1_hierarchy, level_sensitivities
-from repro.evaluation.metrics import expected_rer_gaussian
 from repro.exceptions import EvaluationError
 from repro.graphs.bipartite import BipartiteGraph
-from repro.mechanisms.calibration import gaussian_sigma
 
 
 def privilege_gap(rer_by_level: Dict[int, float]) -> float:
@@ -65,8 +64,8 @@ def run_depth_sweep(
         sensitivities = level_sensitivities(graph, hierarchy, levels)
         rer_by_level: Dict[int, float] = {}
         for level in levels:
-            sigma = gaussian_sigma(epsilon_g, delta, sensitivities[level])
-            rer_by_level[level] = expected_rer_gaussian(sigma, true_count)
+            mechanism = build_mechanism("gaussian", epsilon_g, sensitivities[level], delta=delta)
+            rer_by_level[level] = mechanism.expected_absolute_error() / true_count
             rows.append(
                 {
                     "kind": "level",
@@ -109,13 +108,13 @@ def run_delta_sweep(
     rows: List[Dict[str, Any]] = []
     for delta in deltas:
         for level in levels:
-            sigma = gaussian_sigma(epsilon_g, delta, sensitivities[level])
+            mechanism = build_mechanism("gaussian", epsilon_g, sensitivities[level], delta=delta)
             rows.append(
                 {
                     "delta": delta,
                     "level": level,
                     "epsilon_g": epsilon_g,
-                    "expected_rer": expected_rer_gaussian(sigma, true_count),
+                    "expected_rer": mechanism.expected_absolute_error() / true_count,
                 }
             )
     return rows

@@ -5,16 +5,19 @@ answer against the group privacy budget ``εg ∈ {0.1, ..., 1.0}``, with one
 curve per information level ``I9,0 ... I9,7`` of a 9-level hierarchy built
 over the DBLP association graph.
 
-The harness mirrors the pipeline exactly:
+The harness mirrors the pipeline exactly, and calibrates through the
+pipeline's own code:
 
 1. build the group hierarchy once with the Exponential-Mechanism specializer;
 2. compute the group-level sensitivity of the count query at every released
-   level;
-3. for every ``εg`` draw Gaussian noise calibrated to each level's
-   sensitivity and report the RER (mean over ``num_trials`` independent
-   draws), or — in the :func:`run_figure1_analytic` variant — report the
-   closed-form expected RER, which is deterministic and is what the
-   regression tests assert against.
+   level with :func:`~repro.core.pipeline.calibrated_sensitivity`, the
+   function the calibrate stages call;
+3. for every ``εg`` draw noise at the scale of the mechanism a release would
+   build (:func:`~repro.core.common.build_mechanism`) and report the RER
+   (mean over ``num_trials`` independent draws), or — in the
+   :func:`run_figure1_analytic` variant — report the mechanism's closed-form
+   expected RER, which is deterministic and is what the regression tests
+   assert against.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.common import build_mechanism, normalise_workload
+from repro.core.pipeline import calibrated_sensitivity
 from repro.core.release import MultiLevelRelease
 from repro.datasets.registry import load_dataset
 from repro.evaluation.metrics import expected_rer_gaussian, expected_rer_laplace
@@ -33,8 +38,7 @@ from repro.execution import ExecutorSpec, executor_scope
 from repro.graphs.bipartite import BipartiteGraph
 from repro.grouping.hierarchy import GroupHierarchy
 from repro.grouping.specialization import SpecializationConfig, Specializer
-from repro.mechanisms.calibration import gaussian_sigma, laplace_scale
-from repro.privacy.sensitivity import group_count_sensitivity
+from repro.mechanisms.base import NumericMechanism
 from repro.utils.rng import RandomState, as_rng, derive_rng
 
 #: The εg values on the x-axis of Figure 1.
@@ -172,26 +176,27 @@ def build_figure1_hierarchy(
 def level_sensitivities(
     graph: BipartiteGraph, hierarchy: GroupHierarchy, levels: Sequence[int]
 ) -> Dict[int, float]:
-    """Group-level sensitivity of the association count at each level."""
+    """Group-level sensitivity of the association count at each level.
+
+    The pipeline's calibration applied to the paper workload; for that
+    scalar count query the L1 and L2 sensitivities coincide, so the value
+    holds for every mechanism the figure plots.
+    """
+    workload = normalise_workload(None)
     return {
-        level: group_count_sensitivity(graph, hierarchy.partition_at(level))
+        level: calibrated_sensitivity(workload, graph, "gaussian", hierarchy.partition_at(level))
         for level in levels
         if hierarchy.has_level(level)
     }
 
 
-def _noise_scale(mechanism: str, epsilon: float, delta: float, sensitivity: float) -> float:
-    if mechanism == "gaussian":
-        return gaussian_sigma(epsilon, delta, sensitivity)
-    if mechanism == "laplace":
-        return laplace_scale(epsilon, sensitivity)
-    raise EvaluationError(f"figure 1 harness supports 'gaussian' and 'laplace', got {mechanism!r}")
-
-
-def _expected_rer(mechanism: str, scale: float, true_count: float) -> float:
-    if mechanism == "gaussian":
-        return expected_rer_gaussian(scale, true_count)
-    return expected_rer_laplace(scale, true_count)
+def _mechanism(config: Figure1Config, epsilon: float, sensitivity: float) -> NumericMechanism:
+    """The mechanism a release of one level at ``epsilon`` perturbs with."""
+    if config.mechanism not in ("gaussian", "laplace"):
+        raise EvaluationError(
+            f"figure 1 harness supports 'gaussian' and 'laplace', got {config.mechanism!r}"
+        )
+    return build_mechanism(config.mechanism, epsilon, sensitivity, delta=config.delta)
 
 
 def run_figure1(
@@ -243,7 +248,7 @@ def run_figure1(
     for epsilon, unit_noise in zip(config.epsilons, unit_matrix):
         mean_unit_magnitude = float(np.mean(np.abs(unit_noise)))
         for level in levels:
-            scale = _noise_scale(config.mechanism, epsilon, config.delta, sensitivities[level])
+            scale = _mechanism(config, epsilon, sensitivities[level]).noise_scale()
             series[level].append(mean_unit_magnitude * scale / true_count)
     return Figure1Result(
         epsilons=list(config.epsilons),
@@ -263,7 +268,8 @@ def run_figure1_analytic(
     """Deterministic variant of :func:`run_figure1` using closed-form expected RER.
 
     ``E[RER] = E[|noise|] / T`` — for Gaussian noise ``sigma * sqrt(2/pi) / T``,
-    for Laplace noise ``b / T``.  Used by the regression tests and the quick
+    for Laplace noise ``b / T`` (the mechanism's ``expected_absolute_error()``
+    over ``T``).  Used by the regression tests and the quick
     benchmark mode because it has no Monte-Carlo variance.
     """
     config = config if config is not None else Figure1Config()
@@ -281,8 +287,8 @@ def run_figure1_analytic(
     series: Dict[int, List[float]] = {level: [] for level in levels}
     for epsilon in config.epsilons:
         for level in levels:
-            scale = _noise_scale(config.mechanism, epsilon, config.delta, sensitivities[level])
-            series[level].append(_expected_rer(config.mechanism, scale, true_count))
+            mechanism = _mechanism(config, epsilon, sensitivities[level])
+            series[level].append(mechanism.expected_absolute_error() / true_count)
     return Figure1Result(
         epsilons=list(config.epsilons),
         series=series,
@@ -318,7 +324,7 @@ def _figure1_trial(trial: int, graph: BipartiteGraph, config: Figure1Config) -> 
     series = {
         level: [
             abs(float(unit[eps_index][level_index]))
-            * _noise_scale(config.mechanism, epsilon, config.delta, sensitivities[level])
+            * _mechanism(config, epsilon, sensitivities[level]).noise_scale()
             / true_count
             for eps_index, epsilon in enumerate(config.epsilons)
         ]

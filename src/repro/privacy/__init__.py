@@ -1,32 +1,24 @@
-"""Privacy definitions: adjacency relations, sensitivities, guarantees.
+"""Privacy definitions: sensitivities, guarantees, conversion and audits.
 
 This package encodes the paper's Section II formally:
 
-* :mod:`repro.privacy.adjacency` — the adjacency relations (individual-level,
-  group-level, and the node/edge graph variants) that define *what* is being
-  protected;
-* :mod:`repro.privacy.sensitivity` — sensitivity of association-count queries
-  under each relation (the quantity mechanisms must be calibrated to);
+* :mod:`repro.privacy.sensitivity` — the adjacency relations (individual,
+  node and group level; paper Definitions 1–4) and the sensitivity of
+  association-count workloads under each, the quantity mechanisms are
+  calibrated to (the calibration rule itself, L1 or L2 per mechanism, is
+  :func:`repro.core.pipeline.calibrated_sensitivity`);
 * :mod:`repro.privacy.guarantees` — ``(epsilon, delta)`` guarantee records
   attached to releases;
 * :mod:`repro.privacy.conversion` — the classic lemma converting an
   individual-DP guarantee into a group-DP guarantee for groups of bounded
-  size (and the reverse direction used by the naive baseline).
+  size (and the reverse direction used by the naive baseline);
+* :mod:`repro.privacy.audit` — empirical audits comparing a mechanism's
+  output distributions on adjacent inputs against its claimed epsilon.
 """
 
-from repro.privacy.adjacency import (
-    AdjacencyRelation,
-    EdgeAdjacency,
-    GroupAdjacency,
-    IndividualAdjacency,
-    NodeAdjacency,
-)
 from repro.privacy.sensitivity import (
-    association_count_sensitivity,
     group_count_sensitivity,
     group_workload_l1_sensitivity,
-    group_workload_l2_sensitivity,
-    individual_count_sensitivity,
     node_count_sensitivity,
 )
 from repro.privacy.guarantees import (
@@ -42,16 +34,8 @@ from repro.privacy.conversion import (
 from repro.privacy.audit import AuditResult, audit_count_release, audit_scalar_mechanism
 
 __all__ = [
-    "AdjacencyRelation",
-    "EdgeAdjacency",
-    "GroupAdjacency",
-    "IndividualAdjacency",
-    "NodeAdjacency",
-    "association_count_sensitivity",
     "group_count_sensitivity",
     "group_workload_l1_sensitivity",
-    "group_workload_l2_sensitivity",
-    "individual_count_sensitivity",
     "node_count_sensitivity",
     "GroupPrivacyGuarantee",
     "IndividualPrivacyGuarantee",

@@ -1,25 +1,42 @@
 """Sensitivity computations for association-count workloads.
 
-Additive-noise mechanisms need the L1 (Laplace/geometric) or L2 (Gaussian)
-sensitivity of the query under the adjacency relation being protected.  The
-functions here compute those quantities for:
+Differential privacy is always stated relative to an adjacency relation over
+datasets.  The paper works with two:
+
+* **individual adjacency** (Definitions 1 and 2) — datasets differing in one
+  record, read here as one association (edge); and
+* **group-level adjacency** (Definitions 3 and 4) — datasets differing in one
+  whole group ``Gi`` of a fixed partition of the node universe: removing a
+  group removes every node in it and every association incident to them.
+
+A third, node adjacency (one entity and all its associations), gives the
+max-degree sensitivities below.  Additive-noise mechanisms need the L1
+(Laplace/geometric) or L2 (Gaussian) sensitivity of the query under the
+relation being protected.  The functions here compute those quantities for:
 
 * the paper's headline query — "what is the number of associations in the
-  dataset?" — under individual, node and group adjacency; and
+  dataset?" — under node and group adjacency (it is 1 under individual
+  adjacency); and
 * the per-group count *workload* — the vector of induced-subgraph association
-  counts, one per group of a partition — which the extended release supports.
+  counts, one per group of a partition — and the degree histogram, which the
+  extended release supports.
+
+The queries in :mod:`repro.queries` dispatch on the adjacency name to these
+functions, and :func:`repro.core.pipeline.calibrated_sensitivity` picks the
+norm for every measured sensitivity a level's noise is calibrated to.
 
 Group-level sensitivities are *data- and partition-dependent*: they are
-computed from the published grouping, exactly as the paper's pipeline does
-(the grouping is itself produced under differential privacy in phase 1, so
-using it to calibrate phase-2 noise is standard post-processing of a private
-structure plus a fresh mechanism invocation).
+measured on the graph's edges under the published grouping, exactly as the
+paper's pipeline does.  That makes them the *local* sensitivity at this
+graph, not post-processing of the private grouping: a group-adjacent graph
+can publish a different value.  ROADMAP item 1 ("calibrate to bounds, not to
+the graph") plans to replace them with data-independent bounds.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -27,16 +44,6 @@ from repro.exceptions import SensitivityError
 from repro.graphs.arrays import NO_GROUP
 from repro.graphs.bipartite import BipartiteGraph, Side
 from repro.grouping.partition import Partition
-
-Node = Hashable
-
-
-def individual_count_sensitivity() -> float:
-    """Sensitivity of the global association count under individual adjacency.
-
-    Adding or removing one association changes the count by exactly 1.
-    """
-    return 1.0
 
 
 def node_count_sensitivity(graph: BipartiteGraph, degree_bound: Optional[int] = None) -> float:
@@ -61,12 +68,6 @@ def group_count_sensitivity(graph: BipartiteGraph, partition: Partition) -> floa
     return float(worst) if worst else 1.0
 
 
-def per_group_incident_counts(graph: BipartiteGraph, partition: Partition) -> Dict[str, int]:
-    """Number of associations incident to each group of ``partition``."""
-    counts = graph.arrays().incident_counts(partition)
-    return {group.group_id: int(counts[i]) for i, group in enumerate(partition.groups())}
-
-
 def group_workload_l1_sensitivity(graph: BipartiteGraph, partition: Partition) -> float:
     """L1 sensitivity of the per-group *induced* count workload under group adjacency.
 
@@ -81,16 +82,6 @@ def group_workload_l1_sensitivity(graph: BipartiteGraph, partition: Partition) -
         raise SensitivityError("partition has no groups")
     worst = int(graph.arrays().induced_counts(partition).max(initial=0))
     return float(worst) if worst else 1.0
-
-
-def group_workload_l2_sensitivity(graph: BipartiteGraph, partition: Partition) -> float:
-    """L2 sensitivity of the per-group induced count workload under group adjacency.
-
-    Only one coordinate changes between group-adjacent datasets (see
-    :func:`group_workload_l1_sensitivity`), so the L2 and L1 sensitivities
-    coincide.
-    """
-    return group_workload_l1_sensitivity(graph, partition)
 
 
 def group_degree_histogram_sensitivity(
@@ -117,17 +108,6 @@ def group_degree_histogram_sensitivity(
     return max(1.0, float(per_group.max(initial=0)))
 
 
-def cross_level_sensitivities(
-    graph: BipartiteGraph, partitions: Dict[int, Partition]
-) -> Dict[int, float]:
-    """Global-count sensitivity per hierarchy level.
-
-    Convenience helper used by the disclosure pipeline and the benchmarks:
-    maps ``level -> group_count_sensitivity(graph, partition_at_level)``.
-    """
-    return {level: group_count_sensitivity(graph, partition) for level, partition in partitions.items()}
-
-
 def scale_sensitivity(base: float, factor: float) -> float:
     """Multiply a sensitivity by a factor, validating the result.
 
@@ -141,34 +121,3 @@ def scale_sensitivity(base: float, factor: float) -> float:
     if math.isinf(result) or math.isnan(result):
         raise SensitivityError(f"scaled sensitivity is not finite: {result}")
     return result
-
-
-def association_count_sensitivity(
-    graph: BipartiteGraph,
-    adjacency: str = "individual",
-    partition: Optional[Partition] = None,
-    degree_bound: Optional[int] = None,
-) -> float:
-    """Dispatch helper: sensitivity of the global count under a named adjacency.
-
-    Parameters
-    ----------
-    graph:
-        The association graph.
-    adjacency:
-        ``"individual"`` (one association), ``"node"`` (one entity and its
-        associations) or ``"group"`` (one group of a partition).
-    partition:
-        Required when ``adjacency == "group"``.
-    degree_bound:
-        Optional degree cap for node adjacency.
-    """
-    if adjacency == "individual":
-        return individual_count_sensitivity()
-    if adjacency == "node":
-        return node_count_sensitivity(graph, degree_bound=degree_bound)
-    if adjacency == "group":
-        if partition is None:
-            raise SensitivityError("group adjacency requires a partition")
-        return group_count_sensitivity(graph, partition)
-    raise SensitivityError(f"unknown adjacency {adjacency!r}")

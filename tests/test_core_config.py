@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.common import uses_l2_sensitivity
 from repro.core.config import DisclosureConfig
 from repro.exceptions import ValidationError
 from repro.grouping.specialization import SpecializationConfig
@@ -60,9 +61,10 @@ class TestDisclosureConfig:
             DisclosureConfig(delta=0.0)
 
     def test_uses_l2_sensitivity(self):
-        assert DisclosureConfig(mechanism="gaussian").uses_l2_sensitivity()
-        assert DisclosureConfig(mechanism="analytic_gaussian").uses_l2_sensitivity()
-        assert not DisclosureConfig(mechanism="laplace").uses_l2_sensitivity()
+        assert uses_l2_sensitivity(DisclosureConfig(mechanism="gaussian").mechanism)
+        assert uses_l2_sensitivity(DisclosureConfig(mechanism="analytic_gaussian").mechanism)
+        assert not uses_l2_sensitivity(DisclosureConfig(mechanism="laplace").mechanism)
+        assert not uses_l2_sensitivity(DisclosureConfig(mechanism="geometric").mechanism)
 
     def test_specialization_type_enforced(self):
         with pytest.raises(ValidationError):

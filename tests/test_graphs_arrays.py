@@ -120,6 +120,13 @@ def test_partition_codes_and_kernels(tiny_graph, tiny_partition):
     assert incident.tolist() == [5, 5]
 
 
+def test_incident_counts_per_group(tiny_graph):
+    partition = Partition.from_mapping({"g1": ["bob", "carol"], "g2": ["dave", "erin"]})
+    counts = tiny_graph.arrays().incident_counts(partition)
+    # bob and carol touch three associations, dave two and erin none.
+    assert dict(zip(partition.group_ids(), counts.tolist())) == {"g1": 3, "g2": 2}
+
+
 def test_cross_group_matrix_matches_manual_count(tiny_graph):
     arrays = tiny_graph.arrays()
     left = Partition.from_mapping({"bc": ["bob", "carol"], "de": ["dave", "erin"]})

@@ -12,7 +12,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import (
@@ -21,7 +21,7 @@ from repro.exceptions import (
     NodeNotFoundError,
     ValidationError,
 )
-from repro.graphs.arrays import GraphArrays
+from repro.graphs.arrays import DELTA_COMPILE_MIN_THRESHOLD, GraphArrays
 from repro.graphs.bipartite import BipartiteGraph, Mutation, Side
 
 
@@ -224,6 +224,9 @@ def apply_step(graph: BipartiteGraph, kind: int, payload: int) -> None:
 
 class TestDeltaCompileParity:
     @given(pairs=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=40), program=steps)
+    # No initial edges: 18 logged node adds exceed the 16-record floor, so
+    # even max_fraction=1e9 falls back to a full compile.
+    @example(pairs=[], program=[(0, i) for i in range(12)] + [(1, j) for j in range(6)])
     @settings(max_examples=120, deadline=None)
     def test_delta_compile_matches_full_compile(self, pairs, program):
         graph = BipartiteGraph(name="parity")
@@ -232,12 +235,16 @@ class TestDeltaCompileParity:
         old = GraphArrays.compile(graph)
         for kind, payload in program:
             apply_step(graph, kind, payload)
-        # max_fraction high enough that the delta path always runs, so the
-        # parity claim is exercised even for large deltas.
-        delta = GraphArrays.delta_compile(old, graph, max_fraction=1e9)
+        # max_fraction is high enough that the delta path runs whenever the
+        # old view has an edge, so the parity claim is exercised even for
+        # large deltas; an edgeless old view keeps the 16-record floor.
+        max_fraction = 1e9
+        delta = GraphArrays.delta_compile(old, graph, max_fraction=max_fraction)
         expected = GraphArrays.compile(graph)
-        if graph.revision != old.revision:
-            assert delta.compiled_incrementally
+        records = graph.mutations_since(old.revision)
+        if records:
+            limit = max(DELTA_COMPILE_MIN_THRESHOLD, int(max_fraction * old.num_edges))
+            assert delta.compiled_incrementally == (len(records) <= limit)
         assert_views_identical(delta, expected)
         graph.validate()
 

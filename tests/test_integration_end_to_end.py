@@ -12,7 +12,13 @@ from repro import (
     verify_release,
 )
 from repro.baselines.naive_group import NaiveGroupDPDiscloser
-from repro.evaluation.figure1 import Figure1Config, run_figure1_analytic
+from repro.evaluation.experiments import run_e5_ablation_mechanism
+from repro.evaluation.figure1 import (
+    Figure1Config,
+    build_figure1_hierarchy,
+    figure1_metrics_from_release,
+    run_figure1_analytic,
+)
 from repro.evaluation.metrics import expected_rer_gaussian, release_error_report
 from repro.grouping.specialization import SpecializationConfig
 from repro.utils.serialization import from_json_file, to_json_file
@@ -73,23 +79,61 @@ class TestEndToEndWithAttributes:
 
 
 class TestFigureOneConsistencyWithPipeline:
-    def test_analytic_figure_matches_pipeline_noise_scales(self):
+    """The figure harnesses and the pipeline share one calibration, exactly."""
+
+    @pytest.mark.parametrize("mechanism", ["gaussian", "laplace"])
+    def test_analytic_figure_matches_pipeline_noise_scales(self, mechanism):
         graph = generate_dblp_like(num_authors=300, seed=11)
         num_levels = 5
         config = DisclosureConfig(
-            epsilon_g=0.5, specialization=SpecializationConfig(num_levels=num_levels)
+            epsilon_g=0.5,
+            mechanism=mechanism,
+            specialization=SpecializationConfig(num_levels=num_levels),
         )
         discloser = MultiLevelDiscloser(config=config, rng=11)
         hierarchy = discloser.specializer.build(graph).hierarchy
         release = discloser.disclose(graph, hierarchy=hierarchy)
 
-        fig_config = Figure1Config(num_levels=num_levels, epsilons=(0.5,), seed=11)
+        fig_config = Figure1Config(
+            num_levels=num_levels, epsilons=(0.5,), mechanism=mechanism, seed=11
+        )
         figure = run_figure1_analytic(graph=graph, config=fig_config, hierarchy=hierarchy)
 
-        true_count = graph.num_associations()
-        for level in release.levels():
-            expected_from_release = expected_rer_gaussian(release.level(level).noise_scale, true_count)
-            assert figure.rer_at(level, 0.5) == pytest.approx(expected_from_release, rel=1e-9)
+        true_count = float(graph.num_associations())
+        rows = figure1_metrics_from_release(release, true_count=true_count)
+        assert [row["level"] for row in rows] == figure.levels()
+        for row in rows:
+            level = row["level"]
+            assert figure.sensitivities[level] == release.level(level).sensitivity
+            assert figure.rer_at(level, 0.5) == row["expected_rer"]
+
+    def test_e5_analytic_gaussian_rows_match_a_release(self):
+        graph = generate_dblp_like(num_authors=300, seed=11)
+        num_levels, seed = 5, 13
+        rows = [
+            row
+            for row in run_e5_ablation_mechanism(
+                num_levels=num_levels, epsilon_g=0.5, seed=seed, graph=graph
+            )
+            if row["variant"] == "analytic_gaussian"
+        ]
+        hierarchy = build_figure1_hierarchy(
+            graph, Figure1Config(num_levels=num_levels, seed=seed), rng=seed
+        )
+        config = DisclosureConfig(
+            epsilon_g=0.5,
+            mechanism="analytic_gaussian",
+            specialization=SpecializationConfig(num_levels=num_levels),
+        )
+        release = MultiLevelDiscloser(config=config, rng=seed).disclose(graph, hierarchy=hierarchy)
+        expected = figure1_metrics_from_release(
+            release, true_count=float(graph.num_associations())
+        )
+        assert [row["level"] for row in rows] == [row["level"] for row in expected]
+        for row, published in zip(rows, expected):
+            assert row["epsilon_g"] == published["epsilon"]
+            assert row["noise_scale"] == published["noise_scale"]
+            assert row["expected_rer"] == published["expected_rer"]
 
     def test_naive_baseline_worse_at_every_level(self):
         graph = generate_dblp_like(num_authors=300, seed=12)

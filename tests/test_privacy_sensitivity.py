@@ -5,22 +5,14 @@ import pytest
 from repro.exceptions import SensitivityError
 from repro.grouping.partition import Group, Partition
 from repro.privacy.sensitivity import (
-    association_count_sensitivity,
-    cross_level_sensitivities,
     group_count_sensitivity,
     group_workload_l1_sensitivity,
-    group_workload_l2_sensitivity,
-    individual_count_sensitivity,
     node_count_sensitivity,
-    per_group_incident_counts,
     scale_sensitivity,
 )
 
 
 class TestScalarSensitivities:
-    def test_individual_is_one(self):
-        assert individual_count_sensitivity() == 1.0
-
     def test_node_is_max_degree(self, tiny_graph):
         assert node_count_sensitivity(tiny_graph) == 2.0
 
@@ -44,16 +36,6 @@ class TestScalarSensitivities:
 
 
 class TestPerGroupCounts:
-    def test_incident_counts(self, tiny_graph):
-        partition = Partition(
-            [
-                Group("g1", frozenset(["bob", "carol"])),
-                Group("g2", frozenset(["dave", "erin"])),
-            ]
-        )
-        counts = per_group_incident_counts(tiny_graph, partition)
-        assert counts == {"g1": 3, "g2": 2}
-
     def test_workload_l1_is_max_induced_count(self, tiny_graph):
         partition = Partition(
             [
@@ -63,24 +45,13 @@ class TestPerGroupCounts:
         )
         # g1 induces 2 associations, g2 induces 1 (dave-statin).
         assert group_workload_l1_sensitivity(tiny_graph, partition) == 2.0
-        assert group_workload_l2_sensitivity(tiny_graph, partition) == 2.0
 
     def test_workload_sensitivity_empty_partition_raises(self, tiny_graph):
         with pytest.raises(SensitivityError):
             group_workload_l1_sensitivity(tiny_graph, Partition([]))
 
 
-class TestCrossLevel:
-    def test_cross_level_matches_per_level(self, dblp_graph, dblp_hierarchy):
-        partitions = {
-            level: dblp_hierarchy.partition_at(level) for level in dblp_hierarchy.level_indices()
-        }
-        values = cross_level_sensitivities(dblp_graph, partitions)
-        for level, partition in partitions.items():
-            assert values[level] == group_count_sensitivity(dblp_graph, partition)
-
-
-class TestScaleAndDispatch:
+class TestScale:
     def test_scale_sensitivity(self):
         assert scale_sensitivity(2.0, 3.0) == 6.0
 
@@ -89,20 +60,3 @@ class TestScaleAndDispatch:
             scale_sensitivity(0.0, 1.0)
         with pytest.raises(SensitivityError):
             scale_sensitivity(1.0, -2.0)
-
-    def test_dispatch_individual(self, tiny_graph):
-        assert association_count_sensitivity(tiny_graph, "individual") == 1.0
-
-    def test_dispatch_node(self, tiny_graph):
-        assert association_count_sensitivity(tiny_graph, "node") == 2.0
-
-    def test_dispatch_group(self, tiny_graph, tiny_partition):
-        assert association_count_sensitivity(tiny_graph, "group", partition=tiny_partition) == 5.0
-
-    def test_dispatch_group_without_partition_raises(self, tiny_graph):
-        with pytest.raises(SensitivityError):
-            association_count_sensitivity(tiny_graph, "group")
-
-    def test_dispatch_unknown_adjacency_raises(self, tiny_graph):
-        with pytest.raises(SensitivityError):
-            association_count_sensitivity(tiny_graph, "household")

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.exceptions import SensitivityError
+from repro.graphs.bipartite import BipartiteGraph
 from repro.grouping.partition import Group, Partition
+from repro.privacy.sensitivity import group_count_sensitivity
 from repro.queries.counts import GroupedAssociationCountQuery, TotalAssociationCountQuery
 
 
@@ -27,6 +29,29 @@ class TestTotalAssociationCountQuery:
     def test_group_without_partition_raises(self, tiny_graph):
         with pytest.raises(SensitivityError):
             TotalAssociationCountQuery().l1_sensitivity(tiny_graph, "group")
+
+    def test_node_sensitivity_floor_on_empty_graph(self):
+        assert TotalAssociationCountQuery().l1_sensitivity(BipartiteGraph(), "node") == 1.0
+
+    def test_group_sensitivity_floor_for_edgeless_groups(self, tiny_graph):
+        partition = Partition([Group("isolated", frozenset(["erin", "zoloft"]))])
+        assert group_count_sensitivity(tiny_graph, partition) == 1.0
+        query = TotalAssociationCountQuery()
+        assert query.l1_sensitivity(tiny_graph, "group", partition=partition) == 1.0
+
+    def test_singleton_groups_give_max_degree(self, tiny_graph):
+        singletons = Partition.singletons(tiny_graph.nodes())
+        assert group_count_sensitivity(tiny_graph, singletons) == 2.0
+        query = TotalAssociationCountQuery()
+        assert query.l1_sensitivity(tiny_graph, "group", partition=singletons) == 2.0
+
+    def test_group_sensitivity_at_least_individual(self, dblp_graph, dblp_hierarchy):
+        query = TotalAssociationCountQuery()
+        individual = query.l1_sensitivity(dblp_graph, "individual")
+        for level in dblp_hierarchy.level_indices():
+            partition = dblp_hierarchy.partition_at(level)
+            assert group_count_sensitivity(dblp_graph, partition) >= individual
+            assert query.l1_sensitivity(dblp_graph, "group", partition=partition) >= individual
 
     def test_unknown_adjacency_raises(self, tiny_graph):
         with pytest.raises(SensitivityError):
